@@ -1,16 +1,20 @@
 """Exact charging dynamics of a Tavis-Cummings quantum battery.
 
-The package is organised around one pipeline:
+The modules:
 
     bethe    -- solve the sector root equations by warm-started Newton
                 continuation (one branch per sector eigenstate)
-    spectral -- expand branch eigenvectors in the number-Dicke basis and
-                collapse the number-state stored energy F(M, t) into an
-                exact cosine series
-    battery  -- stored energy / charging power for arbitrary photon
-                distributions, optimal-state construction, probability
-                splitting, and the hypersensitivity inequality checks
-    oracle   -- independent exact-diagonalization ground truth
+    spectral -- sector eigenbases, either expanded from branch roots in
+                the number-Dicke basis or taken from the tridiagonal
+                Hamiltonian, and the exact cosine series of the
+                number-state stored energy F(M, t)
+    battery  -- energy tables from the tridiagonal spectra; stored energy
+                / charging power for arbitrary photon distributions,
+                optimal-state construction, probability splitting, and
+                the hypersensitivity inequality checks
+    oracle   -- exact diagonalization of the tridiagonal sector
+                Hamiltonian and direct state evolution, the ground truth
+                the root-built spectra are checked against
     lindblad -- open-system evolution under cavity decay and collective
                 dephasing
     cli      -- file-based command line driver (``tcqb``)
@@ -20,9 +24,6 @@ atom), all times in 1/g, and the drive is resonant.
 """
 
 __version__ = "0.1.0"
-
-# Bump to invalidate on-disk spectrum caches when solver behaviour changes.
-SOLVER_VERSION = 1
 
 from .bethe import BetheBranch, SectorSpec, solve_sector, solve_sectors
 from .spectral import CosineSeries, SectorSpectrum, sector_spectrum, number_state_energy
@@ -39,7 +40,6 @@ from .oracle import oracle_F, sector_hamiltonian
 
 __all__ = [
     "__version__",
-    "SOLVER_VERSION",
     "BetheBranch",
     "SectorSpec",
     "solve_sector",

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bethe import SectorSpec, solve_sectors
-from .spectral import CosineSeries, first_max_time, number_state_energy, sector_spectrum, series_derivative
+from .bethe import SectorSpec
+from .spectral import CosineSeries, first_max_time, number_state_energy, series_derivative, tridiagonal_spectrum
 
 __all__ = [
     "BatteryError",
@@ -194,13 +194,12 @@ class EnergyTable:
         return self._tmax[m]
 
 
-def energy_table(n_atoms: int, m_max: int, *, seed: int = 0, **solver_kwargs) -> EnergyTable:
-    """Solve all sectors up to m_max and assemble their energy series."""
-    chains = solve_sectors(n_atoms, m_max, seed=seed, **solver_kwargs)
-    series = {}
-    for m, branches in chains.items():
-        spectrum = sector_spectrum(SectorSpec(n_atoms, m), branches)
-        series[m] = number_state_energy(spectrum)
+def energy_table(n_atoms: int, m_max: int) -> EnergyTable:
+    """Energy series of all sectors up to m_max from their tridiagonal spectra."""
+    series = {
+        m: number_state_energy(tridiagonal_spectrum(SectorSpec(n_atoms, m)))
+        for m in range(0, m_max + 1)
+    }
     return EnergyTable(n_atoms=n_atoms, series=series)
 
 

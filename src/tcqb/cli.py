@@ -2,11 +2,13 @@
 
 Every command that writes data also writes a manifest (full parameter
 echo, seed, version, wall time, warnings) next to it; data files are
-byte-identical across reruns with equal inputs.  Solved spectra are
-cached on disk keyed by (n_atoms, m, solver version, seed); set
-TCQB_CACHE_DIR to relocate the cache.
+written atomically and are byte-identical across reruns with equal
+inputs.  `energy`, `power`, `split-check` and `inequality` build their
+energy tables from the exact-diagonalization sector spectra and accept
+--seed only to echo it; `solve`, `spectrum` and `verify` run the root
+solver, which is where the seed is used.
 
-Exit codes: 2 solver failures (missing branches), 3 distribution/table
+Exit codes: 2 solver or spectrum failures, 3 distribution/table
 errors, 4 verification failure, 5 open-system integrator errors.
 """
 
@@ -15,34 +17,49 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import SOLVER_VERSION, __version__, battery, bethe, lindblad, oracle, spectral
+from . import __version__, battery, bethe, lindblad, oracle, spectral
 
 EXIT_SOLVER = 2
 EXIT_BATTERY = 3
 EXIT_VERIFY = 4
 EXIT_OPEN_SYSTEM = 5
+MAX_SECTOR = 64
+
+
+class InputError(Exception):
+    """A distribution argument or file that cannot be read."""
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Write a sibling temporary file, then rename it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(target: Path, command: str, params: dict, seed: int | None,
@@ -52,7 +69,6 @@ def _write_manifest(target: Path, command: str, params: dict, seed: int | None,
         "config": params,
         "seed": seed,
         "version": __version__,
-        "solver_version": SOLVER_VERSION,
         "wall_time_s": round(wall_time, 3),
         "warnings": warnings,
     }
@@ -63,49 +79,17 @@ def _write_manifest(target: Path, command: str, params: dict, seed: int | None,
     _write_json(path, manifest)
 
 
-def _cache_dir() -> Path:
-    root = os.environ.get("TCQB_CACHE_DIR")
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "tcqb"
-
-
-def _load_table(n_atoms: int, m_max: int, seed: int, allow_oracle_seed: bool,
-                use_cache: bool = True) -> tuple[battery.EnergyTable, list[str]]:
-    """Energy table from the on-disk cache, solving missing sectors."""
-    warnings: list[str] = []
-    series: dict[int, spectral.CosineSeries] = {}
-    chain_needed = False
-    cache = _cache_dir()
-    paths = {
-        m: cache / f"N{n_atoms}" / f"sector_M{m:02d}_v{SOLVER_VERSION}_seed{seed}.json"
-        for m in range(0, m_max + 1)
-    }
-    if use_cache:
-        for m, path in paths.items():
-            if path.exists():
-                doc = json.loads(path.read_text())
-                series[m] = spectral.CosineSeries.from_dict(doc["series"])
-            else:
-                chain_needed = True
-    else:
-        chain_needed = True
-    if chain_needed:
-        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed, allow_oracle_seed=allow_oracle_seed)
-        series = {}
-        for m, branches in chains.items():
-            spectrum = spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), branches)
-            doc = {
-                "branches": bethe.branches_to_payload(n_atoms, m, seed, branches),
-                "series": spectral.number_state_energy(spectrum).to_dict(m),
-            }
-            # Round-trip through the 12-digit payload so fresh and cached
-            # runs evaluate the same series bit for bit.
-            series[m] = spectral.CosineSeries.from_dict(doc["series"])
-            warnings.extend(_branch_warnings(n_atoms, m, branches))
-            if use_cache:
-                _write_json(paths[m], doc)
-    return battery.EnergyTable(n_atoms=n_atoms, series=series), warnings
+@contextmanager
+def _table_errors(command: str):
+    """Exit with the documented code when building or using a table fails."""
+    try:
+        yield
+    except (oracle.ConvergenceFailure, spectral.SpectralError) as err:
+        click.echo(f"{command} failed: {err}", err=True)
+        raise SystemExit(EXIT_SOLVER)
+    except (InputError, battery.BatteryError) as err:
+        click.echo(f"{command} failed: {err}", err=True)
+        raise SystemExit(EXIT_BATTERY)
 
 
 def _branch_warnings(n_atoms: int, m: int, branches: list[bethe.BetheBranch]) -> list[str]:
@@ -122,18 +106,32 @@ def _branch_warnings(n_atoms: int, m: int, branches: list[bethe.BetheBranch]) ->
 
 
 def _parse_init(text: str) -> battery.PhotonDistribution:
-    """fock:M | coherent:ALPHA2[:TRUNC] | file:PATH."""
+    """fock:M | coherent:ALPHA2[:TRUNC] | file:PATH, with support <= MAX_SECTOR."""
     kind, _, rest = text.partition(":")
-    if kind == "fock":
-        return battery.fock_distribution(int(rest))
-    if kind == "coherent":
-        parts = rest.split(":")
-        alpha_sq = float(parts[0])
-        trunc = int(parts[1]) if len(parts) > 1 else None
-        return battery.coherent_distribution(alpha_sq, trunc)
-    if kind == "file":
-        return battery.PhotonDistribution.from_dict(json.loads(Path(rest).read_text()))
-    raise click.BadParameter(f"unknown initial state {text!r} (fock:M, coherent:A2[:T], file:PATH)")
+    if kind not in ("fock", "coherent", "file"):
+        raise InputError(f"unknown initial state {text!r} (fock:M, coherent:A2[:T], file:PATH)")
+    try:
+        if kind == "fock":
+            dist = battery.fock_distribution(int(rest))
+        elif kind == "coherent":
+            parts = rest.split(":")
+            trunc = int(parts[1]) if len(parts) > 1 else None
+            dist = battery.coherent_distribution(float(parts[0]), trunc)
+        else:
+            dist = battery.PhotonDistribution.from_dict(json.loads(Path(rest).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        raise InputError(f"bad distribution {text!r}: {type(err).__name__}: {err}") from err
+    if dist.max_support > MAX_SECTOR:
+        raise battery.SupportExceedsTable(
+            f"distribution reaches M = {dist.max_support}; supported sectors stop at {MAX_SECTOR}"
+        )
+    return dist
+
+
+# The table commands read no seed; they keep the option so that the
+# same flags work on every command, and echo it in the manifest.
+_echoed_seed = click.option("--seed", type=int, default=0, show_default=True,
+                            help="Recorded in the manifest; the energy table uses no seed.")
 
 
 def _config_callback(ctx: click.Context, param: click.Parameter, value: str | None):
@@ -220,21 +218,11 @@ def spectrum(n_atoms, m_max, seed, out_dir):
 
 def _energy_impl(command: str, init, n_atoms, t_end, steps, seed, out_csv):
     t0 = time.time()
-    try:
+    with _table_errors(command):
         dist = _parse_init(init)
-        if dist.max_support > 64:
-            raise battery.SupportExceedsTable(
-                f"distribution reaches M = {dist.max_support}; supported sectors stop at 64"
-            )
-        table, warnings = _load_table(n_atoms, dist.max_support, seed, False)
+        table = battery.energy_table(n_atoms, dist.max_support)
         t = np.linspace(0.0, t_end, steps)
         energy = battery.stored_energy(dist, table, t)
-    except bethe.MissingBranches as err:
-        click.echo(f"{command} failed: {err}", err=True)
-        raise SystemExit(EXIT_SOLVER)
-    except battery.BatteryError as err:
-        click.echo(f"{command} failed: {err}", err=True)
-        raise SystemExit(EXIT_BATTERY)
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t[1:]
     path = Path(out_csv)
@@ -242,7 +230,7 @@ def _energy_impl(command: str, init, n_atoms, t_end, steps, seed, out_csv):
     _write_manifest(
         path, command,
         {"init": init, "n_atoms": n_atoms, "t_end": t_end, "steps": steps},
-        seed, time.time() - t0, warnings,
+        seed, time.time() - t0, [],
     )
     click.echo(f"wrote {steps} samples -> {path}")
 
@@ -252,7 +240,7 @@ def _energy_impl(command: str, init, n_atoms, t_end, steps, seed, out_csv):
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
 @click.option("--t-end", type=float, default=3.0, show_default=True)
 @click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 def energy(init, n_atoms, t_end, steps, seed, out_csv):
     """Stored energy and average power over a uniform time grid."""
@@ -264,7 +252,7 @@ def energy(init, n_atoms, t_end, steps, seed, out_csv):
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
 @click.option("--t-end", type=float, default=3.0, show_default=True)
 @click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 def power(init, n_atoms, t_end, steps, seed, out_csv):
     """Same series as `energy`; the P column is the average power."""
@@ -293,24 +281,17 @@ def optimal(mean, out_json):
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
 @click.option("--t", "t_check", type=float, default=0.3, show_default=True,
               help="Time at which the expectation gap is evaluated.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
 def split_check(dist_text, n_atoms, t_check, seed, out_json):
     """Split a distribution against the optimal one and cross-check the gap."""
     t0 = time.time()
-    try:
+    with _table_errors("split-check"):
         dist = _parse_init(dist_text)
         tableau = battery.split(dist)
         err_p, err_m = tableau.identity_errors(dist)
-        m_needed = max(dist.max_support, tableau.floor + 1)
-        table, warnings = _load_table(n_atoms, m_needed, seed, False)
+        table = battery.energy_table(n_atoms, max(dist.max_support, tableau.floor + 1))
         gap = battery.delta_F(dist, table, t_check)
-    except bethe.MissingBranches as err:
-        click.echo(f"split-check failed: {err}", err=True)
-        raise SystemExit(EXIT_SOLVER)
-    except battery.BatteryError as err:
-        click.echo(f"split-check failed: {err}", err=True)
-        raise SystemExit(EXIT_BATTERY)
     payload = {
         "dist": dist.to_dict()["probs"],
         "mean": float(_fmt(dist.mean)),
@@ -324,7 +305,7 @@ def split_check(dist_text, n_atoms, t_check, seed, out_json):
         path = Path(out_json)
         _write_json(path, payload)
         _write_manifest(path, "split-check", {"dist": dist_text, "n_atoms": n_atoms, "t": t_check},
-                        seed, time.time() - t0, warnings)
+                        seed, time.time() - t0, [])
         click.echo(f"wrote {path}")
     else:
         click.echo(json.dumps(payload, sort_keys=True))
@@ -335,26 +316,23 @@ def split_check(dist_text, n_atoms, t_check, seed, out_json):
               help="28: ratio bound; 29: derivative ordering.")
 @click.option("--n-atoms", type=click.IntRange(1, 64), default=10, show_default=True)
 @click.option("--max-m", type=click.IntRange(1, 64), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
 def inequality(which, n_atoms, max_m, seed, out_json):
     """Exhaustive grid search for violations of a stored-energy inequality."""
     t0 = time.time()
-    try:
-        table, warnings = _load_table(n_atoms, max_m, seed, False)
-    except bethe.MissingBranches as err:
-        click.echo(f"inequality failed: {err}", err=True)
-        raise SystemExit(EXIT_SOLVER)
     reports = []
-    if which == "28":
-        for M in range(1, max_m + 1):
-            for m in range(1, M + 1):
-                reports.append(battery.check_ratio_inequality(table, M, m))
-    else:
-        for M in range(1, max_m + 1):
-            for m in range(1, M + 1):
-                for m0 in range(1, m + 1):
-                    reports.append(battery.check_derivative_inequality(table, M, m, m0))
+    with _table_errors("inequality"):
+        table = battery.energy_table(n_atoms, max_m)
+        if which == "28":
+            for M in range(1, max_m + 1):
+                for m in range(1, M + 1):
+                    reports.append(battery.check_ratio_inequality(table, M, m))
+        else:
+            for M in range(1, max_m + 1):
+                for m in range(1, M + 1):
+                    for m0 in range(1, m + 1):
+                        reports.append(battery.check_derivative_inequality(table, M, m, m0))
     bad = [r for r in reports if not r.holds]
     total_viol = sum(r.n_violations for r in bad)
     click.echo(f"{total_viol} violations over {len(reports)} index combinations")
@@ -375,7 +353,7 @@ def inequality(which, n_atoms, max_m, seed, out_json):
         path = Path(out_json)
         _write_json(path, payload)
         _write_manifest(path, "inequality", {"which": which, "n_atoms": n_atoms, "max_m": max_m},
-                        seed, time.time() - t0, warnings)
+                        seed, time.time() - t0, [])
 
 
 @main.command()

@@ -304,5 +304,5 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         min_eig=min_eig,
         m_expect=m_expect,
         herm_drift=herm_drift,
-        final_state=rho,
+        final_state=samples[-1][1],
     )

@@ -10,6 +10,10 @@ sqrt((M-k)!) * prod_{l<k} sqrt((2J-l)(l+1)).  From the normalized
 eigenbasis the photon number evolves as a finite sum of complex
 exponentials, which collapses into the exact real cosine series of the
 number-state stored energy F(M, t).
+
+The same eigenbasis also comes straight from the tridiagonal sector
+Hamiltonian (tridiagonal_spectrum); the energy tables are built that
+way, and the root-built basis is the independent path checked against it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import BetheBranch, SectorSpec
-from .oracle import sector_hamiltonian
+from .oracle import diagonalize, sector_hamiltonian
 
 __all__ = [
     "SpectralError",
@@ -32,6 +36,7 @@ __all__ = [
     "expand_eigenstate",
     "SectorSpectrum",
     "sector_spectrum",
+    "tridiagonal_spectrum",
     "initial_overlap",
     "CosineSeries",
     "SineSeries",
@@ -106,8 +111,11 @@ class SectorSpectrum:
 
     vectors[i] is the i-th (real, normalized) eigenvector with energy
     energies[i]; norms[i] is the pre-normalization norm of the generating
-    product state.  Rows are sorted by energy ascending and the k = 0
-    component of every vector is nonnegative.
+    product state (1 when no product state generated the vector).  Rows
+    are sorted by energy ascending and the k = 0 component of every vector
+    is nonnegative.  max_eigen_residual is measured when the basis is
+    rebuilt from roots; a basis from diagonalize passed its own < 1e-10
+    gate and records 0.
     """
 
     spec: SectorSpec
@@ -170,6 +178,18 @@ def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpec
     return SectorSpectrum(
         spec=spec, energies=energies, vectors=vectors, norms=norms, max_eigen_residual=res
     )
+
+
+def tridiagonal_spectrum(spec: SectorSpec) -> SectorSpectrum:
+    """The sector eigenbasis by exact diagonalization of its Hamiltonian.
+
+    diagonalize returns ascending energies and rejects any eigenvector
+    whose residual reaches 1e-10; each row is signed so that its k = 0
+    component is nonnegative, as in sector_spectrum.
+    """
+    energies, evecs = diagonalize(sector_hamiltonian(spec))
+    vectors = evecs.T * np.where(evecs[0] < 0, -1.0, 1.0)[:, None]
+    return SectorSpectrum(spec=spec, energies=energies, vectors=vectors, norms=np.ones(energies.size))
 
 
 def initial_overlap(spectrum: SectorSpectrum, sigma: int) -> float:

@@ -17,12 +17,15 @@ from tcqb.battery import (
     check_ratio_inequality,
     coherent_distribution,
     delta_F,
+    energy_table,
     estimate_photon_number,
     fock_distribution,
     optimal_distribution,
     split,
     stored_energy,
 )
+from tcqb.bethe import SectorSpec
+from tcqb.oracle import oracle_F
 from tcqb.spectral import CosineSeries
 
 SQRT10 = math.sqrt(10.0)
@@ -122,6 +125,19 @@ class TestStoredEnergy:
     def test_support_beyond_table(self, table):
         with pytest.raises(SupportExceedsTable):
             stored_energy(fock_distribution(table.m_max + 1), table, 0.5)
+
+
+class TestEnergyTable:
+    @pytest.mark.parametrize("n_atoms", [1, 2, 10])
+    def test_matches_direct_evolution(self, n_atoms):
+        table = energy_table(n_atoms, 20)
+        assert table.m_max == 20
+        t = np.linspace(0.0, 3.0, 2000)
+        worst = max(
+            float(np.max(np.abs(table.f(m, t) - oracle_F(SectorSpec(n_atoms, m), t))))
+            for m in range(21)
+        )
+        assert worst < 1e-10
 
 
 class TestChargingPower:

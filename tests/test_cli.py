@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from tcqb import battery, cli, oracle, spectral
+from tcqb.bethe import SectorSpec
 from tcqb.cli import main
 
 
 @pytest.fixture()
-def runner(tmp_path, monkeypatch):
-    monkeypatch.setenv("TCQB_CACHE_DIR", str(tmp_path / "cache"))
+def runner():
     return CliRunner()
 
 
@@ -266,16 +267,104 @@ class TestConfigFile:
         assert json.loads(result.output)["probs"] == {"4": 1.0}
 
 
-def test_energy_uses_cache_after_solve(runner, tmp_path):
-    out1 = tmp_path / "run1.csv"
-    out2 = tmp_path / "run2.csv"
-    r1 = CliRunner().invoke(main, ["energy", "--init", "fock:2", "--n-atoms", "10",
-                                   "--steps", "50", "--out", str(out1)],
-                            env={"TCQB_CACHE_DIR": str(tmp_path / "cache")})
-    r2 = CliRunner().invoke(main, ["energy", "--init", "fock:2", "--n-atoms", "10",
-                                   "--steps", "50", "--out", str(out2)],
-                            env={"TCQB_CACHE_DIR": str(tmp_path / "cache")})
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    cache_files = list((tmp_path / "cache").rglob("*.json"))
-    assert cache_files, "expected spectra cached on disk"
+def test_energy_reruns_are_byte_identical_and_write_only_their_outputs(tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.chdir(tmp_path)
+    env = {"HOME": str(home), "TCQB_CACHE_DIR": str(tmp_path / "cache")}
+    outs = [tmp_path / "out" / "run1.csv", tmp_path / "out" / "run2.csv"]
+    for out in outs:
+        result = CliRunner().invoke(
+            main, ["energy", "--init", "fock:2", "--n-atoms", "10", "--steps", "50", "--out", str(out)],
+            env=env,
+        )
+        assert result.exit_code == 0, result.output
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["out/run1.csv", "out/run1.csv.manifest.json",
+                       "out/run2.csv", "out/run2.csv.manifest.json"]
+
+
+def test_energy_at_the_largest_supported_sector(runner, tmp_path):
+    out = tmp_path / "n64.csv"
+    result = runner.invoke(
+        main, ["energy", "--n-atoms", "64", "--init", "fock:64", "--steps", "200", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    _, data = read_csv(out)
+    expected = oracle.oracle_F(SectorSpec(64, 64), data[:, 0])
+    assert np.max(np.abs(data[:, 1] - expected)) < 1e-8
+
+
+def _truncated_json(path):
+    path.write_text('{"probs": {"0": 0.5, "2": 0.')
+    return f"file:{path}"
+
+
+def _short_mass_json(path):
+    path.write_text(json.dumps({"probs": {"0": 0.4, "2": 0.5}}))
+    return f"file:{path}"
+
+
+BAD_DISTRIBUTIONS = {
+    "truncated-json": _truncated_json,
+    "sums-to-0.9": _short_mass_json,
+    "coherent-abc": lambda path: "coherent:abc",
+}
+
+
+def _table_command(command, dist, tmp_path):
+    if command == "split-check":
+        return ["split-check", "--dist", dist, "--n-atoms", "10"]
+    return [command, "--init", dist, "--n-atoms", "10", "--out", str(tmp_path / "x.csv")]
+
+
+@pytest.mark.parametrize("command", ["energy", "power", "split-check"])
+@pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTIONS))
+def test_bad_distribution_exits_3_with_one_line(runner, tmp_path, command, case):
+    dist = BAD_DISTRIBUTIONS[case](tmp_path / "dist.json")
+    result = runner.invoke(main, _table_command(command, dist, tmp_path))
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command} failed: bad distribution")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _fail_diagonalize(matrix):
+    raise oracle.ConvergenceFailure("eigen residual 1e-3")
+
+
+def _fail_series(spectrum):
+    raise spectral.ImaginaryLeak("pair (0,1) amplitude imag 1e-3")
+
+
+@pytest.mark.parametrize("module, name, fake", [
+    (spectral, "diagonalize", _fail_diagonalize),
+    (battery, "number_state_energy", _fail_series),
+], ids=["ConvergenceFailure", "SpectralError"])
+@pytest.mark.parametrize("command", ["energy", "split-check", "inequality"])
+def test_table_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake, command):
+    monkeypatch.setattr(module, name, fake)
+    if command == "inequality":
+        args = ["inequality", "--which", "28", "--n-atoms", "10", "--max-m", "3"]
+    else:
+        args = _table_command(command, "fock:3", tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{command} failed: ")
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    target = tmp_path / "data.json"
+    cli._write_json(target, {"run": 1})
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError):
+        cli._write_json(target, {"run": 2})
+    assert json.loads(target.read_text()) == {"run": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["data.json"]

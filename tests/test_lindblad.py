@@ -146,6 +146,17 @@ class TestEvolve:
         assert ts.power[0] == 0.0
         assert np.allclose(ts.power[1:], ts.energy[1:] / ts.t[1:])
 
+    def test_final_state_is_the_evolved_state(self):
+        config = small_config(kappa=0.3, gamma_phi=0.2, t_end=0.5)
+        ts = evolve(DensityMatrix.fock(config, 2), config)
+        rho = ts.final_state
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        ops = build_operators(config.n_atoms, config.n_max)
+        diag = np.diag(rho).real
+        assert np.diag(ops["jz"]) @ diag + config.n_atoms / 2.0 == pytest.approx(ts.energy[-1], abs=1e-12)
+        assert np.diag(ops["m"]) @ diag == pytest.approx(ts.m_expect[-1], abs=1e-12)
+        assert ts.energy[-1] > 0.1  # the initial state stores nothing
+
     def test_config_basis_must_match_state(self):
         config = small_config()
         other = small_config(n_max=9)

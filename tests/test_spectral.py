@@ -14,6 +14,7 @@ from tcqb.spectral import (
     first_max_time,
     initial_overlap,
     series_derivative,
+    tridiagonal_spectrum,
 )
 
 SQRT10 = math.sqrt(10.0)
@@ -82,6 +83,14 @@ class TestSectorSpectrum:
             vec = spectra[m].vectors
             gram = vec @ vec.T
             assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
+
+    def test_tridiagonal_spectrum_equals_root_built_basis(self, spectra):
+        for m, root_built in spectra.items():
+            direct = tridiagonal_spectrum(SectorSpec(10, m))
+            assert np.all(np.diff(direct.energies) > 0)
+            assert np.all(direct.vectors[:, 0] >= 0)
+            assert np.max(np.abs(direct.energies - root_built.energies)) < 1e-9
+            assert np.max(np.abs(direct.vectors - root_built.vectors)) < 1e-9
 
     def test_energies_match_generating_branches(self, chains, spectra):
         for m in (3, 8, 14):
