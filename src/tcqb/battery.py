@@ -158,12 +158,13 @@ def coherent_distribution(
 
 
 def _poisson_tail(mu: float, cutoff: int) -> float:
-    """P(X > cutoff) for X ~ Poisson(mu)."""
-    term = math.exp(-mu)
-    cdf = term
-    for m in range(1, cutoff + 1):
-        term *= mu / m
-        cdf += term
+    """P(X > cutoff) for X ~ Poisson(mu).
+
+    The terms are summed in log space: exp(-mu) alone underflows to 0
+    for mu > 745, which would leave the tail at 1 for every cutoff.
+    """
+    log_mu = math.log(mu)
+    cdf = math.fsum(math.exp(m * log_mu - mu - math.lgamma(m + 1)) for m in range(cutoff + 1))
     return max(0.0, 1.0 - cdf)
 
 

@@ -9,9 +9,9 @@ and a sector has exactly K = min(2J, M) + 1 distinct solution sets
 ("branches"), each giving one eigenstate with energy E = -sum_j x_j in
 units of g.  Branches are found by damped Newton iteration warm-started
 from the solved (M-1) sector: every previous branch is extended by one
-duplicated member, and on a miss the solver escalates to combinatorial
-resampling of branch members, then to randomized restarts, then (opt-in)
-to seeds reconstructed from exact-diagonalization eigenvectors.
+duplicated member, each new branch's mirror image is refined at once,
+and branches the extension cannot reach (the mixed-sign ones) come from
+randomized restarts around the roots already found.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ ENERGY_DEDUP_TOL = 1e-6  # sector spectra are simple with O(1) gaps
 IMAG_SNAP_TOL = 1e-8
 CONJ_PAIR_TOL = 1e-6
 DUP_PERTURB = 1e-3  # duplicated trial entries are shifted by this * (1+1j)
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
+RANDOM_RESTARTS = 500  # per sector, drawn only while branches are missing
 
 
 class BetheError(Exception):
@@ -82,7 +85,7 @@ class UnpairedComplexRoot(BetheError):
 
 
 class MissingBranches(BetheError):
-    """Fewer branches than the sector count after all fallbacks."""
+    """Fewer branches than the sector count after continuation and restarts."""
 
     def __init__(self, found: int, expected: int, n_atoms: int, excitations: int):
         self.found = found
@@ -135,7 +138,7 @@ class BetheBranch:
 
     roots are sorted by (Re, Im) and closed under complex conjugation;
     energy = -sum(roots) in units of g; residual is the sup norm of the
-    defining equations at the roots; provenance records which stage of
+    defining equations at the roots; provenance records which step of
     the solver produced the branch.
 
     One eigenstate per sector can be non-representable by regular roots:
@@ -251,7 +254,7 @@ def canonicalize(roots) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def newton_refine(guess, J: float, tol: float = 1e-12, max_iter: int = 200) -> BetheBranch:
+def newton_refine(guess, J: float) -> BetheBranch:
     """Damped Newton iteration from a trial root set to a branch.
 
     The step is halved up to 30 times whenever the sup-norm residual
@@ -265,8 +268,8 @@ def newton_refine(guess, J: float, tol: float = 1e-12, max_iter: int = 200) -> B
     fx = bae_residual(x, J)
     norm = np.max(np.abs(fx)) if x.size else 0.0
     damp_failures = 0
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm < NEWTON_TOL:
             break
         try:
             jac = bae_jacobian(x, J)
@@ -305,11 +308,11 @@ def newton_refine(guess, J: float, tol: float = 1e-12, max_iter: int = 200) -> B
             damp_failures += 1
             if damp_failures >= 5:
                 raise SingularJacobian("full damping failed 5 times in a row")
-    if norm >= tol:
-        raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations")
+    if norm >= NEWTON_TOL:
+        raise NoConvergence(f"residual {norm:.3e} after {NEWTON_MAX_ITER} iterations")
     roots = canonicalize(x)
     res = float(np.max(np.abs(bae_residual(roots, J)))) if roots.size else 0.0
-    if res >= max(tol, RESIDUAL_ACCEPT):
+    if res >= RESIDUAL_ACCEPT:
         raise NoConvergence(f"residual {res:.3e} after canonicalization")
     total = complex(np.sum(roots))
     if abs(total.imag) >= 1e-9:
@@ -338,49 +341,23 @@ def _distinct_members(roots: tuple[complex, ...]) -> list[complex]:
     return members
 
 
-def seed_trials(
-    prev_branches: list[BetheBranch],
-    target_M: int,
-    stage: int,
-    rng: np.random.Generator | None = None,
-    trials_per_branch: int = 40,
-) -> list[np.ndarray]:
+def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndarray]:
     """Trial sets for the M-sector built from the solved (M-1)-sector.
 
-    Stage 0 extends every previous branch by one duplicated member (both
-    signs of the de-duplication shift are emitted).  Stage s >= 1 keeps
-    M-1-s members of a branch and resamples s+1 members with replacement
-    from the same branch; the enumeration is exhausted once s > M-1.
-    Duplicated entries within a trial are shifted off the pairwise pole.
+    Every previous branch is extended by one duplicated member; both
+    signs of the de-duplication shift are emitted, and repeated entries
+    within a trial are shifted off the pairwise pole.
     """
-    if stage < 0 or stage > target_M - 1:
-        return []
-    # Root-free completeness branches carry no seed material.
-    usable = [b for b in prev_branches if len(b.roots) == target_M - 1]
-    if not usable:
-        return []
     guesses: list[np.ndarray] = []
-    if stage == 0:
-        for branch in usable:
-            base = np.asarray(branch.roots, dtype=complex)
-            for member in _distinct_members(branch.roots):
-                for sign in (+1.0, -1.0):
-                    g = np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j))
-                    guesses.append(_perturb_duplicates(g))
-        return guesses
-    if rng is None:
-        rng = np.random.default_rng(0)
-    keep = target_M - 1 - stage
-    for branch in usable:
+    # Root-free completeness branches carry no seed material.
+    for branch in prev_branches:
+        if len(branch.roots) != target_M - 1:
+            continue
         base = np.asarray(branch.roots, dtype=complex)
-        for _ in range(trials_per_branch):
-            kept = (
-                base[rng.choice(base.size, size=keep, replace=False)]
-                if keep > 0
-                else np.zeros(0, dtype=complex)
-            )
-            resampled = base[rng.integers(0, base.size, size=stage + 1)]
-            guesses.append(_perturb_duplicates(np.concatenate([kept, resampled])))
+        for member in _distinct_members(branch.roots):
+            for sign in (+1.0, -1.0):
+                g = np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j))
+                guesses.append(_perturb_duplicates(g))
     return guesses
 
 
@@ -409,11 +386,9 @@ class _SectorAccumulator:
     and the sector spectrum is simple, so equal energy means equal state.
     """
 
-    def __init__(self, J: float, expected: int, tol: float, max_iter: int):
+    def __init__(self, J: float, expected: int):
         self.J = J
         self.expected = expected
-        self.tol = tol
-        self.max_iter = max_iter
         self.branches: list[BetheBranch] = []
 
     def full(self) -> bool:
@@ -437,7 +412,7 @@ class _SectorAccumulator:
 
     def try_guess(self, guess: np.ndarray, provenance: str) -> bool:
         try:
-            branch = newton_refine(guess, self.J, tol=self.tol, max_iter=self.max_iter)
+            branch = newton_refine(guess, self.J)
         except BetheError:
             return False
         if provenance != "continuation":
@@ -445,24 +420,22 @@ class _SectorAccumulator:
         return self.add(branch)
 
 
-def _restart_guesses(
-    rng: np.random.Generator, branches: list[BetheBranch], M: int, count: int
-) -> list[np.ndarray]:
-    """Randomized fallback seeds derived from the known branches.
+def _restart_guesses(rng: np.random.Generator, branches: list[BetheBranch], M: int):
+    """Randomized seeds derived from the known branches, drawn lazily.
 
     Alternates Gaussian perturbations (sigma = 0.2) of whole known root
     vectors with vectors resampled from the pooled roots of all known
     branches; the pooled draws reach mixed-sign branches that no single
     parent branch can seed.
     """
+    branches = list(branches)  # frozen at the first draw; restarts append to the caller's list
     if not branches:
-        return []
+        return
     pool = np.concatenate([np.asarray(b.roots, dtype=complex) for b in branches])
     pool = pool[np.abs(pool) > 1e-10]
     if pool.size == 0:
-        return []
-    guesses = []
-    for i in range(count):
+        return
+    for i in range(RANDOM_RESTARTS):
         noise = 0.2 * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
         if i % 2 == 0:
             base = np.asarray(branches[rng.integers(0, len(branches))].roots, dtype=complex)
@@ -470,8 +443,7 @@ def _restart_guesses(
                 base = pool[rng.integers(0, pool.size, size=M)]
         else:
             base = pool[rng.integers(0, pool.size, size=M)]
-        guesses.append(_perturb_duplicates(base + noise))
-    return guesses
+        yield _perturb_duplicates(base + noise)
 
 
 def _completeness_gap(acc: "_SectorAccumulator", spec: SectorSpec) -> bool:
@@ -491,139 +463,62 @@ def _completeness_gap(acc: "_SectorAccumulator", spec: SectorSpec) -> bool:
     return abs(sum(b.energy for b in acc.branches)) < 1e-8
 
 
-def _oracle_guesses(spec: SectorSpec) -> list[np.ndarray]:
-    """Root sets reconstructed from exact-diagonalization eigenvectors.
-
-    The eigenvector components are (up to ladder factors) the elementary
-    symmetric polynomials of -1/x_j, so for M <= 2J the full monic
-    polynomial with roots -1/x_j can be rebuilt and factored.  For
-    M > 2J the sector matrix fixes only the first 2J+1 symmetric
-    functions and no reconstruction is attempted.
-    """
-    from . import oracle  # deferred: the oracle must stay import-independent of this module
-
-    M = spec.excitations
-    if M > spec.n_atoms or M == 0:
-        return []
-    evals, evecs = oracle.eigen_seed(spec)
-    J = spec.total_spin
-    guesses = []
-    for idx in range(evals.size):
-        vec = evecs[:, idx].astype(float)
-        if vec[0] < 0:
-            vec = -vec
-        ladder = 1.0
-        esym = np.zeros(M + 1)
-        for k in range(M + 1):
-            if k > 0:
-                ladder *= math.sqrt((2 * J - (k - 1)) * k)
-            esym[k] = vec[k] / (math.sqrt(math.factorial(M - k)) * ladder)
-        esym /= esym[0]
-        coeffs = [(-1.0) ** k * esym[k] for k in range(M + 1)]
-        mu = np.roots(coeffs)
-        if np.any(np.abs(mu) < 1e-12):
-            continue
-        guesses.append(_perturb_duplicates(-1.0 / mu))
-    return guesses
-
-
 def solve_sector(
     spec: SectorSpec,
     prev_branches: list[BetheBranch] | None = None,
     *,
     seed: int = 0,
-    newton_tol: float = 1e-12,
-    max_iter: int = 200,
-    trials_per_branch: int = 40,
-    random_restarts: int = 500,
-    allow_oracle_seed: bool = False,
 ) -> list[BetheBranch]:
     """All K branches of one sector, sorted by energy ascending.
 
     Sectors are solved in increasing M: M = 0 is the trivial empty
-    branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors are
-    warm-started from prev_branches (solved recursively when omitted).
+    branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
+    refine the one-member extensions of prev_branches (solved
+    recursively when omitted).  Every accepted branch has its mirror
+    image refined at once.  Branches still missing are sought by up to
+    RANDOM_RESTARTS randomized restarts seeded from the branches found.
     For odd M > 2J the zero-energy eigenstate provably has no regular
     root set (see BetheBranch) and is returned as a root-free
-    completeness branch instead.  Raises MissingBranches if continuation
-    stages, randomized restarts and (when enabled) oracle seeding all
-    leave branches undiscovered.  Deterministic for a fixed seed.
+    completeness branch once it is the only one missing.  Raises
+    MissingBranches if branches are still missing after that.
+    Deterministic for a fixed seed.
     """
     J = spec.total_spin
     M = spec.excitations
     if M == 0:
         return [BetheBranch(roots=(), energy=0.0, residual=0.0)]
-    acc = _SectorAccumulator(J, spec.branch_count, newton_tol, max_iter)
     if M == 1:
-        for s in (+1.0, -1.0):
-            acc.try_guess(np.array([s * math.sqrt(2 * J)], dtype=complex), "continuation")
+        guesses = [np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0)]
     else:
         if prev_branches is None:
             prev_spec = SectorSpec(spec.n_atoms, M - 1, spec.coupling, spec.detuning)
-            prev_branches = solve_sector(
-                prev_spec,
-                seed=seed,
-                newton_tol=newton_tol,
-                max_iter=max_iter,
-                trials_per_branch=trials_per_branch,
-                random_restarts=random_restarts,
-                allow_oracle_seed=allow_oracle_seed,
-            )
-        rng = np.random.default_rng([seed, spec.n_atoms, M])
-        stage = 0
-        while not acc.full():
-            if _completeness_gap(acc, spec):
-                acc.branches.append(
-                    BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
-                )
-                break
-            guesses = seed_trials(prev_branches, M, stage, rng, trials_per_branch)
-            if stage > 0 and not guesses:
-                break
-            for g in guesses:
-                if acc.full() or _completeness_gap(acc, spec):
-                    break
-                acc.try_guess(g, "continuation")
-            stage += 1
-        if not acc.full():
-            for g in _restart_guesses(rng, acc.branches, M, random_restarts):
-                if acc.full():
-                    break
-                acc.try_guess(g, "random_restart")
-            if _completeness_gap(acc, spec):
-                acc.branches.append(
-                    BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
-                )
-    if not acc.full() and allow_oracle_seed:
-        for g in _oracle_guesses(spec):
-            if acc.full():
-                break
-            acc.try_guess(g, "oracle_seeded")
+            prev_branches = solve_sector(prev_spec, seed=seed)
+        guesses = seed_trials(prev_branches, M)
+    acc = _SectorAccumulator(J, spec.branch_count)
+    for g in guesses:
+        if acc.full() or _completeness_gap(acc, spec):
+            break
+        acc.try_guess(g, "continuation")
+    rng = np.random.default_rng([seed, spec.n_atoms, M])
+    for g in _restart_guesses(rng, acc.branches, M):
+        if acc.full() or _completeness_gap(acc, spec):
+            break
+        acc.try_guess(g, "random_restart")
+    if _completeness_gap(acc, spec):
+        acc.branches.append(
+            BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
+        )
     if not acc.full():
         raise MissingBranches(len(acc.branches), spec.branch_count, spec.n_atoms, M)
     return sorted(acc.branches, key=lambda b: (b.energy, b.roots[0].real if b.roots else 0.0))
 
 
-def solve_sectors(
-    n_atoms: int,
-    m_max: int,
-    *,
-    seed: int = 0,
-    allow_oracle_seed: bool = False,
-    **kwargs,
-) -> dict[int, list[BetheBranch]]:
+def solve_sectors(n_atoms: int, m_max: int, *, seed: int = 0) -> dict[int, list[BetheBranch]]:
     """Solve the continuation chain M = 0..m_max for one atom count."""
     out: dict[int, list[BetheBranch]] = {}
     prev: list[BetheBranch] | None = None
     for M in range(0, m_max + 1):
-        spec = SectorSpec(n_atoms, M)
-        out[M] = solve_sector(
-            spec,
-            prev if M >= 2 else None,
-            seed=seed,
-            allow_oracle_seed=allow_oracle_seed,
-            **kwargs,
-        )
+        out[M] = solve_sector(SectorSpec(n_atoms, M), prev if M >= 2 else None, seed=seed)
         prev = out[M]
     return out
 

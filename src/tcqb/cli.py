@@ -8,8 +8,9 @@ energy tables from the exact-diagonalization sector spectra and accept
 --seed only to echo it; `solve`, `spectrum` and `verify` run the root
 solver, which is where the seed is used.
 
-Exit codes: 2 solver or spectrum failures, 3 distribution/table
-errors, 4 verification failure, 5 open-system integrator errors.
+Exit codes: 2 solver or spectrum failures and click usage errors,
+3 distribution/table errors, 4 verification failure, 5 open-system
+integrator errors.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ def _write_manifest(target: Path, command: str, params: dict, seed: int | None,
 
 @contextmanager
 def _table_errors(command: str):
-    """Exit with the documented code when building or using a table fails."""
+    """Exit with the documented code when solving, building or using a table fails."""
     try:
         yield
-    except (oracle.ConvergenceFailure, spectral.SpectralError) as err:
+    except (bethe.MissingBranches, oracle.ConvergenceFailure, spectral.SpectralError) as err:
         click.echo(f"{command} failed: {err}", err=True)
         raise SystemExit(EXIT_SOLVER)
     except (InputError, battery.BatteryError) as err:
@@ -95,8 +96,6 @@ def _table_errors(command: str):
 def _branch_warnings(n_atoms: int, m: int, branches: list[bethe.BetheBranch]) -> list[str]:
     out = []
     for b in branches:
-        if b.provenance == "oracle_seeded":
-            out.append(f"sector (N={n_atoms}, M={m}): branch E={_fmt(b.energy)} oracle_seeded")
         if b.is_completeness and m > 0:
             out.append(
                 f"sector (N={n_atoms}, M={m}): zero-energy state has no regular root "
@@ -115,8 +114,14 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
             dist = battery.fock_distribution(int(rest))
         elif kind == "coherent":
             parts = rest.split(":")
+            mean = float(parts[0])
             trunc = int(parts[1]) if len(parts) > 1 else None
-            dist = battery.coherent_distribution(float(parts[0]), trunc)
+            if mean > MAX_SECTOR or (trunc or 0) > MAX_SECTOR:
+                raise battery.SupportExceedsTable(
+                    f"coherent state {text!r} reaches beyond M = {MAX_SECTOR}, "
+                    f"where supported sectors stop"
+                )
+            dist = battery.coherent_distribution(mean, trunc)
         else:
             dist = battery.PhotonDistribution.from_dict(json.loads(Path(rest).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
@@ -136,7 +141,13 @@ _echoed_seed = click.option("--seed", type=int, default=0, show_default=True,
 
 def _config_callback(ctx: click.Context, param: click.Parameter, value: str | None):
     if value:
-        ctx.default_map = json.loads(Path(value).read_text())
+        try:
+            defaults = json.loads(Path(value).read_text())
+        except (OSError, ValueError) as err:
+            raise click.BadParameter(f"cannot read {value}: {err}") from err
+        if not isinstance(defaults, dict):
+            raise click.BadParameter(f"{value} must hold a JSON object of per-command defaults")
+        ctx.default_map = defaults
     return value
 
 
@@ -158,27 +169,19 @@ def main():
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
 @click.option("--m-max", type=click.IntRange(1, 64), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--allow-oracle-seed", is_flag=True, help="Recover missing branches from eigen-seeds.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def solve(n_atoms, m_max, seed, allow_oracle_seed, out_dir):
+def solve(n_atoms, m_max, seed, out_dir):
     """Solve sector root sets M = 1..m-max by warm-started continuation."""
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed, allow_oracle_seed=allow_oracle_seed)
-    except bethe.MissingBranches as err:
-        click.echo(f"solve failed: {err}", err=True)
-        raise SystemExit(EXIT_SOLVER)
+    with _table_errors("solve"):
+        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
     warnings: list[str] = []
     for m in range(1, m_max + 1):
         _write_json(out / f"sector_M{m:02d}.json", bethe.branches_to_payload(n_atoms, m, seed, chains[m]))
         warnings.extend(_branch_warnings(n_atoms, m, chains[m]))
-    _write_manifest(
-        out, "solve",
-        {"n_atoms": n_atoms, "m_max": m_max, "allow_oracle_seed": allow_oracle_seed},
-        seed, time.time() - t0, warnings,
-    )
+    _write_manifest(out, "solve", {"n_atoms": n_atoms, "m_max": m_max}, seed, time.time() - t0, warnings)
     click.echo(f"solved {m_max} sectors for N={n_atoms} -> {out}")
 
 
@@ -192,23 +195,20 @@ def spectrum(n_atoms, m_max, seed, out_dir):
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
-    except bethe.MissingBranches as err:
-        click.echo(f"spectrum failed: {err}", err=True)
-        raise SystemExit(EXIT_SOLVER)
     warnings: list[str] = []
-    for m in range(0, m_max + 1):
-        spec = bethe.SectorSpec(n_atoms, m)
-        spect = spectral.sector_spectrum(spec, chains[m])
-        series = spectral.number_state_energy(spect)
+    with _table_errors("spectrum"):
+        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
+        spectra = [spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), chains[m])
+                   for m in range(0, m_max + 1)]
+        series = [spectral.number_state_energy(s) for s in spectra]
+    for m, spect in enumerate(spectra):
         payload = {
             "n_atoms": n_atoms,
             "m": m,
             "energies": [float(_fmt(e)) for e in spect.energies],
             "overlaps": [float(_fmt(spectral.initial_overlap(spect, s))) for s in range(spect.dimension)],
             "norms": [float(_fmt(x)) for x in spect.norms],
-            "series": series.to_dict(m),
+            "series": series[m].to_dict(m),
         }
         _write_json(out / f"spectrum_M{m:02d}.json", payload)
         warnings.extend(_branch_warnings(n_atoms, m, chains[m]))
@@ -384,9 +384,12 @@ def lindblad_cmd(n_atoms, init, n_max, kappa, gamma_phi, dt, t_end, stride, out_
     """Open-system stored energy under cavity decay and collective dephasing."""
     t0 = time.time()
     kind, _, rest = init.partition(":")
-    if kind != "fock":
-        raise click.BadParameter("open-system runs start from fock:M")
-    photons = int(rest)
+    try:
+        if kind != "fock":
+            raise ValueError
+        photons = int(rest)
+    except ValueError:
+        raise click.BadParameter(f"{init!r}: open-system runs start from fock:M", param_hint="--init")
     if n_max is None:
         n_max = photons + 10
     try:

@@ -57,9 +57,7 @@ class OpenSystemConfig:
     """Basis truncation, rates and integrator controls.
 
     kappa (cavity decay) and gamma_phi (collective dephasing) are in
-    units of g by default; with rate_units = "omega_c" they are divided
-    by g_in_omega_c on construction, matching configs quoted against the
-    cavity frequency.  Time step dt and horizon t_end are in 1/g.
+    units of g; time step dt and horizon t_end are in 1/g.
     """
 
     n_atoms: int
@@ -69,8 +67,6 @@ class OpenSystemConfig:
     dt: float = 1e-3
     t_end: float = 5.0
     sample_stride: int = 10
-    rate_units: str = "g"
-    g_in_omega_c: float = 1.0
 
     def __post_init__(self):
         if self.n_atoms < 1:
@@ -81,14 +77,6 @@ class OpenSystemConfig:
             raise ValueError("rates must be nonnegative")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.rate_units not in ("g", "omega_c"):
-            raise ValueError("rate_units must be 'g' or 'omega_c'")
-        if self.rate_units == "omega_c":
-            if not self.g_in_omega_c > 0:
-                raise ValueError("g_in_omega_c must be positive")
-            object.__setattr__(self, "kappa", self.kappa / self.g_in_omega_c)
-            object.__setattr__(self, "gamma_phi", self.gamma_phi / self.g_in_omega_c)
-            object.__setattr__(self, "rate_units", "g")
 
     @property
     def dimension(self) -> int:
@@ -184,7 +172,7 @@ class _Generator:
         self.m_diag = self.n_diag + self.jz_diag
         dim = config.dimension
         eye = sp.identity(dim, format="csr")
-        lop = (-1j * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))).tolil()
+        lop = -1j * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))
         decay = np.zeros((dim, dim))
         if config.gamma_phi:
             decay -= (config.gamma_phi / 2.0) * (
@@ -192,10 +180,10 @@ class _Generator:
             ) ** 2
         if config.kappa:
             decay -= (config.kappa / 2.0) * (self.n_diag[:, None] + self.n_diag[None, :])
-        lop = lop.tocsr() + sp.diags(decay.ravel()).tocsr()
+        lop = lop + sp.diags(decay.ravel(), format="csr")
         if config.kappa:
             lop = lop + config.kappa * sp.kron(a, a, format="csr")
-        self.lop = lop.astype(complex)
+        self.lop = lop
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         dim = self.config.dimension
@@ -234,9 +222,10 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
     """Fixed-step RK4 integration with sampled diagnostics.
 
     Stored energy is <Jz>(t) + N/2 (the atoms start in the ground
-    state), power is E/t (0 at t = 0).  Raises StepUnstable when the
-    trace drifts beyond 1e-6 and TruncationLeak when population at the
-    top Fock level exceeds 1e-6.
+    state), power is E/t (0 at t = 0).  Each sample is checked when it
+    is reached: StepUnstable when the trace drifts beyond 1e-6 and
+    TruncationLeak when population at the top Fock level exceeds 1e-6
+    stop the run there.  final_state is the evolved state at t_end.
     """
     if isinstance(rho0, DensityMatrix):
         if (rho0.n_atoms, rho0.n_max) != (config.n_atoms, config.n_max):
@@ -253,12 +242,31 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
     stride = max(1, config.sample_stride)
     ns = config.n_atoms + 1
     top_rows = slice((config.n_max) * ns, (config.n_max + 1) * ns)
+    half_n = config.n_atoms / 2.0
+    rows: list[tuple[float, float, float, float, float]] = []
+    herm_drift = 0.0
 
-    dim = config.dimension
+    def record(t_i: float) -> None:
+        """Check the current state and append its observables."""
+        nonlocal herm_drift
+        tr = rho.trace().real
+        if abs(tr - 1.0) > 1e-6:
+            raise StepUnstable(f"trace drifted to {tr!r} at t = {t_i:g}; reduce dt")
+        diag = np.diag(rho).real
+        top_pop = float(np.sum(diag[top_rows]))
+        if top_pop > 1e-6:
+            raise TruncationLeak(
+                f"population {top_pop:.3e} at n = n_max at t = {t_i:g}; raise n_max"
+            )
+        herm_drift = max(herm_drift, float(np.max(np.abs(rho - rho.conj().T))))
+        min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+        rows.append((t_i, float(gen.jz_diag @ diag) + half_n, tr, min_eig, float(gen.m_diag @ diag)))
+
     lop = gen.lop
-    y = rho.reshape(-1).copy()
-    samples: list[tuple[float, np.ndarray]] = [(0.0, y.reshape(dim, dim).copy())]
+    y = rho.reshape(-1)
+    rho = y.reshape(rho.shape)  # the state is a view of the integration vector
     dt = config.dt
+    record(0.0)
     for step in range(1, n_steps + 1):
         k1 = lop @ y
         k2 = lop @ (y + 0.5 * dt * k1)
@@ -266,34 +274,9 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         k4 = lop @ (y + dt * k3)
         y += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if step % stride == 0 or step == n_steps:
-            samples.append((step * dt, y.reshape(dim, dim).copy()))
+            record(step * dt)
 
-    t_out = np.array([s[0] for s in samples])
-    energy = np.empty(t_out.size)
-    trace = np.empty(t_out.size)
-    min_eig = np.empty(t_out.size)
-    m_expect = np.empty(t_out.size)
-    herm_drift = 0.0
-    half_n = config.n_atoms / 2.0
-    for i, (t_i, rho_i) in enumerate(samples):
-        tr = rho_i.trace()
-        trace[i] = tr.real
-        if abs(tr.real - 1.0) > 1e-6:
-            raise StepUnstable(
-                f"trace drifted to {tr.real!r} at t = {t_i:g}; reduce dt"
-            )
-        top_pop = float(np.sum(np.diag(rho_i)[top_rows].real))
-        if top_pop > 1e-6:
-            raise TruncationLeak(
-                f"population {top_pop:.3e} at n = n_max at t = {t_i:g}; raise n_max"
-            )
-        herm_drift = max(herm_drift, float(np.max(np.abs(rho_i - rho_i.conj().T))))
-        diag = np.diag(rho_i).real
-        energy[i] = float(gen.jz_diag @ diag) + half_n
-        m_expect[i] = float(gen.m_diag @ diag)
-        min_eig[i] = float(
-            np.linalg.eigvalsh((rho_i + rho_i.conj().T) / 2.0)[0]
-        )
+    t_out, energy, trace, min_eig, m_expect = (np.array(col) for col in zip(*rows))
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t_out[1:]
     return TimeSeries(
@@ -304,5 +287,5 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         min_eig=min_eig,
         m_expect=m_expect,
         herm_drift=herm_drift,
-        final_state=samples[-1][1],
+        final_state=rho,
     )

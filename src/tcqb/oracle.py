@@ -22,7 +22,6 @@ __all__ = [
     "sector_hamiltonian",
     "diagonalize",
     "oracle_F",
-    "eigen_seed",
 ]
 
 
@@ -92,12 +91,3 @@ def oracle_F(spec: SectorSpec, t) -> np.ndarray | float:
     out = M - n_mean
     return out if np.ndim(t) else float(out[0])
 
-
-def eigen_seed(spec: SectorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition handed to the root solver for branch recovery.
-
-    Returns (eigenvalues, eigenvectors); the solver reconstructs trial
-    root sets from the eigenvector components.  Branches refined from
-    these seeds are flagged oracle_seeded by the caller.
-    """
-    return diagonalize(sector_hamiltonian(spec))

@@ -116,7 +116,7 @@ class TestNewton:
 class TestSeedTrials:
     def test_stage0_appends_each_distinct_member(self):
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0)]
-        guesses = seed_trials(prev, 3, 0)
+        guesses = seed_trials(prev, 3)
         assert len(guesses) == 4  # two members x two perturbation signs
         eps = 1e-3 * (1 + 1j)
         expected = {
@@ -132,23 +132,8 @@ class TestSeedTrials:
             np.fill_diagonal(dist, np.inf)
             assert dist.min() > 1e-12
 
-    def test_stage1_keeps_seven_resamples_two(self):
-        roots = tuple(complex(v) for v in range(1, 9))
-        prev = [BetheBranch(roots=roots, energy=-36.0, residual=0.0)]
-        rng = np.random.default_rng(3)
-        guesses = seed_trials(prev, 9, 1, rng, trials_per_branch=10)
-        assert len(guesses) == 10
-        for g in guesses:
-            assert g.size == 9
-            exact_hits = sum(1 for z in g if any(abs(z - r) < 1e-12 for r in roots))
-            assert exact_hits >= 7
-
     def test_empty_prev_is_empty(self):
-        assert seed_trials([], 4, 0) == []
-
-    def test_exhausted_stage_is_empty(self):
-        prev = [BetheBranch(roots=(1.0 + 0j,), energy=-1.0, residual=0.0)]
-        assert seed_trials(prev, 2, 2) == []
+        assert seed_trials([], 4) == []
 
 
 class TestSolveSector:
@@ -231,6 +216,18 @@ class TestSolveSector:
                 got = np.sort([b.energy for b in branches])
                 assert np.max(np.abs(got - evals)) < 1e-8, (n_atoms, m)
 
+    @pytest.mark.parametrize("n_atoms", [2, 6])
+    def test_every_seed_finds_every_branch(self, n_atoms):
+        from tcqb.oracle import diagonalize, sector_hamiltonian
+
+        for seed in range(5):
+            out = bethe.solve_sectors(n_atoms, 12, seed=seed)
+            for m, branches in out.items():
+                assert len(branches) == min(n_atoms, m) + 1, (seed, m)
+                evals, _ = diagonalize(sector_hamiltonian(SectorSpec(n_atoms, m)))
+                got = np.sort([b.energy for b in branches])
+                assert np.max(np.abs(got - evals)) < 1e-8, (seed, m)
+
     def test_completeness_branch_only_for_odd_m_beyond_2j(self, chains):
         for m, branches in chains.items():
             synthetic = [b for b in branches if b.is_completeness and m > 0]
@@ -246,23 +243,16 @@ class TestOracleSeededRecovery:
         # No warm start and no fallback material: the solver must report
         # exactly what it could not find.
         with pytest.raises(MissingBranches) as err:
-            solve_sector(SectorSpec(10, 9), prev_branches=[], allow_oracle_seed=False)
+            solve_sector(SectorSpec(10, 9), prev_branches=[])
         assert err.value.expected == 10
 
-    def test_oracle_seeds_recover_all_branches(self, chains):
-        branches = solve_sector(SectorSpec(10, 9), prev_branches=[], allow_oracle_seed=True)
-        assert len(branches) == 10
-        assert all(b.provenance == "oracle_seeded" for b in branches)
-        want = np.array([b.energy for b in chains[9]])
-        got = np.array([b.energy for b in branches])
-        assert np.allclose(np.sort(got), np.sort(want), atol=1e-9)
-
-    def test_provenance_survives_serialization(self):
-        branches = solve_sector(SectorSpec(10, 3), prev_branches=[], allow_oracle_seed=True)
-        payload = bethe.branches_to_payload(10, 3, 0, branches)
-        assert {b["provenance"] for b in payload["branches"]} == {"oracle_seeded"}
+    def test_provenance_survives_serialization(self, chains):
+        payload = bethe.branches_to_payload(10, 11, 0, chains[11])
+        provenance = [b["provenance"] for b in payload["branches"]]
+        assert provenance.count("completeness") == 1
         back = bethe.branches_from_payload(payload)
-        assert all(b.provenance == "oracle_seeded" for b in back)
+        assert [b.provenance for b in back] == provenance
+        assert [b.is_completeness for b in back] == [b.is_completeness for b in chains[11]]
 
 
 class TestSectorSpec:

@@ -356,6 +356,63 @@ def test_table_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake
     assert len(lines) == 1 and lines[0].startswith(f"{command} failed: ")
 
 
+def _fail_spectrum(spec, branches):
+    raise spectral.ImaginaryLeak("relative eigenvector imaginary part 1e-3")
+
+
+def _fail_solve(n_atoms, m_max, seed):
+    raise oracle.ConvergenceFailure("eigen residual 1e-3")
+
+
+@pytest.mark.parametrize("module, name, fake", [
+    (spectral, "sector_spectrum", _fail_spectrum),
+    (cli.bethe, "solve_sectors", _fail_solve),
+], ids=["SpectralError", "ConvergenceFailure"])
+def test_spectrum_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
+    out = tmp_path / "spec"
+    result = runner.invoke(main, ["spectrum", "--n-atoms", "10", "--m-max", "2", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("spectrum failed: ")
+    assert not list(out.glob("spectrum_M*.json"))
+
+
+def test_huge_coherent_mean_exits_3_quickly(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(
+        main, ["energy", "--init", "coherent:1000", "--n-atoms", "3", "--out", str(out)]
+    )
+    assert result.exit_code == 3, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("energy failed: ")
+    assert not out.exists()
+
+
+def _assert_usage_error(result, hint):
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.output.strip().splitlines()[-1].startswith(f"Error: Invalid value for {hint}")
+
+
+def test_lindblad_non_integer_fock_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["lindblad", "--n-atoms", "2", "--init", "fock:abc", "--kappa", "0", "--gamma-phi", "0",
+         "--out", str(tmp_path / "open.csv")],
+    )
+    _assert_usage_error(result, "--init")
+    assert not (tmp_path / "open.csv").exists()
+
+
+@pytest.mark.parametrize("text", ['{"optimal": {"mean": 2.', '[1, 2]'], ids=["invalid", "not-object"])
+def test_bad_config_file_is_a_usage_error(runner, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["--config", str(cfg), "optimal", "--mean", "2"])
+    _assert_usage_error(result, "'--config'")
+
+
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     target = tmp_path / "data.json"
     cli._write_json(target, {"run": 1})

@@ -168,12 +168,3 @@ class TestConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             small_config(kappa=-0.1)
-
-    def test_omega_c_units_rescale(self):
-        config = OpenSystemConfig(
-            n_atoms=2, n_max=7, kappa=0.4, gamma_phi=0.2,
-            rate_units="omega_c", g_in_omega_c=0.1,
-        )
-        assert config.kappa == pytest.approx(4.0)
-        assert config.gamma_phi == pytest.approx(2.0)
-        assert config.rate_units == "g"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tcqb.bethe import SectorSpec
-from tcqb.oracle import diagonalize, eigen_seed, oracle_F, sector_hamiltonian
+from tcqb.oracle import diagonalize, oracle_F, sector_hamiltonian
 
 
 class TestSectorHamiltonian:
@@ -74,9 +74,3 @@ class TestOracleF:
             assert np.all(f >= -1e-9)
             assert np.all(f <= min(m, 10) + 1e-6)
 
-
-def test_eigen_seed_matches_diagonalize():
-    evals, evecs = eigen_seed(SectorSpec(10, 5))
-    evals2, evecs2 = diagonalize(sector_hamiltonian(SectorSpec(10, 5)))
-    assert np.array_equal(evals, evals2)
-    assert np.array_equal(evecs, evecs2)
