@@ -49,6 +49,7 @@ ROOT_DISTINCT_TOL = 1e-8
 DEDUP_TOL = 1e-6
 ENERGY_DEDUP_TOL = 1e-6  # sector spectra are simple with O(1) gaps
 IMAG_SNAP_TOL = 1e-8
+REAL_SNAP_TOL = 1e-12  # paired members of zero-energy branches sit on the imaginary axis
 CONJ_PAIR_TOL = 1e-6
 DUP_PERTURB = 1e-3  # duplicated trial entries are shifted by this * (1+1j)
 NEWTON_TOL = 1e-12
@@ -227,8 +228,9 @@ def canonicalize(roots) -> np.ndarray:
 
     Members with |Im| < 1e-8 are snapped to the real axis; the remaining
     members must pair with a conjugate partner within 1e-6 and each pair
-    is replaced by its exact conjugate average.  Sorting is by (Re, Im).
-    Idempotent.
+    is replaced by its exact conjugate average, snapped to the imaginary
+    axis when |Re| < 1e-12 so that noise in Re cannot reorder it.
+    Sorting is by (Re, Im).  Idempotent.
     """
     x = _as_roots(roots)
     real_part = [complex(z.real, 0.0) for z in x if abs(z.imag) < IMAG_SNAP_TOL]
@@ -245,6 +247,8 @@ def canonicalize(roots) -> np.ndarray:
             raise UnpairedComplexRoot(f"root {z} has no conjugate partner within {CONJ_PAIR_TOL}")
         w = lower.pop(best)
         avg = (z + np.conj(w)) / 2.0
+        if abs(avg.real) < REAL_SNAP_TOL:
+            avg = complex(0.0, avg.imag)
         paired.extend([avg, np.conj(avg)])
     if lower:
         raise UnpairedComplexRoot(

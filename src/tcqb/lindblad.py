@@ -11,8 +11,13 @@ Both jump operators preserve the maximal-spin multiplet, so the
 inside it.  The drive is resonant and the common phase generated by the
 conserved excitation number leaves every reported observable unchanged,
 so the generator uses H = g (a'J- + J+a) and rates are quoted in units
-of g (times in 1/g).  Integration is classical fixed-step RK4; trace,
-Hermiticity and positivity are monitored, not enforced.
+of g (times in 1/g).
+
+H, a and Jz respect the excitation number M = n + q (q = m + J) and no
+term raises it (weak U(1) symmetry), so evolve integrates only the
+blocks rho_M, M = 0..M_top, of a block-diagonal start with classical
+fixed-step RK4.  Trace, Hermiticity and positivity are monitored, not
+enforced.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "DimensionMismatch",
     "StepUnstable",
     "TruncationLeak",
+    "SectorCoherence",
     "OpenSystemConfig",
     "DensityMatrix",
     "build_operators",
@@ -45,11 +51,15 @@ class DimensionMismatch(LindbladError):
 
 
 class StepUnstable(LindbladError):
-    """Trace drifted beyond 1e-6; the step size is too large."""
+    """Trace drifted or min eig(rho) fell beyond 1e-6; the step is too large."""
 
 
 class TruncationLeak(LindbladError):
     """Population reached the top Fock level; enlarge n_max."""
+
+
+class SectorCoherence(LindbladError):
+    """Initial state couples different excitation sectors."""
 
 
 @dataclass(frozen=True)
@@ -151,57 +161,70 @@ class DensityMatrix:
             raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
 
 
-class _Generator:
-    """Master-equation generator assembled as one sparse superoperator.
+def _sector_blocks(rho: np.ndarray, config: OpenSystemConfig) -> list[np.ndarray]:
+    """Basis indices of the excitation sectors M = n + q = 0..M_top.
+
+    M_top is the highest sector rho occupies.  Raises SectorCoherence
+    when rho has an entry between different sectors.
+    """
+    ns = config.n_atoms + 1
+    idx = np.arange(config.dimension)
+    exc = idx // ns + idx % ns
+    rows, cols = np.nonzero(rho)
+    if np.any(exc[rows] != exc[cols]):
+        raise SectorCoherence("initial state has coherences between excitation sectors")
+    m_top = int(exc[rows].max()) if rows.size else 0
+    return [np.flatnonzero(exc == m) for m in range(m_top + 1)]
+
+
+def _block_generator(config: OpenSystemConfig, blocks: list[np.ndarray]) -> sp.csr_matrix:
+    """Master-equation generator on the concatenated vec(rho_M).
 
     On the row-major vectorization vec(A rho B) = (A (x) B^T) vec(rho),
-    the commutator becomes -i(H (x) I - I (x) H^T), both anticommutator
-    halves and the dephasing sandwich collapse to a single real diagonal
-    -(gamma/2)(jz_i - jz_j)^2 - (kappa/2)(n_i + n_j), and the photon-loss
-    refill is kappa (a (x) a) for the real annihilator.  One CSR matvec
-    per right-hand-side evaluation.
+    block M's commutator is -i(H_M (x) I - I (x) H_M^T); both
+    anticommutator halves and the dephasing sandwich collapse to a real
+    diagonal -(gamma/2)(jz_i - jz_j)^2 - (kappa/2)(n_i + n_j), and the
+    photon-loss refill kappa (A (x) A), A = a[M, M+1], feeds block M
+    from block M+1.  No term raises M, so sectors above M_top stay 0.
     """
-
-    def __init__(self, config: OpenSystemConfig):
-        self.config = config
-        ops = build_operators(config.n_atoms, config.n_max)
-        h = sp.csr_matrix(ops["adag"] @ ops["jminus"] + ops["jplus"] @ ops["a"])
-        a = sp.csr_matrix(ops["a"])
-        self.jz_diag = np.diag(ops["jz"]).real.copy()
-        self.n_diag = np.arange(config.dimension) // (config.n_atoms + 1) * 1.0
-        self.m_diag = self.n_diag + self.jz_diag
-        dim = config.dimension
-        eye = sp.identity(dim, format="csr")
-        lop = -1j * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))
-        decay = np.zeros((dim, dim))
+    ops = build_operators(config.n_atoms, config.n_max)
+    h = ops["adag"] @ ops["jminus"] + ops["jplus"] @ ops["a"]
+    jz = np.diag(ops["jz"])
+    n = np.arange(config.dimension) // (config.n_atoms + 1) * 1.0
+    grid: list[list[sp.spmatrix | None]] = [[None] * len(blocks) for _ in blocks]
+    for m, b in enumerate(blocks):
+        h_m = sp.csr_matrix(h[np.ix_(b, b)])
+        eye = sp.identity(b.size, format="csr")
+        decay = np.zeros((b.size, b.size))
         if config.gamma_phi:
-            decay -= (config.gamma_phi / 2.0) * (
-                self.jz_diag[:, None] - self.jz_diag[None, :]
-            ) ** 2
+            decay -= (config.gamma_phi / 2.0) * (jz[b][:, None] - jz[b][None, :]) ** 2
         if config.kappa:
-            decay -= (config.kappa / 2.0) * (self.n_diag[:, None] + self.n_diag[None, :])
-        lop = lop + sp.diags(decay.ravel(), format="csr")
-        if config.kappa:
-            lop = lop + config.kappa * sp.kron(a, a, format="csr")
-        self.lop = lop
-
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        dim = self.config.dimension
-        return (self.lop @ rho.reshape(-1)).reshape(dim, dim)
+            decay -= (config.kappa / 2.0) * (n[b][:, None] + n[b][None, :])
+        grid[m][m] = -1j * (sp.kron(h_m, eye) - sp.kron(eye, h_m.T)) + sp.diags(decay.ravel())
+        if config.kappa and m + 1 < len(blocks):
+            a_m = sp.csr_matrix(ops["a"][np.ix_(b, blocks[m + 1])])
+            grid[m][m + 1] = config.kappa * sp.kron(a_m, a_m)
+    return sp.bmat(grid, format="csr")
 
 
 def lindblad_rhs(rho: np.ndarray, config: OpenSystemConfig) -> np.ndarray:
-    """drho/dt for a single state (builds the generator each call).
+    """drho/dt for any full state, by dense operator products.
 
-    For time stepping use evolve, which reuses the precomputed
-    generator.
+    The reference that the block generator used by evolve is checked
+    against; it builds the operators on every call.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (config.dimension, config.dimension):
-        raise DimensionMismatch(
-            f"state is {rho.shape}, basis needs ({config.dimension}, {config.dimension})"
-        )
-    return _Generator(config).rhs(rho)
+    rho = DensityMatrix(np.asarray(rho, dtype=complex), config.n_atoms, config.n_max).matrix
+    ops = build_operators(config.n_atoms, config.n_max)
+    a, adag, jz = ops["a"], ops["adag"], ops["jz"]
+    h = adag @ ops["jminus"] + ops["jplus"] @ a
+    out = -1j * (h @ rho - rho @ h)
+    if config.gamma_phi:
+        jz2 = jz @ jz
+        out += (config.gamma_phi / 2.0) * (2.0 * jz @ rho @ jz - jz2 @ rho - rho @ jz2)
+    if config.kappa:
+        n_op = adag @ a
+        out += (config.kappa / 2.0) * (2.0 * a @ rho @ adag - n_op @ rho - rho @ n_op)
+    return out
 
 
 @dataclass
@@ -219,52 +242,62 @@ class TimeSeries:
 
 
 def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSeries:
-    """Fixed-step RK4 integration with sampled diagnostics.
+    """Fixed-step RK4 on the excitation-diagonal blocks of rho.
 
-    Stored energy is <Jz>(t) + N/2 (the atoms start in the ground
-    state), power is E/t (0 at t = 0).  Each sample is checked when it
-    is reached: StepUnstable when the trace drifts beyond 1e-6 and
-    TruncationLeak when population at the top Fock level exceeds 1e-6
-    stop the run there.  final_state is the evolved state at t_end.
+    rho0 must be block-diagonal in the excitation number M = n + q (a
+    Fock (x) ground-spin start is); an entry between sectors raises
+    SectorCoherence.  Only the blocks M = 0..M_top are integrated, M_top
+    the highest sector rho0 occupies.  Stored energy is <Jz>(t) + N/2
+    (the atoms start in the ground state), power is E/t (0 at t = 0).
+    Each sample is checked when it is reached and stops the run there:
+    StepUnstable when the trace drifts beyond 1e-6 or min eig(rho)
+    falls below -1e-6, TruncationLeak when population at the top Fock
+    level exceeds 1e-6.  final_state is the evolved full rho at t_end.
     """
-    if isinstance(rho0, DensityMatrix):
-        if (rho0.n_atoms, rho0.n_max) != (config.n_atoms, config.n_max):
-            raise DimensionMismatch("state basis differs from config basis")
-        rho = rho0.matrix.astype(complex).copy()
-    else:
-        rho = np.asarray(rho0, dtype=complex).copy()
-        if rho.shape != (config.dimension, config.dimension):
-            raise DimensionMismatch(
-                f"state is {rho.shape}, basis needs ({config.dimension}, {config.dimension})"
-            )
-    gen = _Generator(config)
+    if not isinstance(rho0, DensityMatrix):
+        rho0 = DensityMatrix(np.asarray(rho0, dtype=complex), config.n_atoms, config.n_max)
+    if (rho0.n_atoms, rho0.n_max) != (config.n_atoms, config.n_max):
+        raise DimensionMismatch("state basis differs from config basis")
+    rho = np.asarray(rho0.matrix, dtype=complex)
+    blocks = _sector_blocks(rho, config)
+    lop = _block_generator(config, blocks)
+    y = np.concatenate([rho[np.ix_(b, b)].ravel() for b in blocks])
+    offsets = np.cumsum([0] + [b.size**2 for b in blocks])
+    mats = [y[o : o + b.size**2].reshape(b.size, b.size) for o, b in zip(offsets, blocks)]
+    order = np.concatenate(blocks)  # basis index of each block-diagonal entry
+    diag_pos = np.concatenate([o + np.arange(b.size) * (b.size + 1) for o, b in zip(offsets, blocks)])
+    dim = config.dimension
+    ns = config.n_atoms + 1
+    jz_diag = np.arange(dim) % ns - config.n_atoms / 2.0
+    m_diag = np.arange(dim) // ns + jz_diag
+    top_rows = slice(config.n_max * ns, (config.n_max + 1) * ns)
     n_steps = int(round(config.t_end / config.dt))
     stride = max(1, config.sample_stride)
-    ns = config.n_atoms + 1
-    top_rows = slice((config.n_max) * ns, (config.n_max + 1) * ns)
-    half_n = config.n_atoms / 2.0
     rows: list[tuple[float, float, float, float, float]] = []
     herm_drift = 0.0
 
     def record(t_i: float) -> None:
         """Check the current state and append its observables."""
         nonlocal herm_drift
-        tr = rho.trace().real
+        diag = np.zeros(dim)
+        diag[order] = y[diag_pos].real
+        tr = float(diag.sum())
         if abs(tr - 1.0) > 1e-6:
             raise StepUnstable(f"trace drifted to {tr!r} at t = {t_i:g}; reduce dt")
-        diag = np.diag(rho).real
         top_pop = float(np.sum(diag[top_rows]))
         if top_pop > 1e-6:
             raise TruncationLeak(
                 f"population {top_pop:.3e} at n = n_max at t = {t_i:g}; raise n_max"
             )
-        herm_drift = max(herm_drift, float(np.max(np.abs(rho - rho.conj().T))))
-        min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-        rows.append((t_i, float(gen.jz_diag @ diag) + half_n, tr, min_eig, float(gen.m_diag @ diag)))
+        herm_drift = max([herm_drift] + [float(np.max(np.abs(r - r.conj().T))) for r in mats])
+        # a basis state outside every block is an exact zero eigenvalue of rho
+        min_eig = min([np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0] for r in mats]
+                      + ([0.0] if order.size < dim else []))
+        if min_eig < -1e-6:
+            raise StepUnstable(f"min eig(rho) fell to {min_eig:.3e} at t = {t_i:g}; reduce dt")
+        rows.append((t_i, float(jz_diag @ diag) + config.n_atoms / 2.0, tr, float(min_eig),
+                     float(m_diag @ diag)))
 
-    lop = gen.lop
-    y = rho.reshape(-1)
-    rho = y.reshape(rho.shape)  # the state is a view of the integration vector
     dt = config.dt
     record(0.0)
     for step in range(1, n_steps + 1):
@@ -276,16 +309,11 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         if step % stride == 0 or step == n_steps:
             record(step * dt)
 
+    final = np.zeros((dim, dim), dtype=complex)
+    for b, r in zip(blocks, mats):
+        final[np.ix_(b, b)] = r
     t_out, energy, trace, min_eig, m_expect = (np.array(col) for col in zip(*rows))
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t_out[1:]
-    return TimeSeries(
-        t=t_out,
-        energy=energy,
-        power=power,
-        trace=trace,
-        min_eig=min_eig,
-        m_expect=m_expect,
-        herm_drift=herm_drift,
-        final_state=rho,
-    )
+    return TimeSeries(t=t_out, energy=energy, power=power, trace=trace, min_eig=min_eig,
+                      m_expect=m_expect, herm_drift=herm_drift, final_state=final)

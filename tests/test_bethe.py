@@ -89,6 +89,21 @@ class TestCanonicalize:
         out = canonicalize([2.0 + 1e-9j])
         assert out[0].imag == 0.0
 
+    def test_order_ignores_real_noise_of_imaginary_pairs(self):
+        # Zero-energy branches (N = 2, even M > 2) hold conjugate pairs on
+        # the imaginary axis whose real parts are solver noise.
+        noise = np.array([1e-17, -3e-17, 2e-17])
+        imag = np.array([0.8, 1.9, 3.1])
+        pairs = lambda re: np.concatenate([re + 1j * imag, re - 1j * imag, [-1.5, 1.5]])
+        ref = canonicalize(pairs(noise))
+        assert np.all(ref[np.abs(ref.imag) > 0].real == 0.0)
+        rng = np.random.default_rng(0)
+        for signs in ([1, 1, 1], [-1, 1, -1], [-1, -1, -1]):
+            roots = pairs(np.array(signs) * noise)
+            out = canonicalize(roots[rng.permutation(roots.size)])
+            assert np.array_equal(out, ref)
+            assert np.array_equal(canonicalize(out), out)
+
 
 class TestNewton:
     def test_converges_to_single_root(self):

@@ -226,6 +226,18 @@ class TestLindbladCommand:
         ]
         assert gaps and max(gaps) < 1e-4
 
+    def test_lost_positivity_exits_5_with_one_line(self, runner, tmp_path):
+        out = tmp_path / "open.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "10", "--init", "fock:10", "--kappa", "0.2",
+             "--gamma-phi", "0.1", "--dt", "0.05", "--t-end", "1.0", "--out", str(out)],
+        )
+        assert result.exit_code == 5, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lindblad failed: min eig(rho)")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_fresh_pipeline_passes(self, runner):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tcqb import lindblad
 from tcqb.bethe import SectorSpec
 from tcqb.lindblad import (
     DensityMatrix,
     DimensionMismatch,
+    LindbladError,
     OpenSystemConfig,
+    SectorCoherence,
     StepUnstable,
     TruncationLeak,
     build_operators,
@@ -82,6 +88,40 @@ class TestRhs:
             lindblad_rhs(np.eye(4, dtype=complex), small_config())
 
 
+def excitation_numbers(config):
+    idx = np.arange(config.dimension)
+    return idx // (config.n_atoms + 1) + idx % (config.n_atoms + 1)
+
+
+class TestBlockGenerator:
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5])
+    def test_matches_dense_reference(self, n_atoms):
+        config = small_config(n_atoms=n_atoms, kappa=0.7, gamma_phi=0.4)
+        exc = excitation_numbers(config)
+        m_top = config.n_max + n_atoms - 2  # leave the top sectors empty
+        same = (exc[:, None] == exc[None, :]) & (exc[:, None] <= m_top)
+        rng = np.random.default_rng(n_atoms)
+        for _ in range(3):
+            rho = random_hermitian(rng, config.dimension) * same
+            blocks = lindblad._sector_blocks(rho, config)
+            assert len(blocks) == m_top + 1
+            y = np.concatenate([rho[np.ix_(b, b)].ravel() for b in blocks])
+            got = lindblad._block_generator(config, blocks) @ y
+            dense = lindblad_rhs(rho, config)
+            expected = np.concatenate([dense[np.ix_(b, b)].ravel() for b in blocks])
+            assert np.max(np.abs(got - expected)) < 1e-12
+            assert np.max(np.abs(dense[~same])) < 1e-12  # nothing leaves the blocks
+
+    def test_coherence_between_sectors_rejected(self):
+        config = small_config()
+        rho = DensityMatrix.fock(config, 2).matrix
+        i, j = 2 * (config.n_atoms + 1), 1 * (config.n_atoms + 1)  # M = 2 and M = 1
+        rho[i, j] = rho[j, i] = 0.1
+        with pytest.raises(SectorCoherence):
+            evolve(rho, config)
+        assert issubclass(SectorCoherence, LindbladError)
+
+
 class TestDensityMatrix:
     def test_fock_initializer_places_population(self):
         config = small_config()
@@ -139,6 +179,32 @@ class TestEvolve:
         config = small_config(dt=1.0, t_end=40.0)
         with pytest.raises(StepUnstable):
             evolve(DensityMatrix.fock(config, 2), config)
+
+    def test_large_step_breaks_positivity(self):
+        # RK4 keeps the trace exact at dt = 0.05, so only the eigenvalue
+        # check sees rho leave the positive cone.
+        config = OpenSystemConfig(n_atoms=10, n_max=20, kappa=0.2, gamma_phi=0.1, dt=0.05, t_end=1.0)
+        with pytest.raises(StepUnstable, match="min eig"):
+            evolve(DensityMatrix.fock(config, 10), config)
+
+    @settings(max_examples=15, deadline=None)
+    @given(kappa=st.floats(0.0, 1.0), gamma_phi=st.floats(0.0, 1.0), photons=st.integers(0, 2))
+    def test_agrees_with_dense_propagator(self, kappa, gamma_phi, photons):
+        config = small_config(kappa=kappa, gamma_phi=gamma_phi, t_end=0.5)
+        rho0 = DensityMatrix.fock(config, photons)
+        ts = evolve(rho0, config)
+        dim = config.dimension
+        unit = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+        generator = np.column_stack([lindblad_rhs(e, config).ravel() for e in unit])
+        step = scipy.linalg.expm(generator * config.dt * config.sample_stride)
+        jz = np.diag(build_operators(config.n_atoms, config.n_max)["jz"])
+        vec = rho0.matrix.ravel()
+        exact = []
+        for _ in ts.t:
+            exact.append(jz @ vec.reshape(dim, dim).diagonal().real + config.n_atoms / 2.0)
+            vec = step @ vec
+        assert np.max(np.abs(ts.energy - np.array(exact))) < 1e-6
+        assert np.max(np.abs(ts.trace - 1.0)) < 1e-9
 
     def test_power_is_energy_over_time(self):
         config = small_config(t_end=0.5)
