@@ -22,6 +22,7 @@ from .spectral import CosineSeries, first_max_time, number_state_energy, series_
 
 __all__ = [
     "BatteryError",
+    "NegativeMean",
     "TruncationTooSmall",
     "SupportExceedsTable",
     "NonpositiveTime",
@@ -54,6 +55,10 @@ GRID_STEP = 1e-3
 
 class BatteryError(Exception):
     """Base class for distribution/table failures."""
+
+
+class NegativeMean(BatteryError, ValueError):
+    """A target mean photon number below zero."""
 
 
 class TruncationTooSmall(BatteryError):
@@ -170,11 +175,14 @@ def _poisson_tail(mu: float, cutoff: int) -> float:
 
 @dataclass
 class EnergyTable:
-    """Stored-energy series F(M, t) for every sector M = 0..m_max."""
+    """Stored-energy series F(M, t) for every sector M = 0..m_max.
+
+    The inequality scans read each sector's grid values from one cache.
+    """
 
     n_atoms: int
     series: dict[int, CosineSeries]
-    _tmax: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
+    _scans: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         ms = sorted(self.series)
@@ -185,14 +193,18 @@ class EnergyTable:
     def m_max(self) -> int:
         return len(self.series) - 1
 
-    def f(self, m: int, t):
-        return self.series[m].value(t)
+    def _scan(self, m: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """(t_max, t, F, dF/dt) of sector m on _default_grid(t_max), cached."""
+        if m not in self._scans:
+            series = self.series[m]
+            t_max = first_max_time(series)
+            t = _default_grid(t_max)
+            self._scans[m] = (t_max, t, series.value(t), series_derivative(series).value(t))
+        return self._scans[m]
 
     def t_max(self, m: int) -> float:
         """First-maximum time of F(m, t), cached."""
-        if m not in self._tmax:
-            self._tmax[m] = first_max_time(self.series[m])
-        return self._tmax[m]
+        return self._scan(m)[0]
 
 
 def energy_table(n_atoms: int, m_max: int) -> EnergyTable:
@@ -248,7 +260,7 @@ def optimal_distribution(nbar: float) -> PhotonDistribution:
     superposition of the two neighboring number states.
     """
     if nbar < 0:
-        raise ValueError("mean photon number must be >= 0")
+        raise NegativeMean(f"mean photon number {nbar!r} is negative")
     fl, frac = _mean_parts(nbar)
     if frac == 0.0:
         return fock_distribution(fl)
@@ -405,74 +417,65 @@ def _default_grid(end: float) -> np.ndarray:
     return np.arange(1, n + 1) * GRID_STEP
 
 
-def check_ratio_inequality(
-    table: EnergyTable, M: int, m: int, t_grid: np.ndarray | None = None
-) -> InequalityReport:
-    """Grid check of F(M, t)/F(m, t) <= M/m for M >= m.
+def _shared_scan(table: EnergyTable, *ms: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """t, F and dF/dt of the sectors ms on _default_grid(min of their t_max).
 
-    The default grid covers (0, min(t_max(M), t_max(m))] in steps of
-    1e-3: past the earlier of the two first maxima the denominator
-    decays and the bound empirically fails, so the scan stays inside the
-    joint charging window.  Reports the worst excess beyond M/m + 1e-9.
+    Every cached grid is arange(1, n + 1) * GRID_STEP, so the shortest
+    one is that grid and a prefix of the others: slicing gives the same
+    numbers as evaluating each series on it afresh.
     """
-    if not (M >= m >= 1):
-        raise ValueError("need M >= m >= 1")
-    region = min(table.t_max(M), table.t_max(m))
-    t = _default_grid(region) if t_grid is None else np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        return InequalityReport(which=28, indices=(M, m))
-    ratio = table.series[M].value(t) / table.series[m].value(t)
-    excess = ratio - M / m
+    scans = [table._scan(m) for m in ms]
+    n = min(s[1].size for s in scans)
+    return scans[0][1][:n], [s[2][:n] for s in scans], [s[3][:n] for s in scans]
+
+
+def _report(which: int, indices: tuple[int, ...], grid: np.ndarray, t: np.ndarray,
+            excess: np.ndarray) -> InequalityReport:
+    """The worst excess at the points t of a scan over grid."""
+    region_end = float(grid[-1]) if grid.size else 0.0
+    if excess.size == 0:
+        return InequalityReport(which=which, indices=indices, region_end=region_end)
     worst = int(np.argmax(excess))
     n_bad = int(np.count_nonzero(excess > INEQ_TOL))
     return InequalityReport(
-        which=28,
-        indices=(M, m),
+        which=which,
+        indices=indices,
         holds=n_bad == 0,
         max_excess=float(excess[worst]),
         argmax_t=float(t[worst]),
         n_violations=n_bad,
-        region_end=float(t[-1]) if t.size else 0.0,
+        region_end=region_end,
     )
 
 
-def check_derivative_inequality(
-    table: EnergyTable, M: int, m: int, m0: int, t_grid: np.ndarray | None = None
-) -> InequalityReport:
+def check_ratio_inequality(table: EnergyTable, M: int, m: int) -> InequalityReport:
+    """Grid check of F(M, t)/F(m, t) <= M/m for M >= m.
+
+    The grid covers (0, min(t_max(M), t_max(m))] in steps of 1e-3: past
+    the earlier of the two first maxima the denominator decays and the
+    bound empirically fails, so the scan stays inside the joint charging
+    window.  Reports the worst excess beyond M/m + 1e-9.
+    """
+    if not (M >= m >= 1):
+        raise ValueError("need M >= m >= 1")
+    t, (f_M, f_m), _ = _shared_scan(table, M, m)
+    return _report(28, (M, m), t, t, f_M / f_m - M / m)
+
+
+def check_derivative_inequality(table: EnergyTable, M: int, m: int, m0: int) -> InequalityReport:
     """Grid check of d/dt[F(M,t)/F(m0,t)] <= d/dt[F(m,t)/F(m0,t)].
 
     Uses exact series derivatives for M >= m >= m0; grid points where
     F(m0, t) < 1e-8 are excluded (the quotient is singular there).  The
-    default grid covers (0, min of the three first-maximum times].
+    grid covers (0, min of the three first-maximum times].
     """
     if not (M >= m >= m0 >= 1):
         raise ValueError("need M >= m >= m0 >= 1")
-    region = min(table.t_max(M), table.t_max(m), table.t_max(m0))
-    t = _default_grid(region) if t_grid is None else np.asarray(t_grid, dtype=float)
-    f_M = table.series[M].value(t)
-    f_m = table.series[m].value(t)
-    f_0 = table.series[m0].value(t)
-    d_M = series_derivative(table.series[M]).value(t)
-    d_m = series_derivative(table.series[m]).value(t)
-    d_0 = series_derivative(table.series[m0]).value(t)
+    t, (f_M, f_m, f_0), (d_M, d_m, d_0) = _shared_scan(table, M, m, m0)
     ok = f_0 >= 1e-8
     lhs = (d_M * f_0 - f_M * d_0)[ok]
     rhs = (d_m * f_0 - f_m * d_0)[ok]
-    excess = (lhs - rhs) / f_0[ok] ** 2
-    t_ok = t[ok]
-    if excess.size == 0:
-        return InequalityReport(which=29, indices=(M, m, m0), region_end=float(t[-1]) if t.size else 0.0)
-    worst = int(np.argmax(excess))
-    n_bad = int(np.count_nonzero(excess > INEQ_TOL))
-    return InequalityReport(
-        which=29,
-        indices=(M, m, m0),
-        holds=n_bad == 0,
-        max_excess=float(excess[worst]),
-        argmax_t=float(t_ok[worst]),
-        n_violations=n_bad,
-        region_end=float(t[-1]) if t.size else 0.0,
-    )
+    return _report(29, (M, m, m0), t, t[ok], (lhs - rhs) / f_0[ok] ** 2)
 
 
 def estimate_photon_number(e_known: float, m: int, e_observed: float) -> float:

@@ -105,23 +105,17 @@ class SectorSpec:
 
     n_atoms is N (so the total spin is J = N/2), excitations is the
     conserved quantum number M.  Energies are reported in units of the
-    coupling; nonzero detuning is outside the solved regime and rejected.
+    coupling.
     """
 
     n_atoms: int
     excitations: int
-    coupling: float = 1.0
-    detuning: float = 0.0
 
     def __post_init__(self):
         if self.n_atoms < 1 or self.n_atoms != int(self.n_atoms):
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
         if self.excitations < 0 or self.excitations != int(self.excitations):
             raise ValueError(f"excitations must be >= 0, got {self.excitations}")
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if self.detuning != 0.0:
-            raise ValueError("only the resonant case (detuning 0) is supported")
 
     @property
     def total_spin(self) -> float:
@@ -495,7 +489,7 @@ def solve_sector(
         guesses = [np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0)]
     else:
         if prev_branches is None:
-            prev_spec = SectorSpec(spec.n_atoms, M - 1, spec.coupling, spec.detuning)
+            prev_spec = SectorSpec(spec.n_atoms, M - 1)
             prev_branches = solve_sector(prev_spec, seed=seed)
         guesses = seed_trials(prev_branches, M)
     acc = _SectorAccumulator(J, spec.branch_count)
@@ -552,7 +546,8 @@ def branches_to_payload(
 
 
 def branches_from_payload(payload: dict) -> list[BetheBranch]:
-    return [
+    """Branches of a sector file; a root on a pole raises ZeroRoot or CoincidentRoots."""
+    branches = [
         BetheBranch(
             roots=tuple(complex(re, im) for re, im in b["roots"]),
             energy=float(b["energy"]),
@@ -561,3 +556,6 @@ def branches_from_payload(payload: dict) -> list[BetheBranch]:
         )
         for b in payload["branches"]
     ]
+    for b in branches:
+        _check_poles(np.asarray(b.roots, dtype=complex))
+    return branches

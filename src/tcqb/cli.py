@@ -3,22 +3,24 @@
 Every command that writes data also writes a manifest (full parameter
 echo, seed, version, wall time, warnings) next to it; data files are
 written atomically and are byte-identical across reruns with equal
-inputs.  `energy`, `power`, `split-check` and `inequality` build their
-energy tables from the exact-diagonalization sector spectra and accept
---seed only to echo it; `solve`, `spectrum` and `verify` run the root
+inputs.  `energy`, `split-check` and `inequality` build their energy
+tables from the exact-diagonalization sector spectra and accept --seed
+only to echo it; `solve`, `spectrum` and `verify` run the root
 solver, which is where the seed is used.
 
-Exit codes: 2 solver or spectrum failures and click usage errors,
-3 distribution/table errors, 4 verification failure, 5 open-system
-integrator errors.
+Exit codes: 2 solver or spectrum failures and click usage errors
+(a nan or inf number among them), 3 distribution/table errors,
+4 verification failure, 5 open-system integrator errors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import click
@@ -34,7 +36,20 @@ MAX_SECTOR = 64
 
 
 class InputError(Exception):
-    """A distribution argument or file that cannot be read."""
+    """A distribution argument or input file that cannot be read."""
+
+
+class FiniteFloat(click.types.FloatParamType):
+    """A float flag that rejects nan and inf as a usage error."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
+
+
+FINITE = FiniteFloat()
 
 
 def _fmt(x: float) -> str:
@@ -216,9 +231,17 @@ def spectrum(n_atoms, m_max, seed, out_dir):
     click.echo(f"wrote {m_max + 1} sector spectra -> {out}")
 
 
-def _energy_impl(command: str, init, n_atoms, t_end, steps, seed, out_csv):
+@main.command()
+@click.option("--init", required=True, help="fock:M | coherent:ALPHA2[:TRUNC] | file:PATH")
+@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
+@click.option("--t-end", type=FINITE, default=3.0, show_default=True)
+@click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
+@_echoed_seed
+@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
+def energy(init, n_atoms, t_end, steps, seed, out_csv):
+    """Stored energy and average power over a uniform time grid."""
     t0 = time.time()
-    with _table_errors(command):
+    with _table_errors("energy"):
         dist = _parse_init(init)
         table = battery.energy_table(n_atoms, dist.max_support)
         t = np.linspace(0.0, t_end, steps)
@@ -228,7 +251,7 @@ def _energy_impl(command: str, init, n_atoms, t_end, steps, seed, out_csv):
     path = Path(out_csv)
     _write_csv(path, ["t", "E", "P"], [t, energy, power])
     _write_manifest(
-        path, command,
+        path, "energy",
         {"init": init, "n_atoms": n_atoms, "t_end": t_end, "steps": steps},
         seed, time.time() - t0, [],
     )
@@ -236,36 +259,13 @@ def _energy_impl(command: str, init, n_atoms, t_end, steps, seed, out_csv):
 
 
 @main.command()
-@click.option("--init", required=True, help="fock:M | coherent:ALPHA2[:TRUNC] | file:PATH")
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--t-end", type=float, default=3.0, show_default=True)
-@click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
-@_echoed_seed
-@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-def energy(init, n_atoms, t_end, steps, seed, out_csv):
-    """Stored energy and average power over a uniform time grid."""
-    _energy_impl("energy", init, n_atoms, t_end, steps, seed, out_csv)
-
-
-@main.command()
-@click.option("--init", required=True, help="fock:M | coherent:ALPHA2[:TRUNC] | file:PATH")
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--t-end", type=float, default=3.0, show_default=True)
-@click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
-@_echoed_seed
-@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-def power(init, n_atoms, t_end, steps, seed, out_csv):
-    """Same series as `energy`; the P column is the average power."""
-    _energy_impl("power", init, n_atoms, t_end, steps, seed, out_csv)
-
-
-@main.command()
-@click.option("--mean", type=float, required=True, help="Target mean photon number.")
+@click.option("--mean", type=FINITE, required=True, help="Target mean photon number.")
 @click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
 def optimal(mean, out_json):
     """The optimal (two-point) initial photon distribution for a mean."""
     t0 = time.time()
-    dist = battery.optimal_distribution(mean)
+    with _table_errors("optimal"):
+        dist = battery.optimal_distribution(mean)
     payload = dist.to_dict()
     if out_json:
         path = Path(out_json)
@@ -279,7 +279,7 @@ def optimal(mean, out_json):
 @main.command("split-check")
 @click.option("--dist", "dist_text", required=True, help="fock:M | coherent:A2[:T] | file:PATH")
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--t", "t_check", type=float, default=0.3, show_default=True,
+@click.option("--t", "t_check", type=FINITE, default=0.3, show_default=True,
               help="Time at which the expectation gap is evaluated.")
 @_echoed_seed
 @click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
@@ -321,18 +321,13 @@ def split_check(dist_text, n_atoms, t_check, seed, out_json):
 def inequality(which, n_atoms, max_m, seed, out_json):
     """Exhaustive grid search for violations of a stored-energy inequality."""
     t0 = time.time()
-    reports = []
     with _table_errors("inequality"):
         table = battery.energy_table(n_atoms, max_m)
-        if which == "28":
-            for M in range(1, max_m + 1):
-                for m in range(1, M + 1):
-                    reports.append(battery.check_ratio_inequality(table, M, m))
-        else:
-            for M in range(1, max_m + 1):
-                for m in range(1, M + 1):
-                    for m0 in range(1, m + 1):
-                        reports.append(battery.check_derivative_inequality(table, M, m, m0))
+        check, arity = ((battery.check_ratio_inequality, 2) if which == "28"
+                        else (battery.check_derivative_inequality, 3))
+        # Every (M, m[, m0]) with M >= m (>= m0) >= 1, in lexicographic order.
+        combos = sorted(c[::-1] for c in combinations_with_replacement(range(1, max_m + 1), arity))
+        reports = [check(table, *c) for c in combos]
     bad = [r for r in reports if not r.holds]
     total_viol = sum(r.n_violations for r in bad)
     click.echo(f"{total_viol} violations over {len(reports)} index combinations")
@@ -357,9 +352,9 @@ def inequality(which, n_atoms, max_m, seed, out_json):
 
 
 @main.command()
-@click.option("--e-known", type=float, required=True, help="Stored energy of the reference sector.")
+@click.option("--e-known", type=FINITE, required=True, help="Stored energy of the reference sector.")
 @click.option("--m", "m_ref", type=click.IntRange(1, 64), required=True, help="Reference photon number.")
-@click.option("--e-observed", type=float, required=True, help="Stored energy of the unknown sector.")
+@click.option("--e-observed", type=FINITE, required=True, help="Stored energy of the unknown sector.")
 def estimate(e_known, m_ref, e_observed):
     """Photon-number estimate m * E_observed / E_known."""
     try:
@@ -374,10 +369,10 @@ def estimate(e_known, m_ref, e_observed):
 @click.option("--n-atoms", type=click.IntRange(1, 32), required=True)
 @click.option("--init", default="fock:10", show_default=True, help="fock:M only (open system).")
 @click.option("--n-max", type=int, default=None, help="Fock truncation [default: photons + 10].")
-@click.option("--kappa", type=float, required=True, help="Cavity decay rate (units of g).")
-@click.option("--gamma-phi", type=float, required=True, help="Collective dephasing rate (units of g).")
-@click.option("--dt", type=float, default=1e-3, show_default=True)
-@click.option("--t-end", type=float, default=5.0, show_default=True)
+@click.option("--kappa", type=FINITE, required=True, help="Cavity decay rate (units of g).")
+@click.option("--gamma-phi", type=FINITE, required=True, help="Collective dephasing rate (units of g).")
+@click.option("--dt", type=FINITE, default=1e-3, show_default=True)
+@click.option("--t-end", type=FINITE, default=5.0, show_default=True)
 @click.option("--stride", type=int, default=10, show_default=True, help="Sampling stride in steps.")
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 def lindblad_cmd(n_atoms, init, n_max, kappa, gamma_phi, dt, t_end, stride, out_csv):
@@ -417,6 +412,14 @@ def lindblad_cmd(n_atoms, init, n_max, kappa, gamma_phi, dt, t_end, stride, out_
     click.echo(f"wrote {ts.t.size} samples -> {path}")
 
 
+def _read_branches(path: Path) -> list[bethe.BetheBranch]:
+    """The branches of one sector file; unreadable or malformed content is an InputError."""
+    try:
+        return bethe.branches_from_payload(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError, bethe.BetheError) as err:
+        raise InputError(f"{path.name}: {type(err).__name__}: {err}") from err
+
+
 @main.command()
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
 @click.option("--m-max", type=click.IntRange(0, 64), required=True)
@@ -435,14 +438,12 @@ def verify(n_atoms, m_max, seed, branch_dir):
 
     try:
         if branch_dir:
-            chains = {}
-            for m in range(1, m_max + 1):
-                path = Path(branch_dir) / f"sector_M{m:02d}.json"
-                chains[m] = bethe.branches_from_payload(json.loads(path.read_text()))
+            chains = {m: _read_branches(Path(branch_dir) / f"sector_M{m:02d}.json")
+                      for m in range(1, m_max + 1)}
             chains[0] = [bethe.BetheBranch(roots=(), energy=0.0, residual=0.0)]
         else:
             chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
-    except (bethe.MissingBranches, OSError, KeyError, ValueError) as err:
+    except (bethe.MissingBranches, InputError) as err:
         click.echo(f"verify could not obtain branches: {err}", err=True)
         raise SystemExit(EXIT_VERIFY)
 

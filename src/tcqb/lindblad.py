@@ -22,6 +22,7 @@ enforced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,8 @@ class OpenSystemConfig:
             raise ValueError("need at least one atom")
         if self.n_max < 1:
             raise ValueError("need at least two Fock levels")
+        if not all(math.isfinite(x) for x in (self.kappa, self.gamma_phi, self.dt, self.t_end)):
+            raise ValueError("rates, dt and t_end must be finite")
         if self.kappa < 0 or self.gamma_phi < 0:
             raise ValueError("rates must be nonnegative")
         if self.dt <= 0 or self.t_end <= 0:

@@ -228,13 +228,6 @@ class CosineSeries:
             doc = {"m": m, **doc}
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CosineSeries":
-        return cls(
-            offset=float(doc["offset"]),
-            terms=tuple((float(a), float(w)) for a, w in doc["terms"]),
-        )
-
 
 @dataclass(frozen=True)
 class SineSeries:

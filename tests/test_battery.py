@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_distribution
+from tcqb import battery
 from tcqb.battery import (
     EnergyTable,
+    InequalityReport,
     NonpositiveTime,
     PhotonDistribution,
     SupportExceedsTable,
@@ -26,7 +28,7 @@ from tcqb.battery import (
 )
 from tcqb.bethe import SectorSpec
 from tcqb.oracle import oracle_F
-from tcqb.spectral import CosineSeries
+from tcqb.spectral import CosineSeries, first_max_time, series_derivative
 
 SQRT10 = math.sqrt(10.0)
 
@@ -134,7 +136,7 @@ class TestEnergyTable:
         assert table.m_max == 20
         t = np.linspace(0.0, 3.0, 2000)
         worst = max(
-            float(np.max(np.abs(table.f(m, t) - oracle_F(SectorSpec(n_atoms, m), t))))
+            float(np.max(np.abs(table.series[m].value(t) - oracle_F(SectorSpec(n_atoms, m), t))))
             for m in range(21)
         )
         assert worst < 1e-10
@@ -293,11 +295,57 @@ class TestDerivativeInequality:
         # of the charging window it is violated (see decisions ledger).
         assert isinstance(report.holds, bool)
 
-    def test_holds_on_short_horizon(self, table):
-        grid = np.arange(1, 200) * 1e-3  # t <= 0.2, well inside the window
+    def test_holds_on_short_horizon(self, table, monkeypatch):
+        # With every first maximum read as 0.2 the scan covers t <= 0.2,
+        # well inside the charging window.
+        monkeypatch.setattr(battery, "first_max_time", lambda series: 0.2)
+        short = EnergyTable(n_atoms=table.n_atoms, series=table.series)
         for M, m, m0 in ((6, 4, 2), (10, 5, 1), (14, 9, 4)):
-            report = check_derivative_inequality(table, M, m, m0, t_grid=grid)
+            report = check_derivative_inequality(short, M, m, m0)
+            assert report.region_end == pytest.approx(0.2)
             assert report.holds, (M, m, m0, report.max_excess)
+
+
+def _fresh_report(table, t_max, indices):
+    """A checker's report with every series evaluated afresh on the scan grid."""
+    t = battery._default_grid(min(t_max[k] for k in indices))
+    f = [table.series[k].value(t) for k in indices]
+    if len(indices) == 2:
+        if t.size == 0:
+            return InequalityReport(which=28, indices=indices)
+        which, t_ok, excess = 28, t, f[0] / f[1] - indices[0] / indices[1]
+    else:
+        d = [series_derivative(table.series[k]).value(t) for k in indices]
+        ok = f[2] >= 1e-8
+        lhs = (d[0] * f[2] - f[0] * d[2])[ok]
+        rhs = (d[1] * f[2] - f[1] * d[2])[ok]
+        which, t_ok, excess = 29, t[ok], (lhs - rhs) / f[2][ok] ** 2
+    if excess.size == 0:
+        return InequalityReport(which=which, indices=indices, region_end=float(t[-1]) if t.size else 0.0)
+    worst = int(np.argmax(excess))
+    n_bad = int(np.count_nonzero(excess > battery.INEQ_TOL))
+    return InequalityReport(
+        which=which,
+        indices=indices,
+        holds=n_bad == 0,
+        max_excess=float(excess[worst]),
+        argmax_t=float(t_ok[worst]),
+        n_violations=n_bad,
+        region_end=float(t[-1]),
+    )
+
+
+@pytest.mark.parametrize("n_atoms, m_max", [(10, 14), (64, 8)])
+def test_shared_grid_scans_equal_fresh_evaluation(n_atoms, m_max):
+    table = energy_table(n_atoms, m_max)
+    t_max = {k: first_max_time(table.series[k]) for k in range(1, m_max + 1)}
+    for M in range(1, m_max + 1):
+        for m in range(1, M + 1):
+            assert check_ratio_inequality(table, M, m) == _fresh_report(table, t_max, (M, m))
+            for m0 in range(1, m + 1):
+                assert check_derivative_inequality(table, M, m, m0) == _fresh_report(
+                    table, t_max, (M, m, m0)
+                )
 
 
 class TestEstimator:

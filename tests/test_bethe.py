@@ -271,10 +271,6 @@ class TestOracleSeededRecovery:
 
 
 class TestSectorSpec:
-    def test_rejects_nonzero_detuning(self):
-        with pytest.raises(ValueError):
-            SectorSpec(10, 2, detuning=0.5)
-
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             SectorSpec(0, 2)

@@ -96,11 +96,11 @@ class TestEnergy:
         )
         assert result.exit_code == 3
 
-    def test_power_alias(self, runner, tmp_path):
+    def test_p_column_is_average_power(self, runner, tmp_path):
         out = tmp_path / "p.csv"
         result = runner.invoke(
             main,
-            ["power", "--init", "fock:2", "--n-atoms", "10", "--steps", "50",
+            ["energy", "--init", "fock:2", "--n-atoms", "10", "--steps", "50",
              "--out", str(out)],
         )
         assert result.exit_code == 0
@@ -132,6 +132,17 @@ class TestOptimalAndSplit:
         assert doc["group_probability_error"] < 1e-12
         assert doc["group_mean_error"] < 1e-12
         assert doc["delta_f"] >= -1e-9
+
+
+    def test_negative_mean_exits_3_with_one_line(self, runner):
+        result = runner.invoke(main, ["optimal", "--mean", "-1"])
+        assert result.exit_code == 3, result.output
+        assert result.output.strip().splitlines() == ["optimal failed: mean photon number -1.0 is negative"]
+
+    @pytest.mark.parametrize("mean", ["nan", "inf"])
+    def test_non_finite_mean_is_a_usage_error(self, runner, mean):
+        result = runner.invoke(main, ["optimal", "--mean", mean])
+        _assert_usage_error(result, "'--mean'")
 
 
 class TestSpectrum:
@@ -263,6 +274,28 @@ class TestVerify:
         assert result.exit_code == 4
         assert "FAIL" in result.output
 
+    @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root"])
+    def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
+        out = tmp_path / "solve"
+        assert runner.invoke(
+            main, ["solve", "--n-atoms", "10", "--m-max", "2", "--out", str(out)]
+        ).exit_code == 0
+        path = out / "sector_M02.json"
+        doc = json.loads(path.read_text())
+        if case == "roots-not-a-list":
+            doc["branches"][0]["roots"] = 5
+        elif case == "json-list":
+            doc = [doc]
+        else:
+            doc["branches"][0]["roots"][0] = [0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["verify", "--n-atoms", "10", "--m-max", "2", "--dir", str(out)]
+        )
+        assert result.exit_code == 4, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verify could not obtain branches: sector_M02.json")
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, runner, tmp_path):
@@ -331,7 +364,7 @@ def _table_command(command, dist, tmp_path):
     return [command, "--init", dist, "--n-atoms", "10", "--out", str(tmp_path / "x.csv")]
 
 
-@pytest.mark.parametrize("command", ["energy", "power", "split-check"])
+@pytest.mark.parametrize("command", ["energy", "split-check"])
 @pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTIONS))
 def test_bad_distribution_exits_3_with_one_line(runner, tmp_path, command, case):
     dist = BAD_DISTRIBUTIONS[case](tmp_path / "dist.json")
@@ -437,3 +470,15 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
         cli._write_json(target, {"run": 2})
     assert json.loads(target.read_text()) == {"run": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["split-check", "--dist", "fock:3", "--n-atoms", "10"], "--t"),
+    (["energy", "--init", "fock:3", "--n-atoms", "10"], "--t-end"),
+    (["lindblad", "--n-atoms", "2", "--init", "fock:1", "--gamma-phi", "0"], "--kappa"),
+], ids=["split-check", "energy", "lindblad"])
+def test_non_finite_float_flag_is_a_usage_error(runner, tmp_path, args, flag):
+    out = tmp_path / "out.data"
+    result = runner.invoke(main, [*args, flag, "nan", "--out", str(out)])
+    _assert_usage_error(result, f"'{flag}'")
+    assert not out.exists()

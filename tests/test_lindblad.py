@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -234,3 +236,9 @@ class TestConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             small_config(kappa=-0.1)
+
+    @pytest.mark.parametrize("field", ["kappa", "gamma_phi", "dt", "t_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            small_config(**{field: value})

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -208,8 +209,8 @@ class TestSeriesDerivative:
 
 
 def test_series_json_roundtrip(table):
-    doc = table.series[3].to_dict(m=3)
+    series = table.series[3]
+    doc = json.loads(json.dumps(series.to_dict(m=3)))
     assert doc["m"] == 3
-    back = CosineSeries.from_dict(doc)
-    t = np.linspace(0, 2, 50)
-    assert np.allclose(back.value(t), table.series[3].value(t), atol=1e-10)
+    assert doc["offset"] == float(f"{series.offset:.12g}")
+    assert doc["terms"] == [[float(f"{a:.12g}"), float(f"{w:.12g}")] for a, w in series.terms]
