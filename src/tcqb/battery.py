@@ -28,6 +28,7 @@ __all__ = [
     "NonpositiveTime",
     "DegenerateSplit",
     "ZeroReferenceEnergy",
+    "NegativeObservedEnergy",
     "DeltaFMismatch",
     "PhotonDistribution",
     "fock_distribution",
@@ -79,6 +80,10 @@ class DegenerateSplit(BatteryError):
 
 class ZeroReferenceEnergy(BatteryError):
     """Photon-number estimation needs a positive reference energy."""
+
+
+class NegativeObservedEnergy(BatteryError):
+    """A stored-energy reading below zero, which no state can give."""
 
 
 class DeltaFMismatch(BatteryError):
@@ -487,4 +492,6 @@ def estimate_photon_number(e_known: float, m: int, e_observed: float) -> float:
     """
     if e_known <= 0:
         raise ZeroReferenceEnergy("reference stored energy must be positive")
+    if e_observed < 0:
+        raise NegativeObservedEnergy(f"observed stored energy {e_observed:g} is negative")
     return m * e_observed / e_known

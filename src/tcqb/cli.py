@@ -40,16 +40,22 @@ class InputError(Exception):
 
 
 class FiniteFloat(click.types.FloatParamType):
-    """A float flag that rejects nan and inf as a usage error."""
+    """A float flag that rejects nan and inf (and, if positive, x <= 0) as a usage error."""
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
 
     def convert(self, value, param, ctx):
         x = super().convert(value, param, ctx)
         if not math.isfinite(x):
             self.fail(f"{value!r} is not a finite number", param, ctx)
+        if self.positive and x <= 0:
+            self.fail(f"{value!r} is not positive", param, ctx)
         return x
 
 
 FINITE = FiniteFloat()
+POSITIVE = FiniteFloat(positive=True)
 
 
 def _fmt(x: float) -> str:
@@ -234,7 +240,7 @@ def spectrum(n_atoms, m_max, seed, out_dir):
 @main.command()
 @click.option("--init", required=True, help="fock:M | coherent:ALPHA2[:TRUNC] | file:PATH")
 @click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--t-end", type=FINITE, default=3.0, show_default=True)
+@click.option("--t-end", type=POSITIVE, default=3.0, show_default=True)
 @click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
 @_echoed_seed
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
@@ -357,39 +363,35 @@ def inequality(which, n_atoms, max_m, seed, out_json):
 @click.option("--e-observed", type=FINITE, required=True, help="Stored energy of the unknown sector.")
 def estimate(e_known, m_ref, e_observed):
     """Photon-number estimate m * E_observed / E_known."""
-    try:
+    with _table_errors("estimate"):
         value = battery.estimate_photon_number(e_known, m_ref, e_observed)
-    except battery.BatteryError as err:
-        click.echo(f"estimate failed: {err}", err=True)
-        raise SystemExit(EXIT_BATTERY)
     click.echo(_fmt(value))
 
 
 @main.command("lindblad")
 @click.option("--n-atoms", type=click.IntRange(1, 32), required=True)
 @click.option("--init", default="fock:10", show_default=True, help="fock:M only (open system).")
-@click.option("--n-max", type=int, default=None, help="Fock truncation [default: photons + 10].")
 @click.option("--kappa", type=FINITE, required=True, help="Cavity decay rate (units of g).")
 @click.option("--gamma-phi", type=FINITE, required=True, help="Collective dephasing rate (units of g).")
 @click.option("--dt", type=FINITE, default=1e-3, show_default=True)
 @click.option("--t-end", type=FINITE, default=5.0, show_default=True)
-@click.option("--stride", type=int, default=10, show_default=True, help="Sampling stride in steps.")
+@click.option("--stride", type=click.IntRange(1), default=10, show_default=True, help="Steps between samples.")
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-def lindblad_cmd(n_atoms, init, n_max, kappa, gamma_phi, dt, t_end, stride, out_csv):
+def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out_csv):
     """Open-system stored energy under cavity decay and collective dephasing."""
     t0 = time.time()
     kind, _, rest = init.partition(":")
     try:
-        if kind != "fock":
-            raise ValueError
         photons = int(rest)
     except ValueError:
-        raise click.BadParameter(f"{init!r}: open-system runs start from fock:M", param_hint="--init")
-    if n_max is None:
-        n_max = photons + 10
+        photons = -1
+    if kind != "fock" or not 0 <= photons <= MAX_SECTOR:
+        raise click.BadParameter(f"{init!r}: open-system runs start from fock:M, 0 <= M <= {MAX_SECTOR}",
+                                 param_hint="--init")
     try:
+        # The run never reaches n = photons + 1, so a larger n_max changes nothing.
         config = lindblad.OpenSystemConfig(
-            n_atoms=n_atoms, n_max=n_max, kappa=kappa, gamma_phi=gamma_phi,
+            n_atoms=n_atoms, n_max=photons + 1, kappa=kappa, gamma_phi=gamma_phi,
             dt=dt, t_end=t_end, sample_stride=stride,
         )
         rho0 = lindblad.DensityMatrix.fock(config, photons)
@@ -405,7 +407,7 @@ def lindblad_cmd(n_atoms, init, n_max, kappa, gamma_phi, dt, t_end, stride, out_
     )
     _write_manifest(
         path, "lindblad",
-        {"n_atoms": n_atoms, "init": init, "n_max": n_max, "kappa": kappa,
+        {"n_atoms": n_atoms, "init": init, "kappa": kappa,
          "gamma_phi": gamma_phi, "dt": dt, "t_end": t_end, "stride": stride},
         None, time.time() - t0, [],
     )

@@ -16,7 +16,11 @@ of g (times in 1/g).
 H, a and Jz respect the excitation number M = n + q (q = m + J) and no
 term raises it (weak U(1) symmetry), so evolve integrates only the
 blocks rho_M, M = 0..M_top, of a block-diagonal start with classical
-fixed-step RK4.  Trace, Hermiticity and positivity are monitored, not
+fixed-step RK4.  Each block lives in the sector basis
+|M-k> (x) |J, -J+k> of the closed system, and its generator is built
+from oracle.sector_hamiltonian; the dense product-basis operators
+(build_operators, lindblad_rhs) are the reference it is checked
+against.  Trace, Hermiticity and positivity are monitored, not
 enforced.
 """
 
@@ -27,6 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import oracle
+from .bethe import SectorSpec
 
 __all__ = [
     "LindbladError",
@@ -56,7 +63,7 @@ class StepUnstable(LindbladError):
 
 
 class TruncationLeak(LindbladError):
-    """Population reached the top Fock level; enlarge n_max."""
+    """The initial state occupies a sector M >= n_max; enlarge n_max."""
 
 
 class SectorCoherence(LindbladError):
@@ -88,8 +95,10 @@ class OpenSystemConfig:
             raise ValueError("rates, dt and t_end must be finite")
         if self.kappa < 0 or self.gamma_phi < 0:
             raise ValueError("rates must be nonnegative")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not 0 < self.dt <= self.t_end:
+            raise ValueError(f"need 0 < dt <= t_end, got dt = {self.dt:g}, t_end = {self.t_end:g}")
+        if self.sample_stride < 1:
+            raise ValueError(f"sample stride must be at least 1, got {self.sample_stride}")
 
     @property
     def dimension(self) -> int:
@@ -116,7 +125,7 @@ def build_operators(n_atoms: int, n_max: int) -> dict[str, np.ndarray]:
     a = np.kron(a_f, eye_s)
     jz = np.kron(eye_f, jz_s)
     jplus = np.kron(eye_f, jp_s)
-    ops = {
+    return {
         "a": a,
         "adag": a.T.copy(),
         "jz": jz,
@@ -124,7 +133,6 @@ def build_operators(n_atoms: int, n_max: int) -> dict[str, np.ndarray]:
         "jminus": jplus.T.copy(),
         "m": a.T @ a + jz,
     }
-    return ops
 
 
 @dataclass
@@ -138,17 +146,13 @@ class DensityMatrix:
     def __post_init__(self):
         dim = (self.n_max + 1) * (self.n_atoms + 1)
         if self.matrix.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"state is {self.matrix.shape}, basis needs ({dim}, {dim})"
-            )
+            raise DimensionMismatch(f"state is {self.matrix.shape}, basis needs ({dim}, {dim})")
 
     @classmethod
     def fock(cls, config: OpenSystemConfig, photons: int) -> "DensityMatrix":
         """|photons><photons| (x) ground-spin projector."""
         if photons < 0 or photons > config.n_max:
             raise ValueError("initial photon number outside the Fock truncation")
-        if config.n_max < photons + 5:
-            raise ValueError("n_max must exceed the initial photon number by at least 5")
         dim = config.dimension
         rho = np.zeros((dim, dim), dtype=complex)
         idx = photons * (config.n_atoms + 1)  # q = 0 is the spin ground state
@@ -164,48 +168,37 @@ class DensityMatrix:
             raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
 
 
-def _sector_blocks(rho: np.ndarray, config: OpenSystemConfig) -> list[np.ndarray]:
-    """Basis indices of the excitation sectors M = n + q = 0..M_top.
-
-    M_top is the highest sector rho occupies.  Raises SectorCoherence
-    when rho has an entry between different sectors.
-    """
-    ns = config.n_atoms + 1
-    idx = np.arange(config.dimension)
-    exc = idx // ns + idx % ns
-    rows, cols = np.nonzero(rho)
-    if np.any(exc[rows] != exc[cols]):
-        raise SectorCoherence("initial state has coherences between excitation sectors")
-    m_top = int(exc[rows].max()) if rows.size else 0
-    return [np.flatnonzero(exc == m) for m in range(m_top + 1)]
+def _sector_indices(n_atoms: int, m: int) -> np.ndarray:
+    """Product-basis index (M-k)(N+1) + k of each sector basis state k."""
+    k = np.arange(SectorSpec(n_atoms, m).branch_count)
+    return (m - k) * (n_atoms + 1) + k
 
 
-def _block_generator(config: OpenSystemConfig, blocks: list[np.ndarray]) -> sp.csr_matrix:
-    """Master-equation generator on the concatenated vec(rho_M).
+def _block_generator(config: OpenSystemConfig, m_top: int) -> sp.csr_matrix:
+    """Master-equation generator on the concatenated vec(rho_M), M = 0..m_top.
 
-    On the row-major vectorization vec(A rho B) = (A (x) B^T) vec(rho),
-    block M's commutator is -i(H_M (x) I - I (x) H_M^T); both
+    Block M lives in the basis |M-k> (x) |J, -J+k> of
+    oracle.sector_hamiltonian.  On the row-major vectorization
+    vec(A rho B) = (A (x) B^T) vec(rho), its commutator is
+    -i(H_M (x) I - I (x) H_M) (H_M is real symmetric); both
     anticommutator halves and the dephasing sandwich collapse to a real
-    diagonal -(gamma/2)(jz_i - jz_j)^2 - (kappa/2)(n_i + n_j), and the
-    photon-loss refill kappa (A (x) A), A = a[M, M+1], feeds block M
-    from block M+1.  No term raises M, so sectors above M_top stay 0.
+    diagonal -(gamma/2)(k - l)^2 - (kappa/2)((M-k) + (M-l)), and photon
+    loss feeds block M from block M+1 with weight
+    kappa sqrt((M+1-k)(M+1-l)).  No term raises M, so sectors above
+    m_top stay 0.
     """
-    ops = build_operators(config.n_atoms, config.n_max)
-    h = ops["adag"] @ ops["jminus"] + ops["jplus"] @ ops["a"]
-    jz = np.diag(ops["jz"])
-    n = np.arange(config.dimension) // (config.n_atoms + 1) * 1.0
-    grid: list[list[sp.spmatrix | None]] = [[None] * len(blocks) for _ in blocks]
-    for m, b in enumerate(blocks):
-        h_m = sp.csr_matrix(h[np.ix_(b, b)])
-        eye = sp.identity(b.size, format="csr")
-        decay = np.zeros((b.size, b.size))
-        if config.gamma_phi:
-            decay -= (config.gamma_phi / 2.0) * (jz[b][:, None] - jz[b][None, :]) ** 2
-        if config.kappa:
-            decay -= (config.kappa / 2.0) * (n[b][:, None] + n[b][None, :])
-        grid[m][m] = -1j * (sp.kron(h_m, eye) - sp.kron(eye, h_m.T)) + sp.diags(decay.ravel())
-        if config.kappa and m + 1 < len(blocks):
-            a_m = sp.csr_matrix(ops["a"][np.ix_(b, blocks[m + 1])])
+    sizes = [SectorSpec(config.n_atoms, m).branch_count for m in range(m_top + 1)]
+    grid: list[list[sp.spmatrix | None]] = [[None] * len(sizes) for _ in sizes]
+    for m, size in enumerate(sizes):
+        h_m = sp.csr_matrix(oracle.sector_hamiltonian(SectorSpec(config.n_atoms, m)).dense())
+        eye = sp.identity(size, format="csr")
+        k = np.arange(size)
+        photons = m - k
+        decay = (-(config.gamma_phi / 2.0) * (k[:, None] - k[None, :]) ** 2
+                 - (config.kappa / 2.0) * (photons[:, None] + photons[None, :]))
+        grid[m][m] = -1j * (sp.kron(h_m, eye) - sp.kron(eye, h_m)) + sp.diags(decay.ravel())
+        if config.kappa and m < m_top:
+            a_m = sp.diags(np.sqrt(photons + 1.0), shape=(size, sizes[m + 1]))
             grid[m][m + 1] = config.kappa * sp.kron(a_m, a_m)
     return sp.bmat(grid, format="csr")
 
@@ -250,56 +243,53 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
     rho0 must be block-diagonal in the excitation number M = n + q (a
     Fock (x) ground-spin start is); an entry between sectors raises
     SectorCoherence.  Only the blocks M = 0..M_top are integrated, M_top
-    the highest sector rho0 occupies.  Stored energy is <Jz>(t) + N/2
-    (the atoms start in the ground state), power is E/t (0 at t = 0).
-    Each sample is checked when it is reached and stops the run there:
-    StepUnstable when the trace drifts beyond 1e-6 or min eig(rho)
-    falls below -1e-6, TruncationLeak when population at the top Fock
-    level exceeds 1e-6.  final_state is the evolved full rho at t_end.
+    the highest sector rho0 occupies, each in its sector basis with the
+    generator built from oracle.sector_hamiltonian.  M_top >= n_max
+    raises TruncationLeak before any step: below it no block reaches
+    n = n_max, so the result does not depend on n_max.  Stored energy is
+    <Jz>(t) + N/2 (the atoms start in the ground state), power is E/t
+    (0 at t = 0).  Each sample is checked when it is reached and stops
+    the run there with StepUnstable when the trace drifts beyond 1e-6 or
+    min eig(rho) falls below -1e-6.  final_state is the evolved full rho
+    at t_end on the product basis.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0, dtype=complex), config.n_atoms, config.n_max)
     if (rho0.n_atoms, rho0.n_max) != (config.n_atoms, config.n_max):
         raise DimensionMismatch("state basis differs from config basis")
     rho = np.asarray(rho0.matrix, dtype=complex)
-    blocks = _sector_blocks(rho, config)
-    lop = _block_generator(config, blocks)
+    exc = sum(np.divmod(np.arange(config.dimension), config.n_atoms + 1))  # M = n + q
+    i, j = np.nonzero(rho)
+    if np.any(exc[i] != exc[j]):
+        raise SectorCoherence("initial state has coherences between excitation sectors")
+    m_top = int(exc[i].max()) if i.size else 0
+    if m_top >= config.n_max:
+        raise TruncationLeak(f"initial state occupies sector M = {m_top} >= n_max = {config.n_max}")
+    blocks = [_sector_indices(config.n_atoms, m) for m in range(m_top + 1)]
+    lop = _block_generator(config, m_top)
     y = np.concatenate([rho[np.ix_(b, b)].ravel() for b in blocks])
     offsets = np.cumsum([0] + [b.size**2 for b in blocks])
     mats = [y[o : o + b.size**2].reshape(b.size, b.size) for o, b in zip(offsets, blocks)]
-    order = np.concatenate(blocks)  # basis index of each block-diagonal entry
     diag_pos = np.concatenate([o + np.arange(b.size) * (b.size + 1) for o, b in zip(offsets, blocks)])
-    dim = config.dimension
-    ns = config.n_atoms + 1
-    jz_diag = np.arange(dim) % ns - config.n_atoms / 2.0
-    m_diag = np.arange(dim) // ns + jz_diag
-    top_rows = slice(config.n_max * ns, (config.n_max + 1) * ns)
+    q = np.concatenate([np.arange(b.size) for b in blocks])  # atomic excitations k
+    m_shift = np.concatenate([np.full(b.size, m - config.n_atoms / 2.0) for m, b in enumerate(blocks)])
     n_steps = int(round(config.t_end / config.dt))
-    stride = max(1, config.sample_stride)
     rows: list[tuple[float, float, float, float, float]] = []
     herm_drift = 0.0
 
     def record(t_i: float) -> None:
         """Check the current state and append its observables."""
         nonlocal herm_drift
-        diag = np.zeros(dim)
-        diag[order] = y[diag_pos].real
+        diag = y[diag_pos].real
         tr = float(diag.sum())
         if abs(tr - 1.0) > 1e-6:
             raise StepUnstable(f"trace drifted to {tr!r} at t = {t_i:g}; reduce dt")
-        top_pop = float(np.sum(diag[top_rows]))
-        if top_pop > 1e-6:
-            raise TruncationLeak(
-                f"population {top_pop:.3e} at n = n_max at t = {t_i:g}; raise n_max"
-            )
         herm_drift = max([herm_drift] + [float(np.max(np.abs(r - r.conj().T))) for r in mats])
-        # a basis state outside every block is an exact zero eigenvalue of rho
-        min_eig = min([np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0] for r in mats]
-                      + ([0.0] if order.size < dim else []))
+        # the n = n_max basis states lie outside every block: exact zero eigenvalues of rho
+        min_eig = min([np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0] for r in mats] + [0.0])
         if min_eig < -1e-6:
             raise StepUnstable(f"min eig(rho) fell to {min_eig:.3e} at t = {t_i:g}; reduce dt")
-        rows.append((t_i, float(jz_diag @ diag) + config.n_atoms / 2.0, tr, float(min_eig),
-                     float(m_diag @ diag)))
+        rows.append((t_i, float(q @ diag), tr, float(min_eig), float(m_shift @ diag)))
 
     dt = config.dt
     record(0.0)
@@ -309,10 +299,10 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         k3 = lop @ (y + 0.5 * dt * k2)
         k4 = lop @ (y + dt * k3)
         y += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if step % stride == 0 or step == n_steps:
+        if step % config.sample_stride == 0 or step == n_steps:
             record(step * dt)
 
-    final = np.zeros((dim, dim), dtype=complex)
+    final = np.zeros_like(rho)
     for b, r in zip(blocks, mats):
         final[np.ix_(b, b)] = r
     t_out, energy, trace, min_eig, m_expect = (np.array(col) for col in zip(*rows))

@@ -197,6 +197,16 @@ class TestEstimate:
         )
         assert result.exit_code == 3
 
+    def test_negative_observed_energy_exits_3_with_one_line(self, runner):
+        result = runner.invoke(
+            main, ["estimate", "--e-known", "1", "--m", "2", "--e-observed", "-5"]
+        )
+        assert result.exit_code == 3, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("estimate failed: observed stored energy")
+        with pytest.raises(battery.NegativeObservedEnergy):
+            battery.estimate_photon_number(1.0, 2, -5.0)
+
 
 class TestLindbladCommand:
     def test_small_open_run(self, runner, tmp_path):
@@ -212,6 +222,7 @@ class TestLindbladCommand:
         assert np.max(np.abs(data[:, 3] - 1.0)) < 1e-9
         manifest = json.loads((tmp_path / "open.csv.manifest.json").read_text())
         assert manifest["config"]["kappa"] == 0.2
+        assert "n_max" not in manifest["config"]
 
     def test_matches_closed_energy_curve(self, runner, tmp_path):
         open_csv = tmp_path / "open.csv"
@@ -247,6 +258,18 @@ class TestLindbladCommand:
         assert result.exit_code == 5, result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("lindblad failed: min eig(rho)")
+        assert not out.exists()
+
+    def test_step_longer_than_horizon_exits_5_with_one_line(self, runner, tmp_path):
+        out = tmp_path / "open.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0",
+             "--gamma-phi", "0", "--dt", "1", "--t-end", "0.1", "--out", str(out)],
+        )
+        assert result.exit_code == 5, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lindblad failed: need 0 < dt <= t_end")
         assert not out.exists()
 
 
@@ -448,6 +471,42 @@ def test_lindblad_non_integer_fock_is_a_usage_error(runner, tmp_path):
     )
     _assert_usage_error(result, "--init")
     assert not (tmp_path / "open.csv").exists()
+
+
+@pytest.mark.parametrize("init", ["fock:65", "fock:-1"])
+def test_lindblad_fock_outside_supported_sectors_is_a_usage_error(runner, tmp_path, init):
+    out = tmp_path / "open.csv"
+    result = runner.invoke(
+        main,
+        ["lindblad", "--n-atoms", "2", "--init", init, "--kappa", "0", "--gamma-phi", "0",
+         "--out", str(out)],
+    )
+    _assert_usage_error(result, "--init")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["lindblad", "--n-atoms", "2", "--init", "fock:1", "--kappa", "0", "--gamma-phi", "0",
+      "--stride", "0"], "'--stride'"),
+    (["lindblad", "--n-atoms", "2", "--init", "fock:1", "--kappa", "0", "--gamma-phi", "0",
+      "--stride", "-3"], "'--stride'"),
+    (["energy", "--init", "fock:2", "--n-atoms", "3", "--t-end", "0"], "'--t-end'"),
+    (["energy", "--init", "fock:2", "--n-atoms", "3", "--t-end", "-1"], "'--t-end'"),
+], ids=["stride-0", "stride-neg", "t-end-0", "t-end-neg"])
+def test_out_of_range_flag_is_a_usage_error(runner, tmp_path, args, flag):
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    _assert_usage_error(result, flag)
+    assert not out.exists()
+
+
+def test_lindblad_has_no_truncation_flag(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["lindblad", "--n-atoms", "2", "--init", "fock:1", "--kappa", "0", "--gamma-phi", "0",
+         "--n-max", "20", "--out", str(tmp_path / "open.csv")],
+    )
+    assert result.exit_code == 2 and "No such option '--n-max'" in result.output
 
 
 @pytest.mark.parametrize("text", ['{"optimal": {"mean": 2.', '[1, 2]'], ids=["invalid", "not-object"])

@@ -100,19 +100,28 @@ class TestBlockGenerator:
     def test_matches_dense_reference(self, n_atoms):
         config = small_config(n_atoms=n_atoms, kappa=0.7, gamma_phi=0.4)
         exc = excitation_numbers(config)
-        m_top = config.n_max + n_atoms - 2  # leave the top sectors empty
+        m_top = config.n_max - 1  # the highest sector the entry check admits
         same = (exc[:, None] == exc[None, :]) & (exc[:, None] <= m_top)
+        blocks = [lindblad._sector_indices(n_atoms, m) for m in range(m_top + 1)]
+        lop = lindblad._block_generator(config, m_top)
         rng = np.random.default_rng(n_atoms)
         for _ in range(3):
             rho = random_hermitian(rng, config.dimension) * same
-            blocks = lindblad._sector_blocks(rho, config)
-            assert len(blocks) == m_top + 1
-            y = np.concatenate([rho[np.ix_(b, b)].ravel() for b in blocks])
-            got = lindblad._block_generator(config, blocks) @ y
+            got = lop @ np.concatenate([rho[np.ix_(b, b)].ravel() for b in blocks])
             dense = lindblad_rhs(rho, config)
             expected = np.concatenate([dense[np.ix_(b, b)].ravel() for b in blocks])
             assert np.max(np.abs(got - expected)) < 1e-12
             assert np.max(np.abs(dense[~same])) < 1e-12  # nothing leaves the blocks
+
+    def test_evolve_never_builds_product_operators(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve built the product-basis operators")
+
+        config = small_config(kappa=0.3, gamma_phi=0.2, t_end=0.2)
+        rho0 = DensityMatrix.fock(config, 2)
+        monkeypatch.setattr(lindblad, "build_operators", refuse)
+        ts = evolve(rho0, config)
+        assert ts.t.size == 21 and ts.energy[-1] > 0.0
 
     def test_coherence_between_sectors_rejected(self):
         config = small_config()
@@ -133,9 +142,10 @@ class TestDensityMatrix:
         assert rho.matrix.trace() == pytest.approx(1.0)
         rho.validate()
 
-    def test_fock_requires_headroom(self):
-        with pytest.raises(ValueError):
-            DensityMatrix.fock(small_config(), 5)  # n_max = 7 < 5 + 5
+    def test_fock_outside_truncation_rejected(self):
+        for photons in (-1, 8):  # n_max = 7
+            with pytest.raises(ValueError, match="outside the Fock truncation"):
+                DensityMatrix.fock(small_config(), photons)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -176,6 +186,36 @@ class TestEvolve:
         rho[idx, idx] = 1.0
         with pytest.raises(TruncationLeak):
             evolve(rho, config)
+
+    def test_truncation_leak_fires_before_any_step(self, monkeypatch):
+        # n = n_max - 1, q = 1 is sector M = n_max, whose k = 0 state is
+        # the top Fock level.
+        config = small_config()
+        dim = config.dimension
+        rho = np.zeros((dim, dim), dtype=complex)
+        idx = (config.n_max - 1) * (config.n_atoms + 1) + 1
+        rho[idx, idx] = 1.0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator was built")
+
+        monkeypatch.setattr(lindblad, "_block_generator", refuse)
+        with pytest.raises(TruncationLeak, match=f"sector M = {config.n_max} >= n_max"):
+            evolve(rho, config)
+
+    def test_output_does_not_depend_on_n_max(self):
+        photons = 4
+        runs = []
+        for n_max in (photons + 1, photons + 5, photons + 15):
+            config = small_config(n_atoms=3, n_max=n_max, kappa=0.3, gamma_phi=0.2, t_end=0.5)
+            runs.append(evolve(DensityMatrix.fock(config, photons), config))
+        dim = (photons + 2) * 4
+        for ts in runs:
+            for name in ("t", "energy", "power", "trace", "min_eig", "m_expect"):
+                assert np.array_equal(getattr(ts, name), getattr(runs[0], name)), name
+            assert ts.herm_drift == runs[0].herm_drift
+            assert np.array_equal(ts.final_state[:dim, :dim], runs[0].final_state)
+            assert not np.any(ts.final_state[dim:]) and not np.any(ts.final_state[:, dim:])
 
     def test_unstable_step_detected(self):
         config = small_config(dt=1.0, t_end=40.0)
@@ -236,6 +276,15 @@ class TestConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             small_config(kappa=-0.1)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            small_config(sample_stride=stride)
+
+    def test_step_longer_than_horizon_rejected(self):
+        with pytest.raises(ValueError, match="dt <= t_end"):
+            small_config(dt=1.0, t_end=0.1)
 
     @pytest.mark.parametrize("field", ["kappa", "gamma_phi", "dt", "t_end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
