@@ -124,7 +124,9 @@ class PhotonDistribution:
         return self.probs.get(m, 0.0)
 
     def to_dict(self) -> dict:
-        return {"probs": {str(m): float(f"{p:.12g}") for m, p in self.probs.items()}}
+        # 15 digits: at 12, a many-point pmf could come back more than
+        # PROB_SUM_TOL off 1 and from_dict would reject it.
+        return {"probs": {str(m): float(f"{p:.15g}") for m, p in self.probs.items()}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PhotonDistribution":

@@ -26,7 +26,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, battery, bethe, lindblad, oracle, spectral
+from . import __version__, battery, bethe, oracle, spectral
 
 EXIT_SOLVER = 2
 EXIT_BATTERY = 3
@@ -379,6 +379,9 @@ def estimate(e_known, m_ref, e_observed):
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out_csv):
     """Open-system stored energy under cavity decay and collective dephasing."""
+    # Imported here: lindblad needs scipy.sparse, which no other command pays for.
+    from . import lindblad
+
     t0 = time.time()
     kind, _, rest = init.partition(":")
     try:

@@ -75,7 +75,9 @@ class OpenSystemConfig:
     """Basis truncation, rates and integrator controls.
 
     kappa (cavity decay) and gamma_phi (collective dephasing) are in
-    units of g; time step dt and horizon t_end are in 1/g.
+    units of g; time step dt and horizon t_end are in 1/g, and t_end
+    must be a whole number of steps (to a relative 1e-9), so the run
+    ends exactly at t_end.
     """
 
     n_atoms: int
@@ -97,6 +99,9 @@ class OpenSystemConfig:
             raise ValueError("rates must be nonnegative")
         if not 0 < self.dt <= self.t_end:
             raise ValueError(f"need 0 < dt <= t_end, got dt = {self.dt:g}, t_end = {self.t_end:g}")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}")
         if self.sample_stride < 1:
             raise ValueError(f"sample stride must be at least 1, got {self.sample_stride}")
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_distribution
 from tcqb import battery
@@ -114,15 +116,21 @@ class TestStoredEnergy:
         dist = PhotonDistribution(EXAMPLE_PROBS)
         assert stored_energy(dist, table, 0.0) == pytest.approx(0.0, abs=1e-9)
 
-    def test_linear_in_mixtures(self, table):
-        t = np.linspace(0.1, 2.0, 17)
-        p = fock_distribution(3)
-        q = fock_distribution(7)
-        for alpha in (0.25, 0.5, 0.9):
-            mix = PhotonDistribution({3: alpha, 7: 1 - alpha})
-            direct = stored_energy(mix, table, t)
-            combo = alpha * stored_energy(p, table, t) + (1 - alpha) * stored_energy(q, table, t)
-            assert np.max(np.abs(direct - combo)) < 1e-12
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p_weights=st.lists(st.floats(0.0, 1.0), min_size=21, max_size=21).filter(any),
+        q_weights=st.lists(st.floats(0.0, 1.0), min_size=21, max_size=21).filter(any),
+        alpha=st.floats(0.0, 1.0),
+    )
+    def test_linear_in_mixtures(self, table, p_weights, q_weights, alpha):
+        t = np.linspace(0.0, 3.0, 31)
+        p = np.array(p_weights) / math.fsum(p_weights)
+        q = np.array(q_weights) / math.fsum(q_weights)
+        mix = PhotonDistribution(dict(enumerate(alpha * p + (1 - alpha) * q)))
+        direct = stored_energy(mix, table, t)
+        combo = (alpha * stored_energy(PhotonDistribution(dict(enumerate(p))), table, t)
+                 + (1 - alpha) * stored_energy(PhotonDistribution(dict(enumerate(q))), table, t))
+        assert np.max(np.abs(direct - combo)) < 1e-12
 
     def test_support_beyond_table(self, table):
         with pytest.raises(SupportExceedsTable):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcqb import bethe
 from tcqb.bethe import (
@@ -103,6 +105,26 @@ class TestCanonicalize:
             out = canonicalize(roots[rng.permutation(roots.size)])
             assert np.array_equal(out, ref)
             assert np.array_equal(canonicalize(out), out)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        reals=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-5e-9, 5e-9)), max_size=4),
+        pairs=st.lists(
+            st.tuples(st.sampled_from([0.0, 1e-17, -3e-13, 2.5]) | st.floats(-10.0, 10.0),
+                      st.floats(1e-7, 5.0), st.floats(-1e-9, 1e-9)),
+            max_size=3,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_idempotent(self, reals, pairs, order):
+        # real members carry imaginary noise below the 1e-8 snap
+        roots = [complex(x, noise) for x, noise in reals]
+        for re, im, noise in pairs:
+            roots += [complex(re, im), complex(re, -im + noise)]
+        order.shuffle(roots)
+        out = canonicalize(roots)
+        assert np.array_equal(canonicalize(out), out)
+        assert np.array_equal(canonicalize(out[::-1]), out)
 
 
 class TestNewton:

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tcqb
 from tcqb import battery, cli, oracle, spectral
 from tcqb.bethe import SectorSpec
 from tcqb.cli import main
@@ -144,6 +150,20 @@ class TestOptimalAndSplit:
         result = runner.invoke(main, ["optimal", "--mean", mean])
         _assert_usage_error(result, "'--mean'")
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        text=st.one_of(st.integers(0, 64).map("fock:{}".format),
+                       st.floats(0.0, 30.0).map("coherent:{!r}".format),
+                       st.floats(0.0, 30.0).map("coherent:{!r}:64".format)),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=65).filter(any),
+    )
+    def test_parsed_distributions_are_normalised(self, tmp_path_factory, text, weights):
+        path = tmp_path_factory.mktemp("dist") / "dist.json"
+        probs = np.array(weights) / math.fsum(weights)
+        path.write_text(json.dumps(battery.PhotonDistribution(dict(enumerate(probs))).to_dict()))
+        for dist in (cli._parse_init(text), cli._parse_init(f"file:{path}")):
+            assert abs(math.fsum(dist.probs.values()) - 1.0) <= 1e-12
+
 
 class TestSpectrum:
     def test_writes_sector_summaries(self, runner, tmp_path):
@@ -270,6 +290,19 @@ class TestLindbladCommand:
         assert result.exit_code == 5, result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("lindblad failed: need 0 < dt <= t_end")
+        assert not out.exists()
+
+    def test_horizon_off_the_step_grid_exits_5_with_one_line(self, runner, tmp_path):
+        # 0.001 / 0.0004 = 2.5 steps: the run would stop at t = 0.0008.
+        out = tmp_path / "open.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0", "--gamma-phi", "0",
+             "--dt", "0.0004", "--t-end", "0.001", "--stride", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 5, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lindblad failed: t_end = 0.001 is not")
         assert not out.exists()
 
 
@@ -541,3 +574,30 @@ def test_non_finite_float_flag_is_a_usage_error(runner, tmp_path, args, flag):
     result = runner.invoke(main, [*args, flag, "nan", "--out", str(out)])
     _assert_usage_error(result, f"'{flag}'")
     assert not out.exists()
+
+
+STARTUP_PROBE = """
+import sys
+import tcqb, tcqb.cli
+
+out = sys.argv[1]
+for args in (
+    ["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--out", out + "/e.csv"],
+    ["split-check", "--dist", "coherent:2:8", "--n-atoms", "4"],
+    ["inequality", "--which", "29", "--n-atoms", "4", "--max-m", "4"],
+    ["optimal", "--mean", "2.5"],
+    ["estimate", "--e-known", "1", "--m", "2", "--e-observed", "3"],
+    ["verify", "--n-atoms", "2", "--m-max", "4"],
+):
+    tcqb.cli.main(args, standalone_mode=False)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_table_commands_run_without_scipy(tmp_path):
+    src = str(Path(tcqb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -286,6 +286,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="dt <= t_end"):
             small_config(dt=1.0, t_end=0.1)
 
+    def test_horizon_must_be_a_whole_number_of_steps(self):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            small_config(dt=4e-4, t_end=1e-3)
+        for t_end in (0.5, 0.4):
+            assert small_config(dt=1e-3, t_end=t_end).t_end == t_end
+
     @pytest.mark.parametrize("field", ["kappa", "gamma_phi", "dt", "t_end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tcqb.bethe import SectorSpec
-from tcqb.oracle import diagonalize, oracle_F, sector_hamiltonian
+from tcqb.oracle import ConvergenceFailure, diagonalize, oracle_F, sector_hamiltonian
 
 
 class TestSectorHamiltonian:
@@ -74,3 +74,31 @@ class TestOracleF:
             assert np.all(f >= -1e-9)
             assert np.all(f <= min(m, 10) + 1e-6)
 
+
+
+class TestAgainstTridiagonalSolver:
+    @pytest.mark.parametrize("n_atoms", [1, 2, 10, 48, 64])
+    def test_matches_eigh_tridiagonal(self, n_atoms):
+        from scipy.linalg import eigh_tridiagonal
+
+        for m in range(65):
+            mat = sector_hamiltonian(SectorSpec(n_atoms, m))
+            evals, evecs = diagonalize(mat)
+            ref_vals, ref_vecs = eigh_tridiagonal(np.zeros(mat.dimension), np.asarray(mat.offdiag))
+            scale = max(1.0, float(np.max(np.abs(ref_vals))))
+            assert np.max(np.abs(evals - ref_vals)) <= 1e-12 * scale, m
+            signs = np.sign(evecs[0]) * np.sign(ref_vecs[0])
+            assert np.max(np.abs(evecs * signs - ref_vecs)) < 1e-10, m
+
+    def test_residual_gate_is_live(self, monkeypatch):
+        exact = np.linalg.eigh
+
+        def perturbed(h):
+            evals, evecs = exact(h)
+            evecs = evecs.copy()
+            evecs[0, 0] += 1e-9
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceFailure, match="eigen residual"):
+            diagonalize(sector_hamiltonian(SectorSpec(10, 6)))
