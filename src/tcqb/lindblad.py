@@ -18,7 +18,8 @@ term raises it (weak U(1) symmetry), so evolve integrates only the
 blocks rho_M, M = 0..M_top, of a block-diagonal start with classical
 fixed-step RK4.  Each block lives in the sector basis
 |M-k> (x) |J, -J+k> of the closed system, and its generator is built
-from oracle.sector_hamiltonian; the dense product-basis operators
+from oracle.sector_hamiltonian and stored as at most six nonzeros per
+row, applied with numpy gathers; the dense product-basis operators
 (build_operators, lindblad_rhs) are the reference it is checked
 against.  Trace, Hermiticity and positivity are monitored, not
 enforced.
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import oracle
 from .bethe import SectorSpec
@@ -179,33 +179,69 @@ def _sector_indices(n_atoms: int, m: int) -> np.ndarray:
     return (m - k) * (n_atoms + 1) + k
 
 
-def _block_generator(config: OpenSystemConfig, m_top: int) -> sp.csr_matrix:
+@dataclass(frozen=True)
+class _RowPadded:
+    """Square sparse matrix stored as W nonzeros per row, padded with zeros.
+
+    Row i holds vals[w, i] at column cols[w, i], w = 0..W-1, sorted by
+    column; y -> sum_w vals[w] * y[cols[w]] is one pass per w over
+    contiguous length-n vectors.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        out = self.vals[0] * y[self.cols[0]]
+        for cols, vals in zip(self.cols[1:], self.vals[1:]):
+            out += vals * y[cols]
+        return out
+
+
+def _block_generator(config: OpenSystemConfig, m_top: int) -> _RowPadded:
     """Master-equation generator on the concatenated vec(rho_M), M = 0..m_top.
 
     Block M lives in the basis |M-k> (x) |J, -J+k> of
     oracle.sector_hamiltonian.  On the row-major vectorization
     vec(A rho B) = (A (x) B^T) vec(rho), its commutator is
-    -i(H_M (x) I - I (x) H_M) (H_M is real symmetric); both
+    -i(H_M (x) I - I (x) H_M) (H_M is real symmetric and tridiagonal):
+    -i c on the neighbours (k +- 1, l) and +i c on (k, l +- 1).  Both
     anticommutator halves and the dephasing sandwich collapse to a real
     diagonal -(gamma/2)(k - l)^2 - (kappa/2)((M-k) + (M-l)), and photon
-    loss feeds block M from block M+1 with weight
+    loss feeds (k, l) of block M from (k, l) of block M+1 with weight
     kappa sqrt((M+1-k)(M+1-l)).  No term raises M, so sectors above
-    m_top stay 0.
+    m_top stay 0.  Every row thus has at most six nonzeros.  A slot that
+    is zero in every row (the refill at kappa = 0, the diagonal at
+    kappa = gamma_phi = 0) is dropped, and each row is sorted by column.
     """
-    sizes = [SectorSpec(config.n_atoms, m).branch_count for m in range(m_top + 1)]
-    grid: list[list[sp.spmatrix | None]] = [[None] * len(sizes) for _ in sizes]
-    for m, size in enumerate(sizes):
-        h_m = sp.csr_matrix(oracle.sector_hamiltonian(SectorSpec(config.n_atoms, m)).dense())
-        eye = sp.identity(size, format="csr")
-        k = np.arange(size)
-        photons = m - k
-        decay = (-(config.gamma_phi / 2.0) * (k[:, None] - k[None, :]) ** 2
-                 - (config.kappa / 2.0) * (photons[:, None] + photons[None, :]))
-        grid[m][m] = -1j * (sp.kron(h_m, eye) - sp.kron(eye, h_m)) + sp.diags(decay.ravel())
-        if config.kappa and m < m_top:
-            a_m = sp.diags(np.sqrt(photons + 1.0), shape=(size, sizes[m + 1]))
-            grid[m][m + 1] = config.kappa * sp.kron(a_m, a_m)
-    return sp.bmat(grid, format="csr")
+    specs = [SectorSpec(config.n_atoms, m) for m in range(m_top + 1)]
+    sizes = np.array([spec.branch_count for spec in specs])
+    offsets = np.concatenate([[0], np.cumsum(sizes**2)])
+    c_offsets = np.concatenate([[0], np.cumsum(sizes - 1)])
+    # couplings of all blocks; the trailing 0 keeps masked-out neighbour indices in range
+    c = np.concatenate([oracle.sector_hamiltonian(spec).offdiag for spec in specs] + [[0.0]])
+    row = np.arange(offsets[-1])
+    m = np.repeat(np.arange(m_top + 1), sizes**2)
+    size, above = sizes[m], np.minimum(m + 1, m_top)
+    k, l = np.divmod(row - offsets[m], size)
+    c_m = c_offsets[m]  # c[c_m + j] couples k = j and j + 1 in block m
+    slots = [  # (present, column, value); the diagonal first
+        (np.ones(row.size, dtype=bool), row, -(config.gamma_phi / 2.0) * (k - l) ** 2
+         - (config.kappa / 2.0) * ((m - k) + (m - l))),
+        (k > 0, row - size, -1j * c[c_m + k - 1]),
+        (k < size - 1, row + size, -1j * c[c_m + k]),
+        (l > 0, row - 1, 1j * c[c_m + l - 1]),
+        (l < size - 1, row + 1, 1j * c[c_m + l]),
+        (m < m_top, offsets[above] + k * sizes[above] + l,
+         config.kappa * (np.sqrt(m + 1.0 - k) * np.sqrt(m + 1.0 - l))),
+    ]
+    cols = np.array([np.where(present, col, row) for present, col, _ in slots])
+    vals = np.array([np.where(present, val, 0.0) for present, _, val in slots], dtype=complex)
+    keep = np.any(vals != 0, axis=1)
+    keep[0] = True  # so W >= 1 when every slot is zero (a closed run from M = 0)
+    order = np.argsort(cols[keep], axis=0, kind="stable")
+    return _RowPadded(cols=np.take_along_axis(cols[keep], order, axis=0),
+                      vals=np.take_along_axis(vals[keep], order, axis=0))
 
 
 def lindblad_rhs(rho: np.ndarray, config: OpenSystemConfig) -> np.ndarray:

@@ -218,6 +218,14 @@ class TestSplit:
             assert err_p < 1e-12
             assert err_m < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mean=st.floats(0.05, 19.5))
+    def test_identities_on_random_distributions(self, seed, mean):
+        dist = random_distribution(np.random.default_rng(seed), mean, max_support=20)
+        err_p, err_m = split(dist).identity_errors(dist)
+        assert err_p <= 1e-12
+        assert err_m <= 1e-12
+
     def test_identities_on_fractional_means(self):
         rng = np.random.default_rng(8)
         for _ in range(40):

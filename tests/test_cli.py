@@ -588,6 +588,8 @@ for args in (
     ["optimal", "--mean", "2.5"],
     ["estimate", "--e-known", "1", "--m", "2", "--e-observed", "3"],
     ["verify", "--n-atoms", "2", "--m-max", "4"],
+    ["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0.2", "--gamma-phi", "0.1",
+     "--t-end", "0.01", "--out", out + "/l.csv"],
 ):
     tcqb.cli.main(args, standalone_mode=False)
 print(sorted(name for name in sys.modules if name.startswith("scipy")))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,7 +97,7 @@ def excitation_numbers(config):
 
 
 class TestBlockGenerator:
-    @pytest.mark.parametrize("n_atoms", [1, 2, 5])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 10])
     def test_matches_dense_reference(self, n_atoms):
         config = small_config(n_atoms=n_atoms, kappa=0.7, gamma_phi=0.4)
         exc = excitation_numbers(config)
@@ -112,6 +113,21 @@ class TestBlockGenerator:
             expected = np.concatenate([dense[np.ix_(b, b)].ravel() for b in blocks])
             assert np.max(np.abs(got - expected)) < 1e-12
             assert np.max(np.abs(dense[~same])) < 1e-12  # nothing leaves the blocks
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5, 10, 32])
+    @pytest.mark.parametrize("kappa,gamma_phi", [(0.0, 0.0), (0.0, 0.3), (0.7, 0.4)])
+    def test_matvec_matches_csr_of_its_entries(self, n_atoms, kappa, gamma_phi):
+        config = small_config(n_atoms=n_atoms, n_max=n_atoms + 1, kappa=kappa, gamma_phi=gamma_phi)
+        lop = lindblad._block_generator(config, n_atoms)
+        width, n = lop.cols.shape
+        assert 1 <= width <= 6 and lop.vals.shape == (width, n)
+        assert np.all(np.diff(lop.cols, axis=0) >= 0)  # sorted by column within each row
+        rows = np.broadcast_to(np.arange(n), (width, n))
+        csr = scipy.sparse.csr_matrix((lop.vals.ravel(), (rows.ravel(), lop.cols.ravel())), shape=(n, n))
+        rng = np.random.default_rng(n_atoms)
+        for _ in range(3):
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert np.max(np.abs(lop @ y - csr @ y)) < 1e-13
 
     def test_evolve_never_builds_product_operators(self, monkeypatch):
         def refuse(*args, **kwargs):
