@@ -135,6 +135,8 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
             dist = battery.fock_distribution(int(rest))
         elif kind == "coherent":
             parts = rest.split(":")
+            if len(parts) > 2:
+                raise ValueError(f"{len(parts)} fields after 'coherent:', expected ALPHA2[:TRUNC]")
             mean = float(parts[0])
             trunc = int(parts[1]) if len(parts) > 1 else None
             if mean > MAX_SECTOR or (trunc or 0) > MAX_SECTOR:
@@ -370,7 +372,8 @@ def estimate(e_known, m_ref, e_observed):
 
 @main.command("lindblad")
 @click.option("--n-atoms", type=click.IntRange(1, 32), required=True)
-@click.option("--init", default="fock:10", show_default=True, help="fock:M only (open system).")
+@click.option("--init", default="fock:10", show_default=True,
+              help="fock:M | coherent:ALPHA2[:TRUNC] | file:PATH; the run depends only on p(M).")
 @click.option("--kappa", type=FINITE, required=True, help="Cavity decay rate (units of g).")
 @click.option("--gamma-phi", type=FINITE, required=True, help="Collective dephasing rate (units of g).")
 @click.option("--dt", type=FINITE, default=1e-3, show_default=True)
@@ -384,22 +387,15 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out_csv):
     from . import lindblad
 
     t0 = time.time()
-    kind, _, rest = init.partition(":")
+    with _table_errors("lindblad"):
+        dist = _parse_init(init)
     try:
-        photons = int(rest)
-    except ValueError:
-        photons = -1
-    if kind != "fock" or not 0 <= photons <= MAX_SECTOR:
-        raise click.BadParameter(f"{init!r}: open-system runs start from fock:M, 0 <= M <= {MAX_SECTOR}",
-                                 param_hint="--init")
-    try:
-        # The run never reaches n = photons + 1, so a larger n_max changes nothing.
+        # evolve never reads n_max; it sizes the product basis of the reference.
         config = lindblad.OpenSystemConfig(
-            n_atoms=n_atoms, n_max=photons + 1, kappa=kappa, gamma_phi=gamma_phi,
+            n_atoms=n_atoms, n_max=dist.max_support + 1, kappa=kappa, gamma_phi=gamma_phi,
             dt=dt, t_end=t_end, sample_stride=stride,
         )
-        rho0 = lindblad.DensityMatrix.fock(config, photons)
-        ts = lindblad.evolve(rho0, config)
+        ts = lindblad.evolve(dist, config)
     except (lindblad.LindbladError, ValueError) as err:
         click.echo(f"lindblad failed: {err}", err=True)
         raise SystemExit(EXIT_OPEN_SYSTEM)

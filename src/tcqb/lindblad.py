@@ -7,22 +7,24 @@ Density-matrix dynamics on the truncated Fock (x) Dicke product basis
     L_A[rho] = 2 A rho A' - A'A rho - rho A'A.
 
 Both jump operators preserve the maximal-spin multiplet, so the
-(n_max+1)(N+1)-dimensional symmetric basis is exact for initial states
-inside it.  The drive is resonant and the common phase generated by the
-conserved excitation number leaves every reported observable unchanged,
-so the generator uses H = g (a'J- + J+a) and rates are quoted in units
-of g (times in 1/g).
+symmetric basis is exact for initial states inside it.  The drive is
+resonant and the common phase generated by the conserved excitation
+number leaves every reported observable unchanged, so the generator
+uses H = g (a'J- + J+a) and rates are quoted in units of g (times in
+1/g).
 
 H, a and Jz respect the excitation number M = n + q (q = m + J) and no
-term raises it (weak U(1) symmetry), so evolve integrates only the
-blocks rho_M, M = 0..M_top, of a block-diagonal start with classical
-fixed-step RK4.  Each block lives in the sector basis
-|M-k> (x) |J, -J+k> of the closed system, and its generator is built
-from oracle.sector_hamiltonian and stored as at most six nonzeros per
-row, applied with numpy gathers; the dense product-basis operators
-(build_operators, lindblad_rhs) are the reference it is checked
-against.  Trace, Hermiticity and positivity are monitored, not
-enforced.
+term raises it (weak U(1) symmetry), and the reported observables Jz
+and M are diagonal in M.  So, as in the closed system, the stored
+energy depends on the field only through its photon distribution p(M):
+evolve starts from sum_M p(M) |M><M| (x) |g><g| and integrates only the
+blocks rho_M, M = 0..M_top, with classical fixed-step RK4.  Each block
+lives in the sector basis |M-k> (x) |J, -J+k> of the closed system, and
+its generator is built from oracle.sector_hamiltonian and stored as at
+most six nonzeros per row, applied with numpy gathers.  The dense
+product-basis pieces (DensityMatrix, build_operators, lindblad_rhs) are
+the reference it is checked against.  Trace, Hermiticity and
+positivity are monitored, not enforced.
 """
 
 from __future__ import annotations
@@ -33,14 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
+from .battery import PhotonDistribution
 from .bethe import SectorSpec
 
 __all__ = [
     "LindbladError",
     "DimensionMismatch",
     "StepUnstable",
-    "TruncationLeak",
-    "SectorCoherence",
     "OpenSystemConfig",
     "DensityMatrix",
     "build_operators",
@@ -62,19 +63,13 @@ class StepUnstable(LindbladError):
     """Trace drifted or min eig(rho) fell beyond 1e-6; the step is too large."""
 
 
-class TruncationLeak(LindbladError):
-    """The initial state occupies a sector M >= n_max; enlarge n_max."""
-
-
-class SectorCoherence(LindbladError):
-    """Initial state couples different excitation sectors."""
-
-
 @dataclass(frozen=True)
 class OpenSystemConfig:
-    """Basis truncation, rates and integrator controls.
+    """Rates, integrator controls and the product-basis truncation.
 
-    kappa (cavity decay) and gamma_phi (collective dephasing) are in
+    n_max (the highest Fock level) sizes only the dense reference
+    (DensityMatrix, build_operators, lindblad_rhs); evolve does not read
+    it.  kappa (cavity decay) and gamma_phi (collective dephasing) are in
     units of g; time step dt and horizon t_end are in 1/g, and t_end
     must be a whole number of steps (to a relative 1e-9), so the run
     ends exactly at t_end.
@@ -142,7 +137,11 @@ def build_operators(n_atoms: int, n_max: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class DensityMatrix:
-    """Hermitian unit-trace state on the product basis."""
+    """Hermitian unit-trace state on the product basis.
+
+    The dense start state of the lindblad_rhs reference; evolve takes a
+    photon distribution instead.
+    """
 
     matrix: np.ndarray
     n_atoms: int
@@ -171,12 +170,6 @@ class DensityMatrix:
         tr_err = abs(self.matrix.trace().real - 1.0)
         if tr_err >= 1e-9:
             raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
-
-
-def _sector_indices(n_atoms: int, m: int) -> np.ndarray:
-    """Product-basis index (M-k)(N+1) + k of each sector basis state k."""
-    k = np.arange(SectorSpec(n_atoms, m).branch_count)
-    return (m - k) * (n_atoms + 1) + k
 
 
 @dataclass(frozen=True)
@@ -266,7 +259,11 @@ def lindblad_rhs(rho: np.ndarray, config: OpenSystemConfig) -> np.ndarray:
 
 @dataclass
 class TimeSeries:
-    """Sampled observables of one open-system run (energies in quanta)."""
+    """Sampled observables of one open-system run (energies in quanta).
+
+    final_state holds the evolved blocks rho_M, M = 0..M_top, at t_end,
+    each in its sector basis |M-k> (x) |J, -J+k>.
+    """
 
     t: np.ndarray
     energy: np.ndarray
@@ -275,45 +272,37 @@ class TimeSeries:
     min_eig: np.ndarray
     m_expect: np.ndarray
     herm_drift: float = 0.0
-    final_state: np.ndarray | None = field(default=None, repr=False)
+    final_state: list[np.ndarray] | None = field(default=None, repr=False)
 
 
-def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSeries:
-    """Fixed-step RK4 on the excitation-diagonal blocks of rho.
+def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
+    """Fixed-step RK4 on the excitation blocks rho_M of a field p(M).
 
-    rho0 must be block-diagonal in the excitation number M = n + q (a
-    Fock (x) ground-spin start is); an entry between sectors raises
-    SectorCoherence.  Only the blocks M = 0..M_top are integrated, M_top
-    the highest sector rho0 occupies, each in its sector basis with the
-    generator built from oracle.sector_hamiltonian.  M_top >= n_max
-    raises TruncationLeak before any step: below it no block reaches
-    n = n_max, so the result does not depend on n_max.  Stored energy is
-    <Jz>(t) + N/2 (the atoms start in the ground state), power is E/t
-    (0 at t = 0).  Each sample is checked when it is reached and stops
-    the run there with StepUnstable when the trace drifts beyond 1e-6 or
-    min eig(rho) falls below -1e-6.  final_state is the evolved full rho
-    at t_end on the product basis.
+    The run starts from sum_M p(M) |M><M| (x) |g><g|: the k = l = 0
+    entry of block M holds p(M).  Only the blocks M = 0..M_top,
+    M_top = dist.max_support, are integrated, each in its sector basis
+    with the generator built from oracle.sector_hamiltonian; no term
+    raises M, so the result does not depend on config.n_max, which
+    evolve never reads.  Any state with the same p(M), a coherent field
+    among them, has the same energy and <M> at every time, because the
+    generator commutes with the excitation-number phase and both
+    observables are diagonal in M.  min_eig and herm_drift describe the
+    M-dephased state that is integrated.  Stored energy is <Jz>(t) + N/2
+    (the atoms start in the ground state), power is E/t (0 at t = 0).
+    Each sample is checked when it is reached and stops the run there
+    with StepUnstable when the trace drifts beyond 1e-6 or min eig(rho)
+    falls below -1e-6.
     """
-    if not isinstance(rho0, DensityMatrix):
-        rho0 = DensityMatrix(np.asarray(rho0, dtype=complex), config.n_atoms, config.n_max)
-    if (rho0.n_atoms, rho0.n_max) != (config.n_atoms, config.n_max):
-        raise DimensionMismatch("state basis differs from config basis")
-    rho = np.asarray(rho0.matrix, dtype=complex)
-    exc = sum(np.divmod(np.arange(config.dimension), config.n_atoms + 1))  # M = n + q
-    i, j = np.nonzero(rho)
-    if np.any(exc[i] != exc[j]):
-        raise SectorCoherence("initial state has coherences between excitation sectors")
-    m_top = int(exc[i].max()) if i.size else 0
-    if m_top >= config.n_max:
-        raise TruncationLeak(f"initial state occupies sector M = {m_top} >= n_max = {config.n_max}")
-    blocks = [_sector_indices(config.n_atoms, m) for m in range(m_top + 1)]
+    m_top = dist.max_support
+    sizes = [SectorSpec(config.n_atoms, m).branch_count for m in range(m_top + 1)]
     lop = _block_generator(config, m_top)
-    y = np.concatenate([rho[np.ix_(b, b)].ravel() for b in blocks])
-    offsets = np.cumsum([0] + [b.size**2 for b in blocks])
-    mats = [y[o : o + b.size**2].reshape(b.size, b.size) for o, b in zip(offsets, blocks)]
-    diag_pos = np.concatenate([o + np.arange(b.size) * (b.size + 1) for o, b in zip(offsets, blocks)])
-    q = np.concatenate([np.arange(b.size) for b in blocks])  # atomic excitations k
-    m_shift = np.concatenate([np.full(b.size, m - config.n_atoms / 2.0) for m, b in enumerate(blocks)])
+    offsets = np.cumsum([0] + [s**2 for s in sizes])
+    y = np.zeros(offsets[-1], dtype=complex)
+    y[offsets[:-1]] = [dist.prob(m) for m in range(m_top + 1)]
+    mats = [y[o : o + s**2].reshape(s, s) for o, s in zip(offsets, sizes)]
+    diag_pos = np.concatenate([o + np.arange(s) * (s + 1) for o, s in zip(offsets, sizes)])
+    q = np.concatenate([np.arange(s) for s in sizes])  # atomic excitations k
+    m_shift = np.concatenate([np.full(s, m - config.n_atoms / 2.0) for m, s in enumerate(sizes)])
     n_steps = int(round(config.t_end / config.dt))
     rows: list[tuple[float, float, float, float, float]] = []
     herm_drift = 0.0
@@ -326,7 +315,7 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         if abs(tr - 1.0) > 1e-6:
             raise StepUnstable(f"trace drifted to {tr!r} at t = {t_i:g}; reduce dt")
         herm_drift = max([herm_drift] + [float(np.max(np.abs(r - r.conj().T))) for r in mats])
-        # the n = n_max basis states lie outside every block: exact zero eigenvalues of rho
+        # every sector above M_top is empty: exact zero eigenvalues of rho
         min_eig = min([np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0] for r in mats] + [0.0])
         if min_eig < -1e-6:
             raise StepUnstable(f"min eig(rho) fell to {min_eig:.3e} at t = {t_i:g}; reduce dt")
@@ -343,11 +332,8 @@ def evolve(rho0: DensityMatrix | np.ndarray, config: OpenSystemConfig) -> TimeSe
         if step % config.sample_stride == 0 or step == n_steps:
             record(step * dt)
 
-    final = np.zeros_like(rho)
-    for b, r in zip(blocks, mats):
-        final[np.ix_(b, b)] = r
     t_out, energy, trace, min_eig, m_expect = (np.array(col) for col in zip(*rows))
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t_out[1:]
     return TimeSeries(t=t_out, energy=energy, power=power, trace=trace, min_eig=min_eig,
-                      m_expect=m_expect, herm_drift=herm_drift, final_state=final)
+                      m_expect=m_expect, herm_drift=herm_drift, final_state=mats)

@@ -313,7 +313,7 @@ def test_criterion_09_open_system_limits(table):
     base = dict(n_atoms=10, n_max=20, dt=1e-3, t_end=5.0)
 
     cfg = lindblad.OpenSystemConfig(kappa=0.0, gamma_phi=0.0, **base)
-    closed = lindblad.evolve(lindblad.DensityMatrix.fock(cfg, 10), cfg)
+    closed = lindblad.evolve(battery.fock_distribution(10), cfg)
     trace_drift = float(np.max(np.abs(closed.trace - 1.0)))
     assert trace_drift < 1e-9
     assert closed.herm_drift < 1e-10
@@ -323,13 +323,13 @@ def test_criterion_09_open_system_limits(table):
     assert energy_gap < 1e-4
 
     cfg_phi = lindblad.OpenSystemConfig(kappa=0.0, gamma_phi=0.2, **base)
-    dephased = lindblad.evolve(lindblad.DensityMatrix.fock(cfg_phi, 10), cfg_phi)
+    dephased = lindblad.evolve(battery.fock_distribution(10), cfg_phi)
     assert float(np.max(np.abs(dephased.trace - 1.0))) < 1e-9
     assert dephased.herm_drift < 1e-10
     assert float(np.max(np.abs(dephased.m_expect - dephased.m_expect[0]))) < 1e-6
 
     cfg_bad = lindblad.OpenSystemConfig(kappa=5.0, gamma_phi=0.0, **base)
-    drained = lindblad.evolve(lindblad.DensityMatrix.fock(cfg_bad, 10), cfg_bad)
+    drained = lindblad.evolve(battery.fock_distribution(10), cfg_bad)
     assert float(np.max(np.abs(drained.trace - 1.0))) < 1e-9
     assert drained.herm_drift < 1e-10
     exhaustion = drained.energy[-1] / drained.energy.max()

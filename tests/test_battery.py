@@ -256,6 +256,17 @@ class TestDeltaF:
         assert delta_F(dist, tbl, 0.2) <= 0.0
         assert delta_F(dist, tbl, 0.2) == pytest.approx(9 - (1 + 25) / 2)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mean=st.floats(0.05, 19.5))
+    def test_gap_nonnegative_inside_the_charging_window(self, table, seed, mean):
+        # The window closes at the earliest first maximum among the
+        # sectors the pmf and its optimal two-point partner occupy.
+        dist = random_distribution(np.random.default_rng(seed), mean, max_support=20)
+        floor = math.floor(dist.mean)
+        window = min(table.t_max(m) for m in {*dist.probs, floor, floor + 1} if m >= 1)
+        t = np.linspace(0.0, window, 201)[1:]
+        assert np.min(delta_F(dist, table, t)) >= -1e-12
+
     def test_routes_cross_check_enforced(self, table):
         rng = np.random.default_rng(17)
         for _ in range(50):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcqb
-from tcqb import battery, cli, oracle, spectral
+from tcqb import battery, cli, lindblad, oracle, spectral
 from tcqb.bethe import SectorSpec
 from tcqb.cli import main
 
@@ -244,17 +244,18 @@ class TestLindbladCommand:
         assert manifest["config"]["kappa"] == 0.2
         assert "n_max" not in manifest["config"]
 
-    def test_matches_closed_energy_curve(self, runner, tmp_path):
+    @pytest.mark.parametrize("init", ["fock:3", "coherent:2:8"])
+    def test_matches_closed_energy_curve(self, runner, tmp_path, init):
         open_csv = tmp_path / "open.csv"
         closed_csv = tmp_path / "closed.csv"
         r1 = runner.invoke(
             main,
-            ["lindblad", "--n-atoms", "4", "--init", "fock:3", "--kappa", "0",
+            ["lindblad", "--n-atoms", "4", "--init", init, "--kappa", "0",
              "--gamma-phi", "0", "--t-end", "1.0", "--out", str(open_csv)],
         )
         r2 = runner.invoke(
             main,
-            ["energy", "--init", "fock:3", "--n-atoms", "4", "--t-end", "1.0",
+            ["energy", "--init", init, "--n-atoms", "4", "--t-end", "1.0",
              "--steps", "101", "--out", str(closed_csv)],
         )
         assert r1.exit_code == 0 and r2.exit_code == 0
@@ -304,6 +305,23 @@ class TestLindbladCommand:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("lindblad failed: t_end = 0.001 is not")
         assert not out.exists()
+
+    def test_run_builds_no_dense_state(self, runner, tmp_path, monkeypatch):
+        class Refuse:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("lindblad built a dense product-basis state")
+
+            fock = classmethod(lambda cls, *args, **kwargs: cls())
+
+        monkeypatch.setattr(lindblad, "DensityMatrix", Refuse)
+        out = tmp_path / "open.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "4", "--init", "coherent:2:8", "--kappa", "0.2",
+             "--gamma-phi", "0.1", "--t-end", "0.2", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert read_csv(out)[1].shape == (21, 6)
 
 
 class TestVerify:
@@ -411,16 +429,19 @@ BAD_DISTRIBUTIONS = {
     "truncated-json": _truncated_json,
     "sums-to-0.9": _short_mass_json,
     "coherent-abc": lambda path: "coherent:abc",
+    "coherent-extra-field": lambda path: "coherent:6:16:junk",
+    "fock-abc": lambda path: "fock:abc",
 }
 
 
 def _table_command(command, dist, tmp_path):
     if command == "split-check":
         return ["split-check", "--dist", dist, "--n-atoms", "10"]
-    return [command, "--init", dist, "--n-atoms", "10", "--out", str(tmp_path / "x.csv")]
+    rates = ["--kappa", "0", "--gamma-phi", "0"] if command == "lindblad" else []
+    return [command, "--init", dist, "--n-atoms", "10", *rates, "--out", str(tmp_path / "x.csv")]
 
 
-@pytest.mark.parametrize("command", ["energy", "split-check"])
+@pytest.mark.parametrize("command", ["energy", "split-check", "lindblad"])
 @pytest.mark.parametrize("case", sorted(BAD_DISTRIBUTIONS))
 def test_bad_distribution_exits_3_with_one_line(runner, tmp_path, command, case):
     dist = BAD_DISTRIBUTIONS[case](tmp_path / "dist.json")
@@ -496,25 +517,17 @@ def _assert_usage_error(result, hint):
     assert result.output.strip().splitlines()[-1].startswith(f"Error: Invalid value for {hint}")
 
 
-def test_lindblad_non_integer_fock_is_a_usage_error(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["lindblad", "--n-atoms", "2", "--init", "fock:abc", "--kappa", "0", "--gamma-phi", "0",
-         "--out", str(tmp_path / "open.csv")],
-    )
-    _assert_usage_error(result, "--init")
-    assert not (tmp_path / "open.csv").exists()
-
-
 @pytest.mark.parametrize("init", ["fock:65", "fock:-1"])
-def test_lindblad_fock_outside_supported_sectors_is_a_usage_error(runner, tmp_path, init):
+def test_lindblad_fock_outside_supported_sectors_exits_3_with_one_line(runner, tmp_path, init):
     out = tmp_path / "open.csv"
     result = runner.invoke(
         main,
         ["lindblad", "--n-atoms", "2", "--init", init, "--kappa", "0", "--gamma-phi", "0",
          "--out", str(out)],
     )
-    _assert_usage_error(result, "--init")
+    assert result.exit_code == 3, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lindblad failed: ")
     assert not out.exists()
 
 

@@ -7,16 +7,15 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_distribution
 from tcqb import lindblad
+from tcqb.battery import coherent_distribution, fock_distribution
 from tcqb.bethe import SectorSpec
 from tcqb.lindblad import (
     DensityMatrix,
     DimensionMismatch,
-    LindbladError,
     OpenSystemConfig,
-    SectorCoherence,
     StepUnstable,
-    TruncationLeak,
     build_operators,
     evolve,
     lindblad_rhs,
@@ -91,6 +90,19 @@ class TestRhs:
             lindblad_rhs(np.eye(4, dtype=complex), small_config())
 
 
+def _sector_indices(n_atoms, m):
+    """Product-basis index (M-k)(N+1) + k of each sector basis state k."""
+    k = np.arange(SectorSpec(n_atoms, m).branch_count)
+    return (m - k) * (n_atoms + 1) + k
+
+
+def dense_generator(config):
+    """lindblad_rhs as a matrix on the row-major vec(rho)."""
+    dim = config.dimension
+    unit = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    return np.column_stack([lindblad_rhs(e, config).ravel() for e in unit])
+
+
 def excitation_numbers(config):
     idx = np.arange(config.dimension)
     return idx // (config.n_atoms + 1) + idx % (config.n_atoms + 1)
@@ -101,9 +113,9 @@ class TestBlockGenerator:
     def test_matches_dense_reference(self, n_atoms):
         config = small_config(n_atoms=n_atoms, kappa=0.7, gamma_phi=0.4)
         exc = excitation_numbers(config)
-        m_top = config.n_max - 1  # the highest sector the entry check admits
+        m_top = config.n_max - 1  # the highest sector the truncated basis holds exactly
         same = (exc[:, None] == exc[None, :]) & (exc[:, None] <= m_top)
-        blocks = [lindblad._sector_indices(n_atoms, m) for m in range(m_top + 1)]
+        blocks = [_sector_indices(n_atoms, m) for m in range(m_top + 1)]
         lop = lindblad._block_generator(config, m_top)
         rng = np.random.default_rng(n_atoms)
         for _ in range(3):
@@ -134,19 +146,10 @@ class TestBlockGenerator:
             raise AssertionError("evolve built the product-basis operators")
 
         config = small_config(kappa=0.3, gamma_phi=0.2, t_end=0.2)
-        rho0 = DensityMatrix.fock(config, 2)
         monkeypatch.setattr(lindblad, "build_operators", refuse)
-        ts = evolve(rho0, config)
+        monkeypatch.setattr(lindblad, "DensityMatrix", refuse)
+        ts = evolve(fock_distribution(2), config)
         assert ts.t.size == 21 and ts.energy[-1] > 0.0
-
-    def test_coherence_between_sectors_rejected(self):
-        config = small_config()
-        rho = DensityMatrix.fock(config, 2).matrix
-        i, j = 2 * (config.n_atoms + 1), 1 * (config.n_atoms + 1)  # M = 2 and M = 1
-        rho[i, j] = rho[j, i] = 0.1
-        with pytest.raises(SectorCoherence):
-            evolve(rho, config)
-        assert issubclass(SectorCoherence, LindbladError)
 
 
 class TestDensityMatrix:
@@ -171,7 +174,7 @@ class TestDensityMatrix:
 class TestEvolve:
     def test_closed_system_matches_sector_dynamics(self):
         config = small_config(t_end=2.0)
-        ts = evolve(DensityMatrix.fock(config, 2), config)
+        ts = evolve(fock_distribution(2), config)
         expected = oracle_F(SectorSpec(2, 2), ts.t)
         assert np.max(np.abs(ts.energy - expected)) < 1e-4
         assert np.max(np.abs(ts.trace - 1.0)) < 1e-9
@@ -184,77 +187,51 @@ class TestEvolve:
         # state; for N = M = 2 the levels hold 0, 1, 2 quanta, so the
         # steady energy is (0 + 1 + 2)/3 = 1.
         config = small_config(gamma_phi=2.0, t_end=8.0)
-        ts = evolve(DensityMatrix.fock(config, 2), config)
+        ts = evolve(fock_distribution(2), config)
         assert np.max(np.abs(ts.m_expect - ts.m_expect[0])) < 1e-6
         assert abs(ts.energy[-1] - 1.0) < 0.05
         assert np.ptp(ts.energy[-10:]) < 1e-3
 
     def test_strong_decay_drains_the_battery(self):
         config = small_config(kappa=5.0, t_end=3.0)
-        ts = evolve(DensityMatrix.fock(config, 2), config)
+        ts = evolve(fock_distribution(2), config)
         assert ts.energy[-1] < 0.1 * ts.energy.max()
 
-    def test_truncation_leak_detected(self):
-        config = small_config()
-        dim = config.dimension
-        rho = np.zeros((dim, dim), dtype=complex)
-        idx = config.n_max * (config.n_atoms + 1)  # population at the top level
-        rho[idx, idx] = 1.0
-        with pytest.raises(TruncationLeak):
-            evolve(rho, config)
-
-    def test_truncation_leak_fires_before_any_step(self, monkeypatch):
-        # n = n_max - 1, q = 1 is sector M = n_max, whose k = 0 state is
-        # the top Fock level.
-        config = small_config()
-        dim = config.dimension
-        rho = np.zeros((dim, dim), dtype=complex)
-        idx = (config.n_max - 1) * (config.n_atoms + 1) + 1
-        rho[idx, idx] = 1.0
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the generator was built")
-
-        monkeypatch.setattr(lindblad, "_block_generator", refuse)
-        with pytest.raises(TruncationLeak, match=f"sector M = {config.n_max} >= n_max"):
-            evolve(rho, config)
-
     def test_output_does_not_depend_on_n_max(self):
+        # n_max = 1 lies below the top sector M = 4; evolve never reads it.
         photons = 4
         runs = []
-        for n_max in (photons + 1, photons + 5, photons + 15):
+        for n_max in (photons + 1, 1, photons + 5, photons + 15):
             config = small_config(n_atoms=3, n_max=n_max, kappa=0.3, gamma_phi=0.2, t_end=0.5)
-            runs.append(evolve(DensityMatrix.fock(config, photons), config))
-        dim = (photons + 2) * 4
+            runs.append(evolve(fock_distribution(photons), config))
         for ts in runs:
             for name in ("t", "energy", "power", "trace", "min_eig", "m_expect"):
                 assert np.array_equal(getattr(ts, name), getattr(runs[0], name)), name
             assert ts.herm_drift == runs[0].herm_drift
-            assert np.array_equal(ts.final_state[:dim, :dim], runs[0].final_state)
-            assert not np.any(ts.final_state[dim:]) and not np.any(ts.final_state[:, dim:])
+            assert len(ts.final_state) == photons + 1
+            for block, first in zip(ts.final_state, runs[0].final_state):
+                assert np.array_equal(block, first)
 
     def test_unstable_step_detected(self):
         config = small_config(dt=1.0, t_end=40.0)
         with pytest.raises(StepUnstable):
-            evolve(DensityMatrix.fock(config, 2), config)
+            evolve(fock_distribution(2), config)
 
     def test_large_step_breaks_positivity(self):
         # RK4 keeps the trace exact at dt = 0.05, so only the eigenvalue
         # check sees rho leave the positive cone.
         config = OpenSystemConfig(n_atoms=10, n_max=20, kappa=0.2, gamma_phi=0.1, dt=0.05, t_end=1.0)
         with pytest.raises(StepUnstable, match="min eig"):
-            evolve(DensityMatrix.fock(config, 10), config)
+            evolve(fock_distribution(10), config)
 
     @settings(max_examples=15, deadline=None)
     @given(kappa=st.floats(0.0, 1.0), gamma_phi=st.floats(0.0, 1.0), photons=st.integers(0, 2))
     def test_agrees_with_dense_propagator(self, kappa, gamma_phi, photons):
         config = small_config(kappa=kappa, gamma_phi=gamma_phi, t_end=0.5)
         rho0 = DensityMatrix.fock(config, photons)
-        ts = evolve(rho0, config)
+        ts = evolve(fock_distribution(photons), config)
         dim = config.dimension
-        unit = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-        generator = np.column_stack([lindblad_rhs(e, config).ravel() for e in unit])
-        step = scipy.linalg.expm(generator * config.dt * config.sample_stride)
+        step = scipy.linalg.expm(dense_generator(config) * config.dt * config.sample_stride)
         jz = np.diag(build_operators(config.n_atoms, config.n_max)["jz"])
         vec = rho0.matrix.ravel()
         exact = []
@@ -266,14 +243,18 @@ class TestEvolve:
 
     def test_power_is_energy_over_time(self):
         config = small_config(t_end=0.5)
-        ts = evolve(DensityMatrix.fock(config, 2), config)
+        ts = evolve(fock_distribution(2), config)
         assert ts.power[0] == 0.0
         assert np.allclose(ts.power[1:], ts.energy[1:] / ts.t[1:])
 
     def test_final_state_is_the_evolved_state(self):
         config = small_config(kappa=0.3, gamma_phi=0.2, t_end=0.5)
-        ts = evolve(DensityMatrix.fock(config, 2), config)
-        rho = ts.final_state
+        ts = evolve(fock_distribution(2), config)
+        assert [b.shape for b in ts.final_state] == [(1, 1), (2, 2), (3, 3)]
+        rho = np.zeros((config.dimension, config.dimension), dtype=complex)
+        for m, block in enumerate(ts.final_state):
+            b = _sector_indices(config.n_atoms, m)
+            rho[np.ix_(b, b)] = block
         assert abs(np.trace(rho) - 1.0) < 1e-12
         ops = build_operators(config.n_atoms, config.n_max)
         diag = np.diag(rho).real
@@ -281,11 +262,39 @@ class TestEvolve:
         assert np.diag(ops["m"]) @ diag == pytest.approx(ts.m_expect[-1], abs=1e-12)
         assert ts.energy[-1] > 0.1  # the initial state stores nothing
 
-    def test_config_basis_must_match_state(self):
-        config = small_config()
-        other = small_config(n_max=9)
-        with pytest.raises(DimensionMismatch):
-            evolve(DensityMatrix.fock(other, 2), config)
+    def test_coherent_start_matches_dense_propagator(self):
+        # The pure coherent state carries coherences between sectors that
+        # evolve drops; E and <M> must not notice.
+        dist = coherent_distribution(1.5, truncation=8)
+        config = small_config(n_max=9, kappa=0.3, gamma_phi=0.4, t_end=1.0)
+        ts = evolve(dist, config)
+        psi = np.zeros(config.dimension, dtype=complex)
+        for m, p in dist.probs.items():
+            psi[m * (config.n_atoms + 1)] = math.sqrt(p) * np.exp(0.7j * m)  # |M> (x) |g>
+        vec = np.outer(psi, psi.conj()).ravel()
+        step = scipy.linalg.expm(dense_generator(config) * config.dt * config.sample_stride)
+        ops = build_operators(config.n_atoms, config.n_max)
+        jz, m_op = np.diag(ops["jz"]), np.diag(ops["m"])
+        energy, m_expect = [], []
+        for _ in ts.t:
+            diag = vec.reshape(config.dimension, config.dimension).diagonal().real
+            energy.append(jz @ diag + config.n_atoms / 2.0)
+            m_expect.append(m_op @ diag)
+            vec = step @ vec
+        assert np.max(np.abs(ts.energy - np.array(energy))) <= 1e-9
+        assert np.max(np.abs(ts.m_expect - np.array(m_expect))) <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mean=st.floats(0.05, 5.5),
+           kappa=st.floats(0.0, 1.0), gamma_phi=st.floats(0.0, 1.0))
+    def test_linear_in_the_photon_distribution(self, seed, mean, kappa, gamma_phi):
+        dist = random_distribution(np.random.default_rng(seed), mean, max_support=6)
+        config = small_config(kappa=kappa, gamma_phi=gamma_phi, t_end=0.2)
+        ts = evolve(dist, config)
+        runs = {m: evolve(fock_distribution(m), config) for m in dist.probs}
+        for name in ("energy", "trace", "m_expect"):
+            mixed = sum(p * getattr(runs[m], name) for m, p in dist.probs.items())
+            assert np.max(np.abs(getattr(ts, name) - mixed)) <= 1e-12, name
 
 
 class TestConfig:
