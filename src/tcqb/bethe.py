@@ -12,10 +12,16 @@ from the solved (M-1) sector: every previous branch is extended by one
 duplicated member, each new branch's mirror image is refined at once,
 and branches the extension cannot reach (the mixed-sign ones) come from
 randomized restarts around the roots already found.
+
+A sector's trials are refined NEWTON_CHUNK at a time by one stacked
+kernel (one batched linear solve per iteration) and taken in trial
+order, so the branches found and their provenance are exactly those of
+refining the trials one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +61,7 @@ DUP_PERTURB = 1e-3  # duplicated trial entries are shifted by this * (1+1j)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 RANDOM_RESTARTS = 500  # per sector, drawn only while branches are missing
+NEWTON_CHUNK = 16  # trials refined together by one stacked Newton kernel
 
 
 class BetheError(Exception):
@@ -170,51 +177,65 @@ def _as_roots(roots) -> np.ndarray:
     return arr
 
 
-def _pairwise_inverse(x: np.ndarray) -> np.ndarray:
-    """1/(x_j - x_k) with zeros on the diagonal."""
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)  # placeholder; complex division by inf is NaN
+def _pairwise_inverse(diff: np.ndarray) -> np.ndarray:
+    """1/(x_j - x_k) from a (T, M, M) stack of differences (overwritten), zero diagonals."""
+    diag = np.arange(diff.shape[1])
+    diff[:, diag, diag] = 1.0  # placeholder; complex division by inf is NaN
     inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
+    inv[:, diag, diag] = 0.0
     return inv
 
 
-def _check_poles(roots: np.ndarray) -> None:
-    if roots.size and np.min(np.abs(roots)) < 1e-14:
-        raise ZeroRoot("a rapidity is within 1e-14 of the origin")
-    if roots.size > 1:
-        dist = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(dist, np.inf)
-        if np.min(dist) < 1e-14:
-            raise CoincidentRoots("two rapidities coincide within 1e-14")
+_POLE_ERRORS = {
+    1: (ZeroRoot, "a rapidity is within 1e-14 of the origin"),
+    2: (CoincidentRoots, "two rapidities coincide within 1e-14"),
+}
+
+
+def _evaluate(x: np.ndarray, J: float):
+    """Pole codes of a (T, M) stack, and the root equations of its pole-free rows.
+
+    code is 0 or a key of _POLE_ERRORS; f and its sup norm skip rows on a pole.
+    """
+    T, M = x.shape
+    code = np.zeros(T, dtype=int)
+    if M == 0:
+        return code, x.copy(), np.zeros(T)
+    code[np.abs(x).min(axis=1) < 1e-14] = 1
+    diff = x[:, :, None] - x[:, None, :]
+    diag = np.arange(M)
+    diff[:, diag, diag] = np.inf
+    code[(code == 0) & (np.abs(diff).min(axis=(1, 2)) < 1e-14)] = 2
+    clean = code == 0
+    if not clean.all():
+        x, diff = x[clean], diff[clean]
+    f = J / x - x / 2.0 - _pairwise_inverse(diff).sum(axis=2)
+    return code, f, np.abs(f).max(axis=1)
+
+
+def _jacobian_rows(x: np.ndarray, J: float) -> np.ndarray:
+    """(T, M, M) Jacobians of the root equations of a pole-free (T, M) stack."""
+    diag = np.arange(x.shape[1])
+    inv2 = _pairwise_inverse(x[:, :, None] - x[:, None, :]) ** 2
+    jac = -inv2
+    jac[:, diag, diag] = inv2.sum(axis=2) + (-J / x**2 - 0.5)
+    return jac
 
 
 def bae_residual(roots, J: float) -> np.ndarray:
     """Evaluate f_j = J/x_j - x_j/2 - sum_{k != j} 1/(x_j - x_k)."""
-    x = _as_roots(roots)
-    if x.size == 0:
-        return x
-    _check_poles(x)
-    f = J / x - x / 2.0
-    if x.size > 1:
-        f -= _pairwise_inverse(x).sum(axis=1)
-    return f
+    code, f, _ = _evaluate(_as_roots(roots)[None], J)
+    if code[0]:
+        error, message = _POLE_ERRORS[code[0]]
+        raise error(message)
+    return f[0]
 
 
 def bae_jacobian(roots, J: float) -> np.ndarray:
     """Analytic Jacobian of bae_residual with respect to the rapidities."""
     x = _as_roots(roots)
-    if x.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    _check_poles(x)
-    n = x.size
-    jac = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        inv2 = _pairwise_inverse(x) ** 2
-        jac = -inv2
-        np.fill_diagonal(jac, inv2.sum(axis=1))
-    jac[np.diag_indices(n)] += -J / x**2 - 0.5
-    return jac
+    bae_residual(x, J)  # raises ZeroRoot or CoincidentRoots
+    return _jacobian_rows(x[None], J)[0]
 
 
 def canonicalize(roots) -> np.ndarray:
@@ -252,82 +273,132 @@ def canonicalize(roots) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def newton_refine(guess, J: float) -> BetheBranch:
-    """Damped Newton iteration from a trial root set to a branch.
-
-    The step is halved up to 30 times whenever the sup-norm residual
-    fails to decrease; five consecutive fully-damped failures raise
-    SingularJacobian.  The converged set is canonicalized (conjugate
-    symmetry restored exactly) before the branch is built.
-    """
-    x = _as_roots(guess).copy()
-    if x.size and np.min(np.abs(x)) < 1e-10:
-        raise DivergedToZeroRoot("trial set starts inside |x| < 1e-10")
-    fx = bae_residual(x, J)
-    norm = np.max(np.abs(fx)) if x.size else 0.0
-    damp_failures = 0
-    for _ in range(NEWTON_MAX_ITER):
-        if norm < NEWTON_TOL:
-            break
-        try:
-            jac = bae_jacobian(x, J)
-            step = np.linalg.solve(jac, -fx)
-        except (np.linalg.LinAlgError, ZeroRoot, CoincidentRoots):
-            damp_failures += 1
-            if damp_failures >= 5:
-                raise SingularJacobian("linear solve failed repeatedly")
-            x = x * (1.0 + 1e-6) + 1e-8  # nudge off the singular point
-            fx = bae_residual(x, J)
-            norm = np.max(np.abs(fx))
-            continue
-        scale = 1.0
-        accepted = False
-        for _ in range(30):
-            xt = x + scale * step
-            if np.min(np.abs(xt)) < 1e-10:
-                if scale == 1.0 and norm > 1.0:
-                    raise DivergedToZeroRoot("iterate entered |x| < 1e-10")
-                scale /= 2.0
-                continue
-            try:
-                ft = bae_residual(xt, J)
-            except (ZeroRoot, CoincidentRoots):
-                scale /= 2.0
-                continue
-            nt = np.max(np.abs(ft))
-            if nt < norm:
-                x, fx, norm = xt, ft, nt
-                accepted = True
-                break
-            scale /= 2.0
-        if accepted:
-            damp_failures = 0
-        else:
-            damp_failures += 1
-            if damp_failures >= 5:
-                raise SingularJacobian("full damping failed 5 times in a row")
-    if norm >= NEWTON_TOL:
-        raise NoConvergence(f"residual {norm:.3e} after {NEWTON_MAX_ITER} iterations")
-    roots = canonicalize(x)
-    res = float(np.max(np.abs(bae_residual(roots, J)))) if roots.size else 0.0
-    if res >= RESIDUAL_ACCEPT:
-        raise NoConvergence(f"residual {res:.3e} after canonicalization")
-    total = complex(np.sum(roots))
-    if abs(total.imag) >= 1e-9:
-        raise UnpairedComplexRoot(f"root sum has imaginary part {total.imag:.3e}")
+def _finish(x: np.ndarray, J: float) -> BetheBranch | BetheError:
+    """Branch of one converged row, or the error that rejects it."""
+    try:
+        roots = canonicalize(x)
+        res = float(np.max(np.abs(bae_residual(roots, J)))) if roots.size else 0.0
+        if res >= RESIDUAL_ACCEPT:
+            raise NoConvergence(f"residual {res:.3e} after canonicalization")
+        total = complex(np.sum(roots))
+        if abs(total.imag) >= 1e-9:
+            raise UnpairedComplexRoot(f"root sum has imaginary part {total.imag:.3e}")
+    except BetheError as err:
+        return err
     return BetheBranch(roots=tuple(roots.tolist()), energy=-total.real, residual=res)
 
 
+def _newton_rows(trials, J: float):
+    """Damped Newton on a (T, M) stack of trials from one sector.
+
+    Each row runs the iteration described in newton_refine as if alone;
+    the rows only share numpy calls: one stacked solve per iteration
+    (per-row solves when the stack is singular) and a lockstep line
+    search with one step scale per row.  Yields each row's BetheBranch,
+    or the BetheError that ended it, in row order as soon as that row
+    and all earlier rows have finished, so a caller can stop early.
+    """
+    x = np.array(trials, dtype=complex)
+    T, M = x.shape
+    errors: list[BetheError | None] = [None] * T
+    fx, norm = np.zeros_like(x), np.zeros(T)
+    fails, live = np.zeros(T, dtype=int), np.ones(T, dtype=bool)
+
+    def stop(rows, error, message):
+        for r in rows:
+            errors[r] = error(message)
+        live[rows] = False
+
+    def refresh(rows):
+        code, f, n = _evaluate(x[rows], J)
+        for c, (error, message) in _POLE_ERRORS.items():
+            stop(rows[code == c], error, message)
+        fx[rows[code == 0]], norm[rows[code == 0]] = f, n
+
+    if M:
+        stop((np.abs(x).min(axis=1) < 1e-10).nonzero()[0],
+             DivergedToZeroRoot, "trial set starts inside |x| < 1e-10")
+    refresh(live.nonzero()[0])
+    done = 0  # rows handed out; a finished row's x is frozen and canonicalized only then
+    for _ in range(NEWTON_MAX_ITER):
+        live &= ~(norm < NEWTON_TOL)  # a NaN norm keeps iterating
+        while done < T and not live[done]:
+            yield errors[done] or _finish(x[done], J)
+            done += 1
+        rows = live.nonzero()[0]
+        if not rows.size:
+            return
+        jac, rhs = _jacobian_rows(x[rows], J), -fx[rows]
+        try:
+            step = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # solve row by row; a singular row is nudged instead
+            step, solved = np.zeros_like(rhs), np.ones(rows.size, dtype=bool)
+            for i in range(rows.size):
+                try:
+                    step[i] = np.linalg.solve(jac[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            nudge = rows[~solved]
+            fails[nudge] += 1
+            stop(nudge[fails[nudge] >= 5], SingularJacobian, "linear solve failed repeatedly")
+            nudge = nudge[fails[nudge] < 5]
+            x[nudge] = x[nudge] * (1.0 + 1e-6) + 1e-8
+            refresh(nudge)
+            rows, step = rows[solved], step[solved]
+        # Line search: halve each row's step up to 30 times until its
+        # sup-norm residual decreases.
+        scale, searching = np.ones(rows.size), np.ones(rows.size, dtype=bool)
+        for _ in range(30):
+            trying = searching.nonzero()[0]
+            if not trying.size:
+                break
+            xt = x[rows[trying]] + scale[trying, None] * step[trying]
+            near = np.abs(xt).min(axis=1) < 1e-10
+            if near.any():
+                diverged = trying[near & (scale[trying] == 1.0) & (norm[rows[trying]] > 1.0)]
+                stop(rows[diverged], DivergedToZeroRoot, "iterate entered |x| < 1e-10")
+                searching[diverged] = False
+            far = (~near).nonzero()[0]
+            code, ft, nt = _evaluate(xt[far], J)
+            better = nt < norm[rows[trying[far[code == 0]]]]
+            keep = far[code == 0][better]
+            take = rows[trying[keep]]
+            x[take], fx[take], norm[take] = xt[keep], ft[better], nt[better]
+            searching[trying[keep]] = False
+            scale[trying[searching[trying]]] /= 2.0
+        fails[rows[~searching & live[rows]]] = 0
+        rejected = rows[searching]
+        fails[rejected] += 1
+        stop(rejected[fails[rejected] >= 5], SingularJacobian, "full damping failed 5 times in a row")
+    for r in (live & (norm >= NEWTON_TOL)).nonzero()[0]:
+        errors[r] = NoConvergence(f"residual {norm[r]:.3e} after {NEWTON_MAX_ITER} iterations")
+    yield from (errors[r] or _finish(x[r], J) for r in range(done, T))
+
+
+def newton_refine(guess, J: float) -> BetheBranch:
+    """Damped Newton iteration from a trial root set to a branch.
+
+    The one-row case of the stacked kernel that solve_sector runs on a
+    sector's trials.  The step is halved up to 30 times whenever the
+    sup-norm residual fails to decrease; five consecutive fully-damped
+    failures raise SingularJacobian.  The converged set is canonicalized
+    (conjugate symmetry restored exactly) before the branch is built.
+    """
+    result = next(_newton_rows(_as_roots(guess)[None], J))
+    if isinstance(result, BetheError):
+        raise result
+    return result
+
+
 def _perturb_duplicates(guess: np.ndarray) -> np.ndarray:
-    """Shift repeated entries off the pairwise pole before refinement."""
-    out = guess.astype(complex).copy()
-    for i in range(out.size):
-        bump = 0
-        for j in range(i):
-            if abs(out[i] - out[j]) < 1e-12:
-                bump += 1
-        if bump:
-            out[i] += bump * DUP_PERTURB * (1.0 + 1.0j)
+    """Shift repeated entries off the pairwise pole before refinement.
+
+    Entry i moves by DUP_PERTURB*(1+1j) once for every earlier entry
+    within 1e-12 of it, so a value present k times spreads to k points.
+    """
+    out = guess.astype(complex)
+    close = np.abs(out[:, None] - out[None, :]) < 1e-12
+    out += np.tril(close, -1).sum(axis=1) * DUP_PERTURB * (1.0 + 1.0j)
     return out
 
 
@@ -392,30 +463,28 @@ class _SectorAccumulator:
     def full(self) -> bool:
         return len(self.branches) >= self.expected
 
-    def add(self, branch: BetheBranch) -> bool:
-        roots = np.asarray(branch.roots, dtype=complex)
-        if not _branch_valid(branch):
+    def add(self, result: BetheBranch | BetheError, provenance: str) -> bool:
+        """Keep one refined trial if it is a new valid branch; errors are dropped."""
+        if isinstance(result, BetheError) or not _branch_valid(result):
             return False
+        if provenance != "continuation":
+            result = BetheBranch(result.roots, result.energy, result.residual, provenance)
+        roots = np.asarray(result.roots, dtype=complex)
         for known in self.branches:
             if _same_branch(roots, np.asarray(known.roots, dtype=complex)):
                 return False
-            if abs(branch.energy - known.energy) < ENERGY_DEDUP_TOL:
+            if abs(result.energy - known.energy) < ENERGY_DEDUP_TOL:
                 return False
-        self.branches.append(branch)
+        self.branches.append(result)
         # The equations are odd under x -> -x, so the mirrored set is a
         # branch too; refine it immediately while the seed is exact.
         if not self.full():
-            self.try_guess(branch.negated(), branch.provenance)
+            try:
+                mirror = newton_refine(result.negated(), self.J)
+            except BetheError as err:
+                mirror = err
+            self.add(mirror, provenance)
         return True
-
-    def try_guess(self, guess: np.ndarray, provenance: str) -> bool:
-        try:
-            branch = newton_refine(guess, self.J)
-        except BetheError:
-            return False
-        if provenance != "continuation":
-            branch = BetheBranch(branch.roots, branch.energy, branch.residual, provenance)
-        return self.add(branch)
 
 
 def _restart_guesses(rng: np.random.Generator, branches: list[BetheBranch], M: int):
@@ -461,6 +530,26 @@ def _completeness_gap(acc: "_SectorAccumulator", spec: SectorSpec) -> bool:
     return abs(sum(b.energy for b in acc.branches)) < 1e-8
 
 
+def _sector_done(acc: _SectorAccumulator, spec: SectorSpec) -> bool:
+    return acc.full() or _completeness_gap(acc, spec)
+
+
+def _refine_in_order(acc: _SectorAccumulator, spec: SectorSpec, trials, provenance: str) -> None:
+    """Refine trials NEWTON_CHUNK at a time and hand them to acc in trial order.
+
+    Once the sector is done the chunk is abandoned and no more trials are drawn.
+    """
+    trials = iter(trials)
+    while not _sector_done(acc, spec):
+        chunk = list(itertools.islice(trials, NEWTON_CHUNK))
+        if not chunk:
+            return
+        for result in _newton_rows(chunk, acc.J):
+            if _sector_done(acc, spec):
+                return
+            acc.add(result, provenance)
+
+
 def solve_sector(
     spec: SectorSpec,
     prev_branches: list[BetheBranch] | None = None,
@@ -493,15 +582,9 @@ def solve_sector(
             prev_branches = solve_sector(prev_spec, seed=seed)
         guesses = seed_trials(prev_branches, M)
     acc = _SectorAccumulator(J, spec.branch_count)
-    for g in guesses:
-        if acc.full() or _completeness_gap(acc, spec):
-            break
-        acc.try_guess(g, "continuation")
+    _refine_in_order(acc, spec, guesses, "continuation")
     rng = np.random.default_rng([seed, spec.n_atoms, M])
-    for g in _restart_guesses(rng, acc.branches, M):
-        if acc.full() or _completeness_gap(acc, spec):
-            break
-        acc.try_guess(g, "random_restart")
+    _refine_in_order(acc, spec, _restart_guesses(rng, acc.branches, M), "random_restart")
     if _completeness_gap(acc, spec):
         acc.branches.append(
             BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
@@ -557,5 +640,5 @@ def branches_from_payload(payload: dict) -> list[BetheBranch]:
         for b in payload["branches"]
     ]
     for b in branches:
-        _check_poles(np.asarray(b.roots, dtype=complex))
+        bae_residual(b.roots, 0.0)  # raises ZeroRoot or CoincidentRoots
     return branches

@@ -414,12 +414,16 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out_csv):
     click.echo(f"wrote {ts.t.size} samples -> {path}")
 
 
-def _read_branches(path: Path) -> list[bethe.BetheBranch]:
-    """The branches of one sector file; unreadable or malformed content is an InputError."""
+def _read_branches(path: Path, m: int) -> list[bethe.BetheBranch]:
+    """The branches of sector m's file; unreadable or malformed content is an InputError."""
     try:
-        return bethe.branches_from_payload(json.loads(path.read_text()))
+        branches = bethe.branches_from_payload(json.loads(path.read_text()))
     except (OSError, ValueError, KeyError, TypeError, bethe.BetheError) as err:
         raise InputError(f"{path.name}: {type(err).__name__}: {err}") from err
+    for i, b in enumerate(branches):
+        if not b.is_completeness and len(b.roots) != m:
+            raise InputError(f"{path.name}: branch {i} has {len(b.roots)} roots, sector M={m} needs {m}")
+    return branches
 
 
 @main.command()
@@ -440,7 +444,7 @@ def verify(n_atoms, m_max, seed, branch_dir):
 
     try:
         if branch_dir:
-            chains = {m: _read_branches(Path(branch_dir) / f"sector_M{m:02d}.json")
+            chains = {m: _read_branches(Path(branch_dir) / f"sector_M{m:02d}.json", m)
                       for m in range(1, m_max + 1)}
             chains[0] = [bethe.BetheBranch(roots=(), energy=0.0, residual=0.0)]
         else:

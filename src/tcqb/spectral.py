@@ -47,6 +47,7 @@ __all__ = [
 
 FREQ_MERGE_TOL = 1e-9
 AMP_PRUNE_TOL = 1e-12
+SCAN_CHUNK = 1000  # grid points per series evaluation in first_max_time
 
 
 class SpectralError(Exception):
@@ -312,13 +313,15 @@ def first_max_time(
 ) -> float:
     """Earliest t > 0 where the series attains a local maximum.
 
-    Scans a uniform grid, brackets the first interior peak and refines it
-    by golden-section search.  Raises NoMaximumFound when nothing peaks
-    inside (0, scan_end].
+    Scans a uniform grid SCAN_CHUNK points at a time, stops at the first
+    interior peak and refines its bracket by golden-section search.
+    Raises NoMaximumFound when nothing peaks inside (0, scan_end].
     """
     t = np.arange(0.0, scan_end + grid_step / 2, grid_step)
-    v = series.value(t)
-    for i in range(1, t.size - 1):
-        if v[i] >= v[i - 1] and v[i] > v[i + 1]:
+    for start in range(0, t.size - 2, SCAN_CHUNK):
+        v = series.value(t[start:start + SCAN_CHUNK + 2])  # each chunk ends with its neighbours
+        peaks = ((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])).nonzero()[0]
+        if peaks.size:
+            i = start + 1 + peaks[0]
             return _golden_max(series.value, t[i - 1], t[i + 1], refine_tol)
     raise NoMaximumFound(f"no local maximum in (0, {scan_end}]")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 from tcqb import bethe
 from tcqb.bethe import (
     BetheBranch,
+    BetheError,
     CoincidentRoots,
     DivergedToZeroRoot,
     MissingBranches,
+    NoConvergence,
     SectorSpec,
+    SingularJacobian,
     UnpairedComplexRoot,
     ZeroRoot,
     bae_jacobian,
@@ -148,6 +152,196 @@ class TestNewton:
         # pole), so a tiny positive guess walks out to the physical root.
         branch = newton_refine([0.001], 5.0)
         assert branch.roots[0].real == pytest.approx(SQRT10, abs=1e-10)
+
+
+def _ref_pairwise_inverse(x):
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    return inv
+
+
+def _ref_check_poles(roots):
+    if roots.size and np.min(np.abs(roots)) < 1e-14:
+        raise ZeroRoot("a rapidity is within 1e-14 of the origin")
+    if roots.size > 1:
+        dist = np.abs(roots[:, None] - roots[None, :])
+        np.fill_diagonal(dist, np.inf)
+        if np.min(dist) < 1e-14:
+            raise CoincidentRoots("two rapidities coincide within 1e-14")
+
+
+def _ref_residual(x, J):
+    _ref_check_poles(x)
+    f = J / x - x / 2.0
+    if x.size > 1:
+        f -= _ref_pairwise_inverse(x).sum(axis=1)
+    return f
+
+
+def _ref_jacobian(x, J):
+    _ref_check_poles(x)
+    n = x.size
+    jac = np.zeros((n, n), dtype=complex)
+    if n > 1:
+        inv2 = _ref_pairwise_inverse(x) ** 2
+        jac = -inv2
+        np.fill_diagonal(jac, inv2.sum(axis=1))
+    jac[np.diag_indices(n)] += -J / x**2 - 0.5
+    return jac
+
+
+def _reference_newton(guess, J):
+    """One trial at a time: the loop the stacked kernel must reproduce bit for bit."""
+    x = np.asarray(guess, dtype=complex).copy()
+    if x.size and np.min(np.abs(x)) < 1e-10:
+        raise DivergedToZeroRoot("trial set starts inside |x| < 1e-10")
+    fx = _ref_residual(x, J)
+    norm = np.max(np.abs(fx)) if x.size else 0.0
+    damp_failures = 0
+    for _ in range(bethe.NEWTON_MAX_ITER):
+        if norm < bethe.NEWTON_TOL:
+            break
+        try:
+            step = np.linalg.solve(_ref_jacobian(x, J), -fx)
+        except (np.linalg.LinAlgError, ZeroRoot, CoincidentRoots):
+            damp_failures += 1
+            if damp_failures >= 5:
+                raise SingularJacobian("linear solve failed repeatedly")
+            x = x * (1.0 + 1e-6) + 1e-8
+            fx = _ref_residual(x, J)
+            norm = np.max(np.abs(fx))
+            continue
+        scale = 1.0
+        accepted = False
+        for _ in range(30):
+            xt = x + scale * step
+            if np.min(np.abs(xt)) < 1e-10:
+                if scale == 1.0 and norm > 1.0:
+                    raise DivergedToZeroRoot("iterate entered |x| < 1e-10")
+                scale /= 2.0
+                continue
+            try:
+                ft = _ref_residual(xt, J)
+            except (ZeroRoot, CoincidentRoots):
+                scale /= 2.0
+                continue
+            nt = np.max(np.abs(ft))
+            if nt < norm:
+                x, fx, norm = xt, ft, nt
+                accepted = True
+                break
+            scale /= 2.0
+        if accepted:
+            damp_failures = 0
+        else:
+            damp_failures += 1
+            if damp_failures >= 5:
+                raise SingularJacobian("full damping failed 5 times in a row")
+    if norm >= bethe.NEWTON_TOL:
+        raise NoConvergence(f"residual {norm:.3e} after {bethe.NEWTON_MAX_ITER} iterations")
+    roots = canonicalize(x)
+    res = float(np.max(np.abs(_ref_residual(roots, J)))) if roots.size else 0.0
+    if res >= bethe.RESIDUAL_ACCEPT:
+        raise NoConvergence(f"residual {res:.3e} after canonicalization")
+    total = complex(np.sum(roots))
+    if abs(total.imag) >= 1e-9:
+        raise UnpairedComplexRoot(f"root sum has imaginary part {total.imag:.3e}")
+    return BetheBranch(roots=tuple(roots.tolist()), energy=-total.real, residual=res)
+
+
+def _bits(result):
+    """A refinement result, comparable bit for bit: the branch's floats or the error."""
+    if isinstance(result, BetheError):
+        return type(result), str(result)
+    roots = [(z.real.hex(), z.imag.hex()) for z in result.roots]
+    return roots, result.energy.hex(), result.residual.hex()
+
+
+def _alone(refine, guess, J):
+    try:
+        return _bits(refine(guess, J))
+    except BetheError as err:
+        return _bits(err)
+
+
+def _stacked(trials, J):
+    return [_bits(r) for r in bethe._newton_rows(np.array(trials), J)]
+
+
+class TestNewtonKernel:
+    def test_rows_do_not_affect_each_other(self):
+        J = 1.0  # N = 2, M = 3
+        trials = [
+            [1.2247 - 0.7071j, 1.2247 + 0.7071j, 1.2257 - 0.7061j],  # converges
+            [5e-11, 1.0, 2.0],  # starts inside |x| < 1e-10
+            [1.0, 1.0, 2.0],  # on the pairwise pole
+            [-1.0 + 0j, 1.0, -0.999 + 0.001j],  # damping fails
+        ]
+        got = _stacked(trials, J)
+        assert got == [_alone(newton_refine, t, J) for t in trials]
+        assert got == [_alone(_reference_newton, t, J) for t in trials]
+        assert isinstance(got[0][0], list)
+        assert [g[0] for g in got[1:]] == [DivergedToZeroRoot, CoincidentRoots, SingularJacobian]
+
+    def test_singular_row_falls_back_to_row_solves(self):
+        # J = 1/2, x = i: the 1 x 1 Jacobian -J/x^2 - 1/2 is exactly zero,
+        # so the stacked solve raises and every other row is solved alone.
+        trials = [[0.9], [1j], [1.3 + 0.2j], [5e-11], [-2.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(bae_jacobian([1j], 0.5), np.ones(1))
+        got = _stacked(trials, 0.5)
+        assert got == [_alone(newton_refine, t, 0.5) for t in trials]
+        assert got == [_alone(_reference_newton, t, 0.5) for t in trials]
+        assert got[1][0] is SingularJacobian
+        assert [isinstance(got[i][0], list) for i in (0, 2, 4)] == [True] * 3
+
+    @pytest.mark.parametrize("n_atoms", [2, 6])
+    def test_matches_reference_loop(self, n_atoms):
+        # Every continuation trial of M = 2..8 and 8 restart guesses per
+        # sector, each sector's trials in one stack.
+        chain = bethe.solve_sectors(n_atoms, 8, seed=0)
+        rng = np.random.default_rng(n_atoms)
+        J = n_atoms / 2
+        for m in range(2, 9):
+            restarts = itertools.islice(bethe._restart_guesses(rng, chain[m], m), 8)
+            trials = seed_trials(chain[m - 1], m) + list(restarts)
+            assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
+
+
+def _reference_perturb(guess):
+    out = guess.astype(complex).copy()
+    for i in range(out.size):
+        bump = sum(abs(guess[i] - guess[j]) < 1e-12 for j in range(i))
+        if bump:
+            out[i] += bump * bethe.DUP_PERTURB * (1.0 + 1.0j)
+    return out
+
+
+class TestPerturbDuplicates:
+    def test_exact_duplicates_are_bumped(self):
+        out = bethe._perturb_duplicates(np.array([2.0, 1.0, 2.0, 1.0 + 1e-13]))
+        bump = bethe.DUP_PERTURB * (1.0 + 1.0j)
+        assert out.tolist() == [2.0, 1.0, 2.0 + bump, 1.0 + 1e-13 + bump]
+
+    def test_triple_duplicate_gets_distinct_bumps(self):
+        out = bethe._perturb_duplicates(np.array([2.0, 2.0, 2.0]))
+        bump = bethe.DUP_PERTURB * (1.0 + 1.0j)
+        assert out.tolist() == [2.0, 2.0 + bump, 2.0 + 2 * bump]
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(5)
+        for size in range(9):
+            for _ in range(40):
+                guess = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                if size > 1 and rng.random() < 0.6:
+                    for _ in range(rng.integers(1, 3)):  # two plants can make a triple
+                        i, j = rng.integers(0, size, 2)
+                        guess[i] = guess[j] + rng.choice([0.0, 1e-13, 1e-11])
+                out = bethe._perturb_duplicates(guess)
+                assert np.array_equal(out, _reference_perturb(guess))
+                assert not np.shares_memory(out, guess)
 
 
 class TestSeedTrials:

@@ -348,7 +348,7 @@ class TestVerify:
         assert result.exit_code == 4
         assert "FAIL" in result.output
 
-    @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root"])
+    @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
         out = tmp_path / "solve"
         assert runner.invoke(
@@ -360,6 +360,8 @@ class TestVerify:
             doc["branches"][0]["roots"] = 5
         elif case == "json-list":
             doc = [doc]
+        elif case == "wrong-root-count":
+            doc["branches"][0]["roots"] = doc["branches"][0]["roots"][:1]
         else:
             doc["branches"][0]["roots"][0] = [0.0, 0.0]
         path.write_text(json.dumps(doc))
