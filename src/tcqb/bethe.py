@@ -9,9 +9,10 @@ and a sector has exactly K = min(2J, M) + 1 distinct solution sets
 ("branches"), each giving one eigenstate with energy E = -sum_j x_j in
 units of g.  Branches are found by damped Newton iteration warm-started
 from the solved (M-1) sector: every previous branch is extended by one
-duplicated member, each new branch's mirror image is refined at once,
-and branches the extension cannot reach (the mixed-sign ones) come from
-randomized restarts around the roots already found.
+duplicated member, and branches the extension cannot reach (the
+mixed-sign ones) come from randomized restarts around the roots already
+found.  The equations are odd under x -> -x, so the negation of every
+accepted branch is taken as a branch too, without refinement.
 
 A sector's trials are refined NEWTON_CHUNK at a time by one stacked
 kernel (one batched linear solve per iteration) and taken in trial
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +53,6 @@ __all__ = [
 # Acceptance thresholds for a converged branch.
 RESIDUAL_ACCEPT = 1e-10
 ROOT_DISTINCT_TOL = 1e-8
-DEDUP_TOL = 1e-6
 ENERGY_DEDUP_TOL = 1e-6  # sector spectra are simple with O(1) gaps
 IMAG_SNAP_TOL = 1e-8
 REAL_SNAP_TOL = 1e-12  # paired members of zero-energy branches sit on the imaginary axis
@@ -166,7 +166,7 @@ class BetheBranch:
         return self.provenance == "completeness"
 
     def negated(self) -> np.ndarray:
-        """Mirror seed: the root equations are odd under x -> -x."""
+        """Roots of the mirror branch: the root equations are odd under x -> -x."""
         return -np.asarray(self.roots, dtype=complex)
 
 
@@ -274,10 +274,19 @@ def canonicalize(roots) -> np.ndarray:
 
 
 def _finish(x: np.ndarray, J: float) -> BetheBranch | BetheError:
-    """Branch of one converged row, or the error that rejects it."""
+    """Branch of one converged row, or the error that rejects it.
+
+    The one acceptance check: canonical roots at least ROOT_DISTINCT_TOL
+    apart, residual below RESIDUAL_ACCEPT and a real energy.
+    """
     try:
         roots = canonicalize(x)
         res = float(np.max(np.abs(bae_residual(roots, J)))) if roots.size else 0.0
+        if roots.size > 1:
+            dist = np.abs(roots[:, None] - roots[None, :])
+            np.fill_diagonal(dist, np.inf)
+            if (gap := dist.min()) < ROOT_DISTINCT_TOL:
+                raise CoincidentRoots(f"two roots are {gap:.3e} apart")
         if res >= RESIDUAL_ACCEPT:
             raise NoConvergence(f"residual {res:.3e} after canonicalization")
         total = complex(np.sum(roots))
@@ -390,32 +399,12 @@ def newton_refine(guess, J: float) -> BetheBranch:
     return result
 
 
-def _perturb_duplicates(guess: np.ndarray) -> np.ndarray:
-    """Shift repeated entries off the pairwise pole before refinement.
-
-    Entry i moves by DUP_PERTURB*(1+1j) once for every earlier entry
-    within 1e-12 of it, so a value present k times spreads to k points.
-    """
-    out = guess.astype(complex)
-    close = np.abs(out[:, None] - out[None, :]) < 1e-12
-    out += np.tril(close, -1).sum(axis=1) * DUP_PERTURB * (1.0 + 1.0j)
-    return out
-
-
-def _distinct_members(roots: tuple[complex, ...]) -> list[complex]:
-    members: list[complex] = []
-    for z in roots:
-        if all(abs(z - w) > 1e-12 for w in members):
-            members.append(z)
-    return members
-
-
 def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndarray]:
     """Trial sets for the M-sector built from the solved (M-1)-sector.
 
-    Every previous branch is extended by one duplicated member; both
-    signs of the de-duplication shift are emitted, and repeated entries
-    within a trial are shifted off the pairwise pole.
+    Every previous branch is extended by a copy of each of its members,
+    shifted by +-DUP_PERTURB*(1+1j) off the pairwise pole; both signs
+    are emitted.
     """
     guesses: list[np.ndarray] = []
     # Root-free completeness branches carry no seed material.
@@ -423,68 +412,10 @@ def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndar
         if len(branch.roots) != target_M - 1:
             continue
         base = np.asarray(branch.roots, dtype=complex)
-        for member in _distinct_members(branch.roots):
+        for member in branch.roots:
             for sign in (+1.0, -1.0):
-                g = np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j))
-                guesses.append(_perturb_duplicates(g))
+                guesses.append(np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j)))
     return guesses
-
-
-def _same_branch(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.size == b.size and (a.size == 0 or np.max(np.abs(a - b)) <= DEDUP_TOL)
-
-
-def _branch_valid(branch: BetheBranch) -> bool:
-    roots = np.asarray(branch.roots, dtype=complex)
-    if branch.residual >= RESIDUAL_ACCEPT:
-        return False
-    if roots.size > 1:
-        diff = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if np.min(np.abs(diff)) < ROOT_DISTINCT_TOL:
-            return False
-    return True
-
-
-class _SectorAccumulator:
-    """Collects distinct valid branches and chases their mirror images.
-
-    Distinctness is keyed on the energy, not only on the roots: beyond
-    M = 2J different root multisets can generate the same eigenstate
-    (only the first 2J+1 symmetric functions of -1/x enter the state),
-    and the sector spectrum is simple, so equal energy means equal state.
-    """
-
-    def __init__(self, J: float, expected: int):
-        self.J = J
-        self.expected = expected
-        self.branches: list[BetheBranch] = []
-
-    def full(self) -> bool:
-        return len(self.branches) >= self.expected
-
-    def add(self, result: BetheBranch | BetheError, provenance: str) -> bool:
-        """Keep one refined trial if it is a new valid branch; errors are dropped."""
-        if isinstance(result, BetheError) or not _branch_valid(result):
-            return False
-        if provenance != "continuation":
-            result = BetheBranch(result.roots, result.energy, result.residual, provenance)
-        roots = np.asarray(result.roots, dtype=complex)
-        for known in self.branches:
-            if _same_branch(roots, np.asarray(known.roots, dtype=complex)):
-                return False
-            if abs(result.energy - known.energy) < ENERGY_DEDUP_TOL:
-                return False
-        self.branches.append(result)
-        # The equations are odd under x -> -x, so the mirrored set is a
-        # branch too; refine it immediately while the seed is exact.
-        if not self.full():
-            try:
-                mirror = newton_refine(result.negated(), self.J)
-            except BetheError as err:
-                mirror = err
-            self.add(mirror, provenance)
-        return True
 
 
 def _restart_guesses(rng: np.random.Generator, branches: list[BetheBranch], M: int):
@@ -510,10 +441,10 @@ def _restart_guesses(rng: np.random.Generator, branches: list[BetheBranch], M: i
                 base = pool[rng.integers(0, pool.size, size=M)]
         else:
             base = pool[rng.integers(0, pool.size, size=M)]
-        yield _perturb_duplicates(base + noise)
+        yield base + noise
 
 
-def _completeness_gap(acc: "_SectorAccumulator", spec: SectorSpec) -> bool:
+def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:
     """Is the single missing branch the non-representable E = 0 state?
 
     True when exactly one branch of an odd-M, M > 2J sector is missing
@@ -525,29 +456,9 @@ def _completeness_gap(acc: "_SectorAccumulator", spec: SectorSpec) -> bool:
     M = spec.excitations
     if M <= spec.n_atoms or M % 2 == 0:
         return False
-    if len(acc.branches) != spec.branch_count - 1:
+    if len(branches) != spec.branch_count - 1:
         return False
-    return abs(sum(b.energy for b in acc.branches)) < 1e-8
-
-
-def _sector_done(acc: _SectorAccumulator, spec: SectorSpec) -> bool:
-    return acc.full() or _completeness_gap(acc, spec)
-
-
-def _refine_in_order(acc: _SectorAccumulator, spec: SectorSpec, trials, provenance: str) -> None:
-    """Refine trials NEWTON_CHUNK at a time and hand them to acc in trial order.
-
-    Once the sector is done the chunk is abandoned and no more trials are drawn.
-    """
-    trials = iter(trials)
-    while not _sector_done(acc, spec):
-        chunk = list(itertools.islice(trials, NEWTON_CHUNK))
-        if not chunk:
-            return
-        for result in _newton_rows(chunk, acc.J):
-            if _sector_done(acc, spec):
-                return
-            acc.add(result, provenance)
+    return abs(sum(b.energy for b in branches)) < 1e-8
 
 
 def solve_sector(
@@ -561,14 +472,16 @@ def solve_sector(
     Sectors are solved in increasing M: M = 0 is the trivial empty
     branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
     refine the one-member extensions of prev_branches (solved
-    recursively when omitted).  Every accepted branch has its mirror
-    image refined at once.  Branches still missing are sought by up to
-    RANDOM_RESTARTS randomized restarts seeded from the branches found.
-    For odd M > 2J the zero-energy eigenstate provably has no regular
-    root set (see BetheBranch) and is returned as a root-free
-    completeness branch once it is the only one missing.  Raises
-    MissingBranches if branches are still missing after that.
-    Deterministic for a fixed seed.
+    recursively when omitted).  Branches still missing are sought by up
+    to RANDOM_RESTARTS randomized restarts seeded from the branches
+    found.  Trials are refined NEWTON_CHUNK at a time and taken in trial
+    order; a result is kept when its energy is new (the sector spectrum
+    is simple), and the negation of a kept branch, exactly a branch
+    since the root equations are odd, is kept with it.  For odd M > 2J
+    the zero-energy eigenstate provably has no regular root set (see
+    BetheBranch) and is returned as a root-free completeness branch once
+    it is the only one missing.  Raises MissingBranches if branches are
+    still missing after that.  Deterministic for a fixed seed.
     """
     J = spec.total_spin
     M = spec.excitations
@@ -581,17 +494,39 @@ def solve_sector(
             prev_spec = SectorSpec(spec.n_atoms, M - 1)
             prev_branches = solve_sector(prev_spec, seed=seed)
         guesses = seed_trials(prev_branches, M)
-    acc = _SectorAccumulator(J, spec.branch_count)
-    _refine_in_order(acc, spec, guesses, "continuation")
+    K = spec.branch_count
+    branches: list[BetheBranch] = []
+
+    def done() -> bool:
+        return len(branches) >= K or _completeness_gap(branches, spec)
+
+    def keep(result: BetheBranch | BetheError, provenance: str) -> bool:
+        # Keyed on the energy, not the roots: beyond M = 2J different root
+        # multisets can generate the same eigenstate (only the first 2J+1
+        # symmetric functions of -1/x enter it), and the sector spectrum
+        # is simple, so equal energy means equal state.
+        if isinstance(result, BetheError) or any(
+            abs(result.energy - b.energy) < ENERGY_DEDUP_TOL for b in branches
+        ):
+            return False
+        branches.append(replace(result, provenance=provenance))
+        return True
+
     rng = np.random.default_rng([seed, spec.n_atoms, M])
-    _refine_in_order(acc, spec, _restart_guesses(rng, acc.branches, M), "random_restart")
-    if _completeness_gap(acc, spec):
-        acc.branches.append(
-            BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
-        )
-    if not acc.full():
-        raise MissingBranches(len(acc.branches), spec.branch_count, spec.n_atoms, M)
-    return sorted(acc.branches, key=lambda b: (b.energy, b.roots[0].real if b.roots else 0.0))
+    stages = (("continuation", iter(guesses)),
+              ("random_restart", _restart_guesses(rng, branches, M)))
+    for provenance, trials in stages:
+        while not done() and (chunk := list(itertools.islice(trials, NEWTON_CHUNK))):
+            for result in _newton_rows(chunk, J):
+                if done():
+                    break
+                if keep(result, provenance) and len(branches) < K:
+                    keep(_finish(result.negated(), J), provenance)
+    if _completeness_gap(branches, spec):
+        branches.append(BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness"))
+    if len(branches) < K:
+        raise MissingBranches(len(branches), K, spec.n_atoms, M)
+    return sorted(branches, key=lambda b: (b.energy, b.roots[0].real if b.roots else 0.0))
 
 
 def solve_sectors(n_atoms: int, m_max: int, *, seed: int = 0) -> dict[int, list[BetheBranch]]:

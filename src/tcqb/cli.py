@@ -8,8 +8,9 @@ tables from the exact-diagonalization sector spectra and accept --seed
 only to echo it; `solve`, `spectrum` and `verify` run the root
 solver, which is where the seed is used.
 
-Exit codes: 2 solver or spectrum failures and click usage errors
-(a nan or inf number among them), 3 distribution/table errors,
+Exit codes: 2 solver or spectrum failures, click usage errors (a nan
+or inf number among them) and an --out that cannot be created (one
+stderr line naming the path), 3 distribution/table errors,
 4 verification failure, 5 open-system integrator errors.
 """
 
@@ -62,15 +63,26 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+@contextmanager
+def _creating(path: Path):
+    """Exit 2, as for a usage error, with one line when path cannot be created."""
+    try:
+        yield
+    except OSError as err:
+        click.echo(f"cannot write {path}: {err}", err=True)
+        raise SystemExit(click.UsageError.exit_code) from None
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write a sibling temporary file, then rename it over path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with _creating(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -189,15 +201,16 @@ def main():
 
 
 @main.command()
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--m-max", type=click.IntRange(1, 64), required=True)
+@click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
+@click.option("--m-max", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def solve(n_atoms, m_max, seed, out_dir):
     """Solve sector root sets M = 1..m-max by warm-started continuation."""
     t0 = time.time()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _creating(out):
+        out.mkdir(parents=True, exist_ok=True)
     with _table_errors("solve"):
         chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
     warnings: list[str] = []
@@ -209,15 +222,16 @@ def solve(n_atoms, m_max, seed, out_dir):
 
 
 @main.command()
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--m-max", type=click.IntRange(0, 64), required=True)
+@click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
+@click.option("--m-max", type=click.IntRange(0, MAX_SECTOR), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def spectrum(n_atoms, m_max, seed, out_dir):
     """Per-sector eigenbasis summaries and stored-energy series."""
     t0 = time.time()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _creating(out):
+        out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
     with _table_errors("spectrum"):
         chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
@@ -241,7 +255,7 @@ def spectrum(n_atoms, m_max, seed, out_dir):
 
 @main.command()
 @click.option("--init", required=True, help="fock:M | coherent:ALPHA2[:TRUNC] | file:PATH")
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
+@click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--t-end", type=POSITIVE, default=3.0, show_default=True)
 @click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
 @_echoed_seed
@@ -286,7 +300,7 @@ def optimal(mean, out_json):
 
 @main.command("split-check")
 @click.option("--dist", "dist_text", required=True, help="fock:M | coherent:A2[:T] | file:PATH")
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
+@click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--t", "t_check", type=FINITE, default=0.3, show_default=True,
               help="Time at which the expectation gap is evaluated.")
 @_echoed_seed
@@ -322,8 +336,8 @@ def split_check(dist_text, n_atoms, t_check, seed, out_json):
 @main.command()
 @click.option("--which", type=click.Choice(["28", "29"]), required=True,
               help="28: ratio bound; 29: derivative ordering.")
-@click.option("--n-atoms", type=click.IntRange(1, 64), default=10, show_default=True)
-@click.option("--max-m", type=click.IntRange(1, 64), required=True)
+@click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), default=10, show_default=True)
+@click.option("--max-m", type=click.IntRange(1, MAX_SECTOR), required=True)
 @_echoed_seed
 @click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
 def inequality(which, n_atoms, max_m, seed, out_json):
@@ -361,7 +375,7 @@ def inequality(which, n_atoms, max_m, seed, out_json):
 
 @main.command()
 @click.option("--e-known", type=FINITE, required=True, help="Stored energy of the reference sector.")
-@click.option("--m", "m_ref", type=click.IntRange(1, 64), required=True, help="Reference photon number.")
+@click.option("--m", "m_ref", type=click.IntRange(1, MAX_SECTOR), required=True, help="Reference photon number.")
 @click.option("--e-observed", type=FINITE, required=True, help="Stored energy of the unknown sector.")
 def estimate(e_known, m_ref, e_observed):
     """Photon-number estimate m * E_observed / E_known."""
@@ -427,8 +441,8 @@ def _read_branches(path: Path, m: int) -> list[bethe.BetheBranch]:
 
 
 @main.command()
-@click.option("--n-atoms", type=click.IntRange(1, 64), required=True)
-@click.option("--m-max", type=click.IntRange(0, 64), required=True)
+@click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
+@click.option("--m-max", type=click.IntRange(0, MAX_SECTOR), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dir", "branch_dir", type=click.Path(file_okay=False, exists=True), default=None,
               help="Validate previously solved sector files instead of solving fresh.")

@@ -47,7 +47,10 @@ __all__ = [
 
 FREQ_MERGE_TOL = 1e-9
 AMP_PRUNE_TOL = 1e-12
+SCAN_END = 20.0  # first_max_time looks for a peak in (0, SCAN_END]
+SCAN_STEP = 1e-3
 SCAN_CHUNK = 1000  # grid points per series evaluation in first_max_time
+PEAK_XTOL = 1e-6
 
 
 class SpectralError(Exception):
@@ -305,23 +308,19 @@ def _golden_max(fun, lo: float, hi: float, xtol: float) -> float:
     return (a + b) / 2.0
 
 
-def first_max_time(
-    series: CosineSeries,
-    scan_end: float = 20.0,
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-6,
-) -> float:
+def first_max_time(series: CosineSeries) -> float:
     """Earliest t > 0 where the series attains a local maximum.
 
-    Scans a uniform grid SCAN_CHUNK points at a time, stops at the first
-    interior peak and refines its bracket by golden-section search.
-    Raises NoMaximumFound when nothing peaks inside (0, scan_end].
+    Scans a uniform grid of step SCAN_STEP SCAN_CHUNK points at a time,
+    stops at the first interior peak and refines its bracket by
+    golden-section search to PEAK_XTOL.  Raises NoMaximumFound when
+    nothing peaks inside (0, SCAN_END].
     """
-    t = np.arange(0.0, scan_end + grid_step / 2, grid_step)
+    t = np.arange(0.0, SCAN_END + SCAN_STEP / 2, SCAN_STEP)
     for start in range(0, t.size - 2, SCAN_CHUNK):
         v = series.value(t[start:start + SCAN_CHUNK + 2])  # each chunk ends with its neighbours
         peaks = ((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])).nonzero()[0]
         if peaks.size:
             i = start + 1 + peaks[0]
-            return _golden_max(series.value, t[i - 1], t[i + 1], refine_tol)
-    raise NoMaximumFound(f"no local maximum in (0, {scan_end}]")
+            return _golden_max(series.value, t[i - 1], t[i + 1], PEAK_XTOL)
+    raise NoMaximumFound(f"no local maximum in (0, {SCAN_END}]")

@@ -310,40 +310,6 @@ class TestNewtonKernel:
             assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
 
 
-def _reference_perturb(guess):
-    out = guess.astype(complex).copy()
-    for i in range(out.size):
-        bump = sum(abs(guess[i] - guess[j]) < 1e-12 for j in range(i))
-        if bump:
-            out[i] += bump * bethe.DUP_PERTURB * (1.0 + 1.0j)
-    return out
-
-
-class TestPerturbDuplicates:
-    def test_exact_duplicates_are_bumped(self):
-        out = bethe._perturb_duplicates(np.array([2.0, 1.0, 2.0, 1.0 + 1e-13]))
-        bump = bethe.DUP_PERTURB * (1.0 + 1.0j)
-        assert out.tolist() == [2.0, 1.0, 2.0 + bump, 1.0 + 1e-13 + bump]
-
-    def test_triple_duplicate_gets_distinct_bumps(self):
-        out = bethe._perturb_duplicates(np.array([2.0, 2.0, 2.0]))
-        bump = bethe.DUP_PERTURB * (1.0 + 1.0j)
-        assert out.tolist() == [2.0, 2.0 + bump, 2.0 + 2 * bump]
-
-    def test_matches_pairwise_loop(self):
-        rng = np.random.default_rng(5)
-        for size in range(9):
-            for _ in range(40):
-                guess = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                if size > 1 and rng.random() < 0.6:
-                    for _ in range(rng.integers(1, 3)):  # two plants can make a triple
-                        i, j = rng.integers(0, size, 2)
-                        guess[i] = guess[j] + rng.choice([0.0, 1e-13, 1e-11])
-                out = bethe._perturb_duplicates(guess)
-                assert np.array_equal(out, _reference_perturb(guess))
-                assert not np.shares_memory(out, guess)
-
-
 class TestSeedTrials:
     def test_stage0_appends_each_distinct_member(self):
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0)]
@@ -467,6 +433,37 @@ class TestSolveSector:
                 assert synthetic[0].energy == pytest.approx(0.0, abs=1e-9)
             else:
                 assert not synthetic
+
+
+class TestSectorAssembly:
+    @pytest.mark.parametrize("n_atoms", [2, 10])
+    def test_no_branch_is_refined_alone(self, monkeypatch, n_atoms):
+        def refuse(guess, J):
+            raise AssertionError("solve_sector refined a single trial")
+
+        monkeypatch.setattr(bethe, "newton_refine", refuse)
+        out = bethe.solve_sectors(n_atoms, 8, seed=0)
+        assert [len(out[m]) for m in range(9)] == [min(n_atoms, m) + 1 for m in range(9)]
+
+    @pytest.mark.parametrize("n_atoms", [2, 6, 10])
+    def test_every_branch_has_its_exact_mirror(self, n_atoms):
+        for m, branches in bethe.solve_sectors(n_atoms, 12, seed=0).items():
+            held = [_bits(b)[0] for b in branches]
+            for b in branches:
+                if not b.roots:
+                    continue
+                mirror = canonicalize(-np.asarray(b.roots))
+                if abs(b.energy) < bethe.ENERGY_DEDUP_TOL / 2:
+                    # Its own partner: the negation repeats its energy, so
+                    # it is not kept a second time.
+                    assert np.max(np.abs(mirror - np.asarray(b.roots))) < 1e-8, m
+                else:
+                    assert [(z.real.hex(), z.imag.hex()) for z in mirror] in held, m
+
+    def test_finish_rejects_roots_closer_than_the_distinct_tolerance(self, monkeypatch):
+        assert isinstance(bethe._finish([3.0, -3.0], 5.0), BetheBranch)
+        monkeypatch.setattr(bethe, "ROOT_DISTINCT_TOL", 10.0)
+        assert isinstance(bethe._finish([3.0, -3.0], 5.0), CoincidentRoots)
 
 
 class TestOracleSeededRecovery:

@@ -573,10 +573,34 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "replace", refuse)
-    with pytest.raises(OSError):
+    with pytest.raises(SystemExit) as err:
         cli._write_json(target, {"run": 2})
+    assert err.value.code == 2
     assert json.loads(target.read_text()) == {"run": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--n-atoms", "2", "--m-max", "2"],
+    ["spectrum", "--n-atoms", "2", "--m-max", "2"],
+    ["energy", "--init", "fock:2", "--n-atoms", "2", "--steps", "10"],
+    ["optimal", "--mean", "2.5"],
+    ["split-check", "--dist", "fock:2", "--n-atoms", "2"],
+    ["inequality", "--which", "28", "--n-atoms", "2", "--max-m", "2"],
+    ["lindblad", "--n-atoms", "2", "--init", "fock:1", "--kappa", "0", "--gamma-phi", "0",
+     "--t-end", "0.01"],
+], ids=lambda args: args[0])
+def test_unwritable_out_exits_2_with_one_line(runner, tmp_path, args):
+    # A regular file where a directory is needed; a read-only directory would not stop a superuser.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"cannot write {out}"), result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
 
 @pytest.mark.parametrize("args, flag", [
