@@ -471,17 +471,18 @@ def solve_sector(
 
     Sectors are solved in increasing M: M = 0 is the trivial empty
     branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
-    refine the one-member extensions of prev_branches (solved
-    recursively when omitted).  Branches still missing are sought by up
-    to RANDOM_RESTARTS randomized restarts seeded from the branches
-    found.  Trials are refined NEWTON_CHUNK at a time and taken in trial
-    order; a result is kept when its energy is new (the sector spectrum
-    is simple), and the negation of a kept branch, exactly a branch
-    since the root equations are odd, is kept with it.  For odd M > 2J
-    the zero-energy eigenstate provably has no regular root set (see
-    BetheBranch) and is returned as a root-free completeness branch once
-    it is the only one missing.  Raises MissingBranches if branches are
-    still missing after that.  Deterministic for a fixed seed.
+    refine the one-member extensions of prev_branches, the solved
+    M - 1 sector, which M >= 2 requires (ValueError without it).
+    Branches still missing are sought by up to RANDOM_RESTARTS
+    randomized restarts seeded from the branches found.  Trials are
+    refined NEWTON_CHUNK at a time and taken in trial order; a result
+    is kept when its energy is new (the sector spectrum is simple), and
+    the negation of a kept branch, exactly a branch since the root
+    equations are odd, is kept with it.  For odd M > 2J the zero-energy
+    eigenstate provably has no regular root set (see BetheBranch) and
+    is returned as a root-free completeness branch once it is the only
+    one missing.  Raises MissingBranches if branches are still missing
+    after that.  Deterministic for a fixed seed.
     """
     J = spec.total_spin
     M = spec.excitations
@@ -491,8 +492,7 @@ def solve_sector(
         guesses = [np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0)]
     else:
         if prev_branches is None:
-            prev_spec = SectorSpec(spec.n_atoms, M - 1)
-            prev_branches = solve_sector(prev_spec, seed=seed)
+            raise ValueError(f"sector M = {M} needs prev_branches, the solved M - 1 sector")
         guesses = seed_trials(prev_branches, M)
     K = spec.branch_count
     branches: list[BetheBranch] = []

@@ -1,17 +1,18 @@
 """Command-line driver: file-based inputs, plot-ready CSV/JSON outputs.
 
-Every command that writes data also writes a manifest (full parameter
-echo, seed, version, wall time, warnings) next to it; data files are
-written atomically and are byte-identical across reruns with equal
-inputs.  `energy`, `split-check` and `inequality` build their energy
-tables from the exact-diagonalization sector spectra and accept --seed
-only to echo it; `solve`, `spectrum` and `verify` run the root
+Every command runs through `Runner`, which maps typed errors to exit
+codes through EXIT_TABLE and writes the manifest (parameter echo, seed,
+version, wall time, warnings) next to --out.  Data files are written
+atomically, never hold nan or inf, and are byte-identical across reruns
+with equal inputs.  `energy`, `split-check` and `inequality` build their
+energy tables from the exact-diagonalization sector spectra and accept
+--seed only to echo it; `solve`, `spectrum` and `verify` run the root
 solver, which is where the seed is used.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
 or inf number among them) and an --out that cannot be created (one
-stderr line naming the path), 3 distribution/table errors,
-4 verification failure, 5 open-system integrator errors.
+stderr line naming the path), 3 distribution/table errors and results
+that are not finite, 4 verification failure, 5 open-system errors.
 """
 
 from __future__ import annotations
@@ -29,15 +30,39 @@ import numpy as np
 
 from . import __version__, battery, bethe, oracle, spectral
 
-EXIT_SOLVER = 2
-EXIT_BATTERY = 3
-EXIT_VERIFY = 4
-EXIT_OPEN_SYSTEM = 5
 MAX_SECTOR = 64
 
 
 class InputError(Exception):
     """A distribution argument or input file that cannot be read."""
+
+
+class NonFiniteResult(Exception):
+    """A result holds nan or inf where a number would be written or printed."""
+
+
+class NoBranches(Exception):
+    """verify could neither solve nor read the branches it checks."""
+
+
+class VerificationFailed(Exception):
+    """An invariant that verify checks does not hold."""
+
+
+class OpenSystemError(Exception):
+    """lindblad refused its configuration or its run lost trace or positivity."""
+
+
+# Each typed error a command may raise, its exit code, and the words between
+# the command name and the message on its one stderr line; the first row
+# that matches wins.
+EXIT_TABLE = (
+    ((bethe.MissingBranches, oracle.ConvergenceFailure, spectral.SpectralError), 2, "failed"),
+    ((InputError, battery.BatteryError, NonFiniteResult), 3, "failed"),
+    ((NoBranches,), 4, "could not obtain branches"),
+    ((VerificationFailed,), 4, "failed"),
+    ((OpenSystemError,), 5, "failed"),
+)
 
 
 class FiniteFloat(click.types.FloatParamType):
@@ -85,56 +110,69 @@ def _write_text(path: Path, text: str) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _dumps(payload: dict, indent: int | None = None) -> str:
+    try:
+        return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResult("result holds nan or inf") from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _dumps(payload, indent=2) + "\n")
+
+
+def _write_or_print(out: Path | None, payload: dict) -> None:
+    """Write payload to --out, or print it as one line of JSON without one."""
+    if out:
+        _write_json(out, payload)
+        click.echo(f"wrote {out}")
+    else:
+        click.echo(_dumps(payload))
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    for name, column in zip(header, columns):
+        if not np.isfinite(column).all():
+            raise NonFiniteResult(f"column {name} of {path.name} holds nan or inf")
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(float(v)) for v in row))
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_manifest(target: Path, command: str, params: dict, seed: int | None,
-                    wall_time: float, warnings: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "config": params,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": round(wall_time, 3),
-        "warnings": warnings,
-    }
-    if target.is_dir():
-        path = target / "manifest.json"
-    else:
-        path = target.with_name(target.name + ".manifest.json")
-    _write_json(path, manifest)
+class Runner(click.Command):
+    """Runs a command body, which returns its manifest warnings or None.
+
+    Typed errors exit as EXIT_TABLE says.  A run with --out writes the manifest
+    next to it, whose config is every parameter but --out and --seed.
+    """
+
+    def invoke(self, ctx: click.Context) -> None:
+        start = time.perf_counter()
+        try:
+            # Outputs refuse nan and inf, so numpy's warnings would only add stderr lines.
+            with np.errstate(over="ignore", invalid="ignore"):
+                warnings = super().invoke(ctx)
+        except Exception as err:
+            for types, code, lead in EXIT_TABLE:
+                if isinstance(err, types):
+                    click.echo(f"{self.name} {lead}: {err}", err=True)
+                    raise SystemExit(code) from None
+            raise
+        config = dict(ctx.params)
+        out = config.pop("out", None)
+        seed = config.pop("seed", None)
+        if out:
+            path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
+            wall_time = round(time.perf_counter() - start, 3)
+            _write_json(path, {"command": self.name, "config": config, "seed": seed, "version": __version__,
+                               "wall_time_s": wall_time, "warnings": warnings or []})
 
 
-@contextmanager
-def _table_errors(command: str):
-    """Exit with the documented code when solving, building or using a table fails."""
-    try:
-        yield
-    except (bethe.MissingBranches, oracle.ConvergenceFailure, spectral.SpectralError) as err:
-        click.echo(f"{command} failed: {err}", err=True)
-        raise SystemExit(EXIT_SOLVER)
-    except (InputError, battery.BatteryError) as err:
-        click.echo(f"{command} failed: {err}", err=True)
-        raise SystemExit(EXIT_BATTERY)
-
-
-def _branch_warnings(n_atoms: int, m: int, branches: list[bethe.BetheBranch]) -> list[str]:
-    out = []
-    for b in branches:
-        if b.is_completeness and m > 0:
-            out.append(
-                f"sector (N={n_atoms}, M={m}): zero-energy state has no regular root "
-                f"set (odd M > 2J); eigenvector fixed by completeness"
-            )
-    return out
+def _completeness_warnings(n_atoms: int, chains: dict[int, list[bethe.BetheBranch]]) -> list[str]:
+    return [f"sector (N={n_atoms}, M={m}): zero-energy state has no regular root "
+            f"set (odd M > 2J); eigenvector fixed by completeness"
+            for m, branches in sorted(chains.items()) for b in branches if b.is_completeness]
 
 
 def _parse_init(text: str) -> battery.PhotonDistribution:
@@ -200,44 +238,38 @@ def main():
     """Charging dynamics of a Tavis-Cummings quantum battery."""
 
 
+main.command_class = Runner  # every command below runs through the runner
+
+
 @main.command()
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--m-max", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def solve(n_atoms, m_max, seed, out_dir):
+@click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
+def solve(n_atoms, m_max, seed, out):
     """Solve sector root sets M = 1..m-max by warm-started continuation."""
-    t0 = time.time()
-    out = Path(out_dir)
     with _creating(out):
         out.mkdir(parents=True, exist_ok=True)
-    with _table_errors("solve"):
-        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
-    warnings: list[str] = []
+    chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
     for m in range(1, m_max + 1):
         _write_json(out / f"sector_M{m:02d}.json", bethe.branches_to_payload(n_atoms, m, seed, chains[m]))
-        warnings.extend(_branch_warnings(n_atoms, m, chains[m]))
-    _write_manifest(out, "solve", {"n_atoms": n_atoms, "m_max": m_max}, seed, time.time() - t0, warnings)
     click.echo(f"solved {m_max} sectors for N={n_atoms} -> {out}")
+    return _completeness_warnings(n_atoms, chains)
 
 
 @main.command()
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--m-max", type=click.IntRange(0, MAX_SECTOR), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def spectrum(n_atoms, m_max, seed, out_dir):
+@click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
+def spectrum(n_atoms, m_max, seed, out):
     """Per-sector eigenbasis summaries and stored-energy series."""
-    t0 = time.time()
-    out = Path(out_dir)
     with _creating(out):
         out.mkdir(parents=True, exist_ok=True)
-    warnings: list[str] = []
-    with _table_errors("spectrum"):
-        chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
-        spectra = [spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), chains[m])
-                   for m in range(0, m_max + 1)]
-        series = [spectral.number_state_energy(s) for s in spectra]
+    chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
+    spectra = [spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), chains[m])
+               for m in range(0, m_max + 1)]
+    series = [spectral.number_state_energy(s) for s in spectra]
     for m, spect in enumerate(spectra):
         payload = {
             "n_atoms": n_atoms,
@@ -248,9 +280,8 @@ def spectrum(n_atoms, m_max, seed, out_dir):
             "series": series[m].to_dict(m),
         }
         _write_json(out / f"spectrum_M{m:02d}.json", payload)
-        warnings.extend(_branch_warnings(n_atoms, m, chains[m]))
-    _write_manifest(out, "spectrum", {"n_atoms": n_atoms, "m_max": m_max}, seed, time.time() - t0, warnings)
     click.echo(f"wrote {m_max + 1} sector spectra -> {out}")
+    return _completeness_warnings(n_atoms, chains)
 
 
 @main.command()
@@ -259,78 +290,50 @@ def spectrum(n_atoms, m_max, seed, out_dir):
 @click.option("--t-end", type=POSITIVE, default=3.0, show_default=True)
 @click.option("--steps", type=click.IntRange(2, 2_000_000), default=2000, show_default=True)
 @_echoed_seed
-@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-def energy(init, n_atoms, t_end, steps, seed, out_csv):
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
+def energy(init, n_atoms, t_end, steps, seed, out):
     """Stored energy and average power over a uniform time grid."""
-    t0 = time.time()
-    with _table_errors("energy"):
-        dist = _parse_init(init)
-        table = battery.energy_table(n_atoms, dist.max_support)
-        t = np.linspace(0.0, t_end, steps)
-        energy = battery.stored_energy(dist, table, t)
+    dist = _parse_init(init)
+    table = battery.energy_table(n_atoms, dist.max_support)
+    t = np.linspace(0.0, t_end, steps)
+    energy = battery.stored_energy(dist, table, t)
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t[1:]
-    path = Path(out_csv)
-    _write_csv(path, ["t", "E", "P"], [t, energy, power])
-    _write_manifest(
-        path, "energy",
-        {"init": init, "n_atoms": n_atoms, "t_end": t_end, "steps": steps},
-        seed, time.time() - t0, [],
-    )
-    click.echo(f"wrote {steps} samples -> {path}")
+    _write_csv(out, ["t", "E", "P"], [t, energy, power])
+    click.echo(f"wrote {steps} samples -> {out}")
 
 
 @main.command()
 @click.option("--mean", type=FINITE, required=True, help="Target mean photon number.")
-@click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
-def optimal(mean, out_json):
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+def optimal(mean, out):
     """The optimal (two-point) initial photon distribution for a mean."""
-    t0 = time.time()
-    with _table_errors("optimal"):
-        dist = battery.optimal_distribution(mean)
-    payload = dist.to_dict()
-    if out_json:
-        path = Path(out_json)
-        _write_json(path, payload)
-        _write_manifest(path, "optimal", {"mean": mean}, None, time.time() - t0, [])
-        click.echo(f"wrote {path}")
-    else:
-        click.echo(json.dumps(payload, sort_keys=True))
+    _write_or_print(out, battery.optimal_distribution(mean).to_dict())
 
 
 @main.command("split-check")
-@click.option("--dist", "dist_text", required=True, help="fock:M | coherent:A2[:T] | file:PATH")
+@click.option("--dist", required=True, help="fock:M | coherent:A2[:T] | file:PATH")
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
-@click.option("--t", "t_check", type=FINITE, default=0.3, show_default=True,
+@click.option("--t", type=FINITE, default=0.3, show_default=True,
               help="Time at which the expectation gap is evaluated.")
 @_echoed_seed
-@click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
-def split_check(dist_text, n_atoms, t_check, seed, out_json):
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+def split_check(dist, n_atoms, t, seed, out):
     """Split a distribution against the optimal one and cross-check the gap."""
-    t0 = time.time()
-    with _table_errors("split-check"):
-        dist = _parse_init(dist_text)
-        tableau = battery.split(dist)
-        err_p, err_m = tableau.identity_errors(dist)
-        table = battery.energy_table(n_atoms, max(dist.max_support, tableau.floor + 1))
-        gap = battery.delta_F(dist, table, t_check)
-    payload = {
-        "dist": dist.to_dict()["probs"],
-        "mean": float(_fmt(dist.mean)),
+    pmf = _parse_init(dist)
+    tableau = battery.split(pmf)
+    err_p, err_m = tableau.identity_errors(pmf)
+    table = battery.energy_table(n_atoms, max(pmf.max_support, tableau.floor + 1))
+    gap = battery.delta_F(pmf, table, t)
+    _write_or_print(out, {
+        "dist": pmf.to_dict()["probs"],
+        "mean": float(_fmt(pmf.mean)),
         "groups": tableau.d,
         "group_probability_error": float(_fmt(err_p)),
         "group_mean_error": float(_fmt(err_m)),
-        "t": t_check,
+        "t": t,
         "delta_f": float(_fmt(gap)),
-    }
-    if out_json:
-        path = Path(out_json)
-        _write_json(path, payload)
-        _write_manifest(path, "split-check", {"dist": dist_text, "n_atoms": n_atoms, "t": t_check},
-                        seed, time.time() - t0, [])
-        click.echo(f"wrote {path}")
-    else:
-        click.echo(json.dumps(payload, sort_keys=True))
+    })
 
 
 @main.command()
@@ -339,17 +342,15 @@ def split_check(dist_text, n_atoms, t_check, seed, out_json):
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), default=10, show_default=True)
 @click.option("--max-m", type=click.IntRange(1, MAX_SECTOR), required=True)
 @_echoed_seed
-@click.option("--out", "out_json", type=click.Path(dir_okay=False), default=None)
-def inequality(which, n_atoms, max_m, seed, out_json):
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+def inequality(which, n_atoms, max_m, seed, out):
     """Exhaustive grid search for violations of a stored-energy inequality."""
-    t0 = time.time()
-    with _table_errors("inequality"):
-        table = battery.energy_table(n_atoms, max_m)
-        check, arity = ((battery.check_ratio_inequality, 2) if which == "28"
-                        else (battery.check_derivative_inequality, 3))
-        # Every (M, m[, m0]) with M >= m (>= m0) >= 1, in lexicographic order.
-        combos = sorted(c[::-1] for c in combinations_with_replacement(range(1, max_m + 1), arity))
-        reports = [check(table, *c) for c in combos]
+    table = battery.energy_table(n_atoms, max_m)
+    check, arity = ((battery.check_ratio_inequality, 2) if which == "28"
+                    else (battery.check_derivative_inequality, 3))
+    # Every (M, m[, m0]) with M >= m (>= m0) >= 1, in lexicographic order.
+    combos = sorted(c[::-1] for c in combinations_with_replacement(range(1, max_m + 1), arity))
+    reports = [check(table, *c) for c in combos]
     bad = [r for r in reports if not r.holds]
     total_viol = sum(r.n_violations for r in bad)
     click.echo(f"{total_viol} violations over {len(reports)} index combinations")
@@ -358,19 +359,15 @@ def inequality(which, n_atoms, max_m, seed, out_json):
         click.echo(
             f"worst: indices {worst.indices} excess {_fmt(worst.max_excess)} at t={_fmt(worst.argmax_t)}"
         )
-    if out_json:
-        payload = {
+    if out:
+        _write_json(out, {
             "which": int(which),
             "n_atoms": n_atoms,
             "max_m": max_m,
             "combinations": len(reports),
             "violations": total_viol,
             "violating_indices": [list(r.indices) for r in bad],
-        }
-        path = Path(out_json)
-        _write_json(path, payload)
-        _write_manifest(path, "inequality", {"which": which, "n_atoms": n_atoms, "max_m": max_m},
-                        seed, time.time() - t0, [])
+        })
 
 
 @main.command()
@@ -379,8 +376,9 @@ def inequality(which, n_atoms, max_m, seed, out_json):
 @click.option("--e-observed", type=FINITE, required=True, help="Stored energy of the unknown sector.")
 def estimate(e_known, m_ref, e_observed):
     """Photon-number estimate m * E_observed / E_known."""
-    with _table_errors("estimate"):
-        value = battery.estimate_photon_number(e_known, m_ref, e_observed)
+    value = battery.estimate_photon_number(e_known, m_ref, e_observed)
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"photon-number estimate is {value}")
     click.echo(_fmt(value))
 
 
@@ -393,16 +391,14 @@ def estimate(e_known, m_ref, e_observed):
 @click.option("--dt", type=FINITE, default=1e-3, show_default=True)
 @click.option("--t-end", type=FINITE, default=5.0, show_default=True)
 @click.option("--stride", type=click.IntRange(1), default=10, show_default=True, help="Steps between samples.")
-@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out_csv):
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
+def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out):
     """Open-system stored energy under cavity decay and collective dephasing."""
     # Imported here: loading lindblad adds 7-10 ms to a command's start-up
     # (no cached .pyc), and only this command uses it.
     from . import lindblad
 
-    t0 = time.time()
-    with _table_errors("lindblad"):
-        dist = _parse_init(init)
+    dist = _parse_init(init)
     try:
         # evolve never reads n_max; it sizes the product basis of the reference.
         config = lindblad.OpenSystemConfig(
@@ -411,21 +407,10 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out_csv):
         )
         ts = lindblad.evolve(dist, config)
     except (lindblad.LindbladError, ValueError) as err:
-        click.echo(f"lindblad failed: {err}", err=True)
-        raise SystemExit(EXIT_OPEN_SYSTEM)
-    path = Path(out_csv)
-    _write_csv(
-        path,
-        ["t", "E", "P", "trace", "min_eig", "m_expect"],
-        [ts.t, ts.energy, ts.power, ts.trace, ts.min_eig, ts.m_expect],
-    )
-    _write_manifest(
-        path, "lindblad",
-        {"n_atoms": n_atoms, "init": init, "kappa": kappa,
-         "gamma_phi": gamma_phi, "dt": dt, "t_end": t_end, "stride": stride},
-        None, time.time() - t0, [],
-    )
-    click.echo(f"wrote {ts.t.size} samples -> {path}")
+        raise OpenSystemError(str(err)) from err
+    _write_csv(out, ["t", "E", "P", "trace", "min_eig", "m_expect"],
+               [ts.t, ts.energy, ts.power, ts.trace, ts.min_eig, ts.m_expect])
+    click.echo(f"wrote {ts.t.size} samples -> {out}")
 
 
 def _read_branches(path: Path, m: int) -> list[bethe.BetheBranch]:
@@ -464,8 +449,7 @@ def verify(n_atoms, m_max, seed, branch_dir):
         else:
             chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
     except (bethe.MissingBranches, InputError) as err:
-        click.echo(f"verify could not obtain branches: {err}", err=True)
-        raise SystemExit(EXIT_VERIFY)
+        raise NoBranches(str(err)) from err
 
     grid = np.linspace(0.0, 3.0, 2000)
     for m in range(0, m_max + 1):
@@ -476,11 +460,8 @@ def verify(n_atoms, m_max, seed, branch_dir):
               f"{len(branches)}/{spec.branch_count}")
         res = max((b.residual for b in branches), default=0.0)
         check("residuals < 1e-10", res < 1e-10, f"max {res:.2e}")
-        regular = [b for b in branches if not b.is_completeness or m == 0]
-        recheck = 0.0
-        for b in regular:
-            if b.roots:
-                recheck = max(recheck, float(np.max(np.abs(bethe.bae_residual(b.roots, spec.total_spin)))))
+        recheck = max((float(np.max(np.abs(bethe.bae_residual(b.roots, spec.total_spin))))
+                       for b in branches if b.roots), default=0.0)
         check("recomputed root equations < 1e-10", recheck < 1e-10, f"max {recheck:.2e}")
         energies = np.sort([b.energy for b in branches])
         check("sector energies sum to zero", abs(energies.sum()) < 1e-8, f"{energies.sum():.2e}")
@@ -500,8 +481,7 @@ def verify(n_atoms, m_max, seed, branch_dir):
         except (spectral.SpectralError, oracle.ConvergenceFailure) as err:
             check("spectrum construction", False, str(err))
     if failures:
-        click.echo(f"verify failed: first failing invariant: {failures[0]}", err=True)
-        raise SystemExit(EXIT_VERIFY)
+        raise VerificationFailed(f"first failing invariant: {failures[0]}")
     click.echo("all invariants pass")
 
 

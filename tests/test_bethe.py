@@ -349,6 +349,10 @@ class TestSolveSector:
         branches = solve_sector(SectorSpec(1, 1))
         assert sorted(b.roots[0].real for b in branches) == pytest.approx([-1.0, 1.0], abs=1e-12)
 
+    def test_m2_needs_the_previous_sector(self):
+        with pytest.raises(ValueError, match="needs prev_branches"):
+            solve_sector(SectorSpec(10, 2))
+
     def test_m4_matches_published_roots(self, chains):
         # Two decimals, as printed.
         branches = chains[4]

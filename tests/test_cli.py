@@ -140,10 +140,11 @@ class TestOptimalAndSplit:
         assert doc["delta_f"] >= -1e-9
 
 
-    def test_negative_mean_exits_3_with_one_line(self, runner):
-        result = runner.invoke(main, ["optimal", "--mean", "-1"])
+    def test_negative_mean_exits_3_with_one_line(self, runner, tmp_path):
+        result = runner.invoke(main, ["optimal", "--mean", "-1", "--out", str(tmp_path / "opt.json")])
         assert result.exit_code == 3, result.output
         assert result.output.strip().splitlines() == ["optimal failed: mean photon number -1.0 is negative"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mean", ["nan", "inf"])
     def test_non_finite_mean_is_a_usage_error(self, runner, mean):
@@ -347,6 +348,8 @@ class TestVerify:
         )
         assert result.exit_code == 4
         assert "FAIL" in result.output
+        assert result.stderr.strip().splitlines() == [
+            "verify failed: first failing invariant: recomputed root equations < 1e-10"]
 
     @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
@@ -478,6 +481,7 @@ def test_table_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake
     assert result.exit_code == 2, result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{command} failed: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _fail_spectrum(spec, branches):
@@ -488,10 +492,15 @@ def _fail_solve(n_atoms, m_max, seed):
     raise oracle.ConvergenceFailure("eigen residual 1e-3")
 
 
+def _miss_branches(n_atoms, m_max, seed):
+    raise cli.bethe.MissingBranches(2, 3, n_atoms, m_max)
+
+
 @pytest.mark.parametrize("module, name, fake", [
     (spectral, "sector_spectrum", _fail_spectrum),
     (cli.bethe, "solve_sectors", _fail_solve),
-], ids=["SpectralError", "ConvergenceFailure"])
+    (cli.bethe, "solve_sectors", _miss_branches),
+], ids=["SpectralError", "ConvergenceFailure", "MissingBranches"])
 def test_spectrum_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake):
     monkeypatch.setattr(module, name, fake)
     out = tmp_path / "spec"
@@ -499,7 +508,7 @@ def test_spectrum_failure_exits_2(runner, tmp_path, monkeypatch, module, name, f
     assert result.exit_code == 2, result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("spectrum failed: ")
-    assert not list(out.glob("spectrum_M*.json"))
+    assert not list(out.glob("*.json"))
 
 
 def test_huge_coherent_mean_exits_3_quickly(runner, tmp_path):
@@ -613,6 +622,75 @@ def test_non_finite_float_flag_is_a_usage_error(runner, tmp_path, args, flag):
     result = runner.invoke(main, [*args, flag, "nan", "--out", str(out)])
     _assert_usage_error(result, f"'{flag}'")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["split-check", "--dist", "fock:3", "--n-atoms", "2", "--t", "1e308"],
+     "split-check failed: result holds nan or inf"),
+    (["split-check", "--dist", "fock:3", "--n-atoms", "2", "--t", "1e308", "--out", "{tmp}/s.json"],
+     "split-check failed: result holds nan or inf"),
+    (["energy", "--init", "fock:3", "--n-atoms", "2", "--steps", "3", "--t-end", "1e308",
+      "--out", "{tmp}/e.csv"], "energy failed: column E of e.csv holds nan or inf"),
+    (["estimate", "--e-known", "1e-300", "--m", "64", "--e-observed", "1e300"],
+     "estimate failed: photon-number estimate is inf"),
+], ids=["split-check", "split-check-out", "energy", "estimate"])
+def test_non_finite_result_exits_3_with_one_line(runner, tmp_path, args, line):
+    result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr.strip().splitlines() == [line]
+    assert list(tmp_path.iterdir()) == []
+
+
+COMPLETENESS_N2_M3 = ["sector (N=2, M=3): zero-energy state has no regular root set (odd M > 2J); "
+                      "eigenvector fixed by completeness"]
+
+
+@pytest.mark.parametrize("args, manifest, config, seed, warnings", [
+    (["solve", "--n-atoms", "2", "--m-max", "3"], "out/manifest.json",
+     {"n_atoms": 2, "m_max": 3}, 0, COMPLETENESS_N2_M3),
+    (["spectrum", "--n-atoms", "2", "--m-max", "3", "--seed", "4"], "out/manifest.json",
+     {"n_atoms": 2, "m_max": 3}, 4, COMPLETENESS_N2_M3),
+    (["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--seed", "7"],
+     "out.manifest.json", {"init": "coherent:2:8", "n_atoms": 4, "t_end": 3.0, "steps": 50}, 7, []),
+    (["optimal", "--mean", "2.5"], "out.manifest.json", {"mean": 2.5}, None, []),
+    (["split-check", "--dist", "fock:3", "--n-atoms", "10", "--t", "0.7", "--seed", "3"],
+     "out.manifest.json", {"dist": "fock:3", "n_atoms": 10, "t": 0.7}, 3, []),
+    (["inequality", "--which", "28", "--n-atoms", "4", "--max-m", "5"], "out.manifest.json",
+     {"which": "28", "n_atoms": 4, "max_m": 5}, 0, []),
+    (["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0.2", "--gamma-phi", "0.1",
+      "--t-end", "0.4"], "out.manifest.json",
+     {"n_atoms": 2, "init": "fock:2", "kappa": 0.2, "gamma_phi": 0.1, "dt": 0.001, "t_end": 0.4,
+      "stride": 10}, None, []),
+], ids=["solve", "spectrum", "energy", "optimal", "split-check", "inequality", "lindblad"])
+def test_manifest_echoes_parameters_seed_and_warnings(runner, tmp_path, args, manifest, config, seed,
+                                                       warnings):
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((tmp_path / manifest).read_text())
+    assert doc.pop("wall_time_s") >= 0
+    assert doc == {"command": args[0], "config": config, "seed": seed, "version": tcqb.__version__,
+                   "warnings": warnings}
+
+
+@pytest.mark.parametrize("args", [
+    ["optimal", "--mean", "2.5"],
+    ["split-check", "--dist", "coherent:2:8", "--n-atoms", "4"],
+], ids=lambda args: args[0])
+def test_out_holds_the_payload_printed_without_it(runner, tmp_path, args):
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0, printed.output
+    out = tmp_path / "out.json"
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert written.exit_code == 0, written.output
+    assert written.stdout == f"wrote {out}\n"
+    assert out.read_text() == json.dumps(json.loads(printed.stdout), indent=2, sort_keys=True) + "\n"
+
+
+def test_every_command_runs_through_the_runner():
+    assert sorted(main.commands) == ["energy", "estimate", "inequality", "lindblad", "optimal",
+                                     "solve", "spectrum", "split-check", "verify"]
+    assert all(isinstance(command, cli.Runner) for command in main.commands.values())
 
 
 STARTUP_PROBE = """
