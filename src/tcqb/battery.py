@@ -102,6 +102,8 @@ class PhotonDistribution:
         for m, p in self.probs.items():
             m = int(m)
             p = float(p)
+            if not math.isfinite(p):
+                raise ValueError(f"probability p({m}) = {p} is not finite")
             if p < 0:
                 raise ValueError(f"negative probability p({m}) = {p}")
             if m < 0:
@@ -122,15 +124,6 @@ class PhotonDistribution:
 
     def prob(self, m: int) -> float:
         return self.probs.get(m, 0.0)
-
-    def to_dict(self) -> dict:
-        # 15 digits: at 12, a many-point pmf could come back more than
-        # PROB_SUM_TOL off 1 and from_dict would reject it.
-        return {"probs": {str(m): float(f"{p:.15g}") for m, p in self.probs.items()}}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PhotonDistribution":
-        return cls({int(m): float(p) for m, p in doc["probs"].items()})
 
 
 def fock_distribution(m: int) -> PhotonDistribution:

@@ -46,8 +46,6 @@ __all__ = [
     "seed_trials",
     "solve_sector",
     "solve_sectors",
-    "branches_to_payload",
-    "branches_from_payload",
 ]
 
 # Acceptance thresholds for a converged branch.
@@ -538,42 +536,3 @@ def solve_sectors(n_atoms: int, m_max: int, *, seed: int = 0) -> dict[int, list[
         prev = out[M]
     return out
 
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def branches_to_payload(
-    n_atoms: int, m: int, seed: int, branches: list[BetheBranch]
-) -> dict:
-    """JSON-ready document for one solved sector (12 significant digits)."""
-    return {
-        "n_atoms": n_atoms,
-        "m": m,
-        "seed": seed,
-        "branches": [
-            {
-                "roots": [[_round12(z.real), _round12(z.imag)] for z in b.roots],
-                "energy": _round12(b.energy),
-                "residual": _round12(b.residual),
-                "provenance": b.provenance,
-            }
-            for b in branches
-        ],
-    }
-
-
-def branches_from_payload(payload: dict) -> list[BetheBranch]:
-    """Branches of a sector file; a root on a pole raises ZeroRoot or CoincidentRoots."""
-    branches = [
-        BetheBranch(
-            roots=tuple(complex(re, im) for re, im in b["roots"]),
-            energy=float(b["energy"]),
-            residual=float(b["residual"]),
-            provenance=str(b.get("provenance", "continuation")),
-        )
-        for b in payload["branches"]
-    ]
-    for b in branches:
-        bae_residual(b.roots, 0.0)  # raises ZeroRoot or CoincidentRoots
-    return branches

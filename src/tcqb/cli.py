@@ -1,18 +1,22 @@
 """Command-line driver: file-based inputs, plot-ready CSV/JSON outputs.
 
-Every command runs through `Runner`, which maps typed errors to exit
-codes through EXIT_TABLE and writes the manifest (parameter echo, seed,
-version, wall time, warnings) next to --out.  Data files are written
-atomically, never hold nan or inf, and are byte-identical across reruns
-with equal inputs.  `energy`, `split-check` and `inequality` build their
-energy tables from the exact-diagonalization sector spectra and accept
---seed only to echo it; `solve`, `spectrum` and `verify` run the root
-solver, which is where the seed is used.
+This module formats, writes and reads every data file (numbers to 12
+significant digits, photon probabilities to 15); the library modules
+hold no file code.  Every command runs through `Runner`, which maps
+typed errors to exit codes through EXIT_TABLE and writes the manifest
+(parameter echo, seed, version, wall time, warnings) next to --out.
+Data files are written atomically, never hold nan or inf, and are
+byte-identical across reruns with equal inputs.  `energy`, `split-check`
+and `inequality` build their energy tables from the exact-diagonalization
+sector spectra and accept --seed only to echo it; `solve`, `spectrum`
+and `verify` run the root solver, which is where the seed is used.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
-or inf number among them) and an --out that cannot be created (one
-stderr line naming the path), 3 distribution/table errors and results
-that are not finite, 4 verification failure, 5 open-system errors.
+or inf number, or a --config value that is not a string or number,
+among them) and an --out that cannot be created (one stderr line naming
+the path), 3 distribution/table errors (any distribution beyond
+MAX_SECTOR, optimal's included) and results that are not finite,
+4 verification failure, 5 open-system errors.
 """
 
 from __future__ import annotations
@@ -85,7 +89,13 @@ POSITIVE = FiniteFloat(positive=True)
 
 
 def _fmt(x: float) -> str:
+    """x to the 12 significant digits of every number written or printed."""
     return f"{x:.12g}"
+
+
+def _r12(x: float) -> float:
+    """x as a JSON number of 12 significant digits."""
+    return float(_fmt(x))
 
 
 @contextmanager
@@ -138,6 +148,36 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     for row in zip(*columns):
         lines.append(",".join(_fmt(float(v)) for v in row))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _sector_doc(n_atoms: int, m: int, seed: int, branches: list[bethe.BetheBranch]) -> dict:
+    """The document of a solved sector file, sector_MNN.json."""
+    return {"n_atoms": n_atoms, "m": m, "seed": seed, "branches": [
+        {"roots": [[_r12(z.real), _r12(z.imag)] for z in b.roots], "energy": _r12(b.energy),
+         "residual": _r12(b.residual), "provenance": b.provenance} for b in branches]}
+
+
+def _read_branches(path: Path, m: int) -> list[bethe.BetheBranch]:
+    """The branches of sector m's file; unreadable or malformed content is an InputError."""
+    try:
+        branches = []
+        for i, doc in enumerate(json.loads(path.read_text())["branches"]):
+            b = bethe.BetheBranch(roots=tuple(complex(re, im) for re, im in doc["roots"]),
+                                  energy=float(doc["energy"]), residual=float(doc["residual"]),
+                                  provenance=str(doc.get("provenance", "continuation")))
+            bethe.bae_residual(b.roots, 0.0)  # raises ZeroRoot or CoincidentRoots
+            if not b.is_completeness and len(b.roots) != m:
+                raise InputError(f"{path.name}: branch {i} has {len(b.roots)} roots, sector M={m} needs {m}")
+            branches.append(b)
+    except (OSError, ValueError, KeyError, TypeError, bethe.BetheError) as err:
+        raise InputError(f"{path.name}: {type(err).__name__}: {err}") from err
+    return branches
+
+
+def _probs_doc(dist: battery.PhotonDistribution) -> dict[str, float]:
+    # 15 digits: at 12, a many-point pmf could come back more than
+    # battery.PROB_SUM_TOL off 1 and the file: reader would reject it.
+    return {str(m): float(f"{p:.15g}") for m, p in dist.probs.items()}
 
 
 class Runner(click.Command):
@@ -196,9 +236,13 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
                 )
             dist = battery.coherent_distribution(mean, trunc)
         else:
-            dist = battery.PhotonDistribution.from_dict(json.loads(Path(rest).read_text()))
+            dist = battery.PhotonDistribution(json.loads(Path(rest).read_text())["probs"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
         raise InputError(f"bad distribution {text!r}: {type(err).__name__}: {err}") from err
+    return _supported(dist)
+
+
+def _supported(dist: battery.PhotonDistribution) -> battery.PhotonDistribution:
     if dist.max_support > MAX_SECTOR:
         raise battery.SupportExceedsTable(
             f"distribution reaches M = {dist.max_support}; supported sectors stop at {MAX_SECTOR}"
@@ -213,6 +257,7 @@ _echoed_seed = click.option("--seed", type=int, default=0, show_default=True,
 
 
 def _config_callback(ctx: click.Context, param: click.Parameter, value: str | None):
+    """Each command's section maps its parameters to what the flag would read on the command line."""
     if value:
         try:
             defaults = json.loads(Path(value).read_text())
@@ -220,7 +265,11 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value: str | No
             raise click.BadParameter(f"cannot read {value}: {err}") from err
         if not isinstance(defaults, dict):
             raise click.BadParameter(f"{value} must hold a JSON object of per-command defaults")
-        ctx.default_map = defaults
+        for name, section in defaults.items():
+            if not isinstance(section, dict) or not all(
+                    isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in section.values()):
+                raise click.BadParameter(f"{value}: section {name!r} must map parameters to strings or numbers")
+        ctx.default_map = {name: {k: str(v) for k, v in section.items()} for name, section in defaults.items()}
     return value
 
 
@@ -252,7 +301,7 @@ def solve(n_atoms, m_max, seed, out):
         out.mkdir(parents=True, exist_ok=True)
     chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
     for m in range(1, m_max + 1):
-        _write_json(out / f"sector_M{m:02d}.json", bethe.branches_to_payload(n_atoms, m, seed, chains[m]))
+        _write_json(out / f"sector_M{m:02d}.json", _sector_doc(n_atoms, m, seed, chains[m]))
     click.echo(f"solved {m_max} sectors for N={n_atoms} -> {out}")
     return _completeness_warnings(n_atoms, chains)
 
@@ -270,16 +319,15 @@ def spectrum(n_atoms, m_max, seed, out):
     spectra = [spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), chains[m])
                for m in range(0, m_max + 1)]
     series = [spectral.number_state_energy(s) for s in spectra]
-    for m, spect in enumerate(spectra):
-        payload = {
+    for m, (spect, f) in enumerate(zip(spectra, series)):
+        _write_json(out / f"spectrum_M{m:02d}.json", {
             "n_atoms": n_atoms,
             "m": m,
-            "energies": [float(_fmt(e)) for e in spect.energies],
-            "overlaps": [float(_fmt(spectral.initial_overlap(spect, s))) for s in range(spect.dimension)],
-            "norms": [float(_fmt(x)) for x in spect.norms],
-            "series": series[m].to_dict(m),
-        }
-        _write_json(out / f"spectrum_M{m:02d}.json", payload)
+            "energies": [_r12(e) for e in spect.energies],
+            "overlaps": [_r12(spectral.initial_overlap(spect, s)) for s in range(spect.dimension)],
+            "norms": [_r12(x) for x in spect.norms],
+            "series": {"m": m, "offset": _r12(f.offset), "terms": [[_r12(a), _r12(w)] for a, w in f.terms]},
+        })
     click.echo(f"wrote {m_max + 1} sector spectra -> {out}")
     return _completeness_warnings(n_atoms, chains)
 
@@ -308,7 +356,7 @@ def energy(init, n_atoms, t_end, steps, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 def optimal(mean, out):
     """The optimal (two-point) initial photon distribution for a mean."""
-    _write_or_print(out, battery.optimal_distribution(mean).to_dict())
+    _write_or_print(out, {"probs": _probs_doc(_supported(battery.optimal_distribution(mean)))})
 
 
 @main.command("split-check")
@@ -326,13 +374,13 @@ def split_check(dist, n_atoms, t, seed, out):
     table = battery.energy_table(n_atoms, max(pmf.max_support, tableau.floor + 1))
     gap = battery.delta_F(pmf, table, t)
     _write_or_print(out, {
-        "dist": pmf.to_dict()["probs"],
-        "mean": float(_fmt(pmf.mean)),
+        "dist": _probs_doc(pmf),
+        "mean": _r12(pmf.mean),
         "groups": tableau.d,
-        "group_probability_error": float(_fmt(err_p)),
-        "group_mean_error": float(_fmt(err_m)),
+        "group_probability_error": _r12(err_p),
+        "group_mean_error": _r12(err_m),
         "t": t,
-        "delta_f": float(_fmt(gap)),
+        "delta_f": _r12(gap),
     })
 
 
@@ -411,18 +459,6 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out):
     _write_csv(out, ["t", "E", "P", "trace", "min_eig", "m_expect"],
                [ts.t, ts.energy, ts.power, ts.trace, ts.min_eig, ts.m_expect])
     click.echo(f"wrote {ts.t.size} samples -> {out}")
-
-
-def _read_branches(path: Path, m: int) -> list[bethe.BetheBranch]:
-    """The branches of sector m's file; unreadable or malformed content is an InputError."""
-    try:
-        branches = bethe.branches_from_payload(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError, TypeError, bethe.BetheError) as err:
-        raise InputError(f"{path.name}: {type(err).__name__}: {err}") from err
-    for i, b in enumerate(branches):
-        if not b.is_completeness and len(b.roots) != m:
-            raise InputError(f"{path.name}: branch {i} has {len(b.roots)} roots, sector M={m} needs {m}")
-    return branches
 
 
 @main.command()

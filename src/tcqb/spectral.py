@@ -223,15 +223,6 @@ class CosineSeries:
             out = out + amp * np.cos(omega * t_arr)
         return out if np.ndim(t) else float(out)
 
-    def to_dict(self, m: int | None = None) -> dict:
-        doc = {
-            "offset": float(f"{self.offset:.12g}"),
-            "terms": [[float(f"{a:.12g}"), float(f"{w:.12g}")] for a, w in self.terms],
-        }
-        if m is not None:
-            doc = {"m": m, **doc}
-        return doc
-
 
 @dataclass(frozen=True)
 class SineSeries:

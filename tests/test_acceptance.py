@@ -78,9 +78,8 @@ REFERENCE_SERIES = {
 EXAMPLE_PROBS = {0: 4 / 45, 8: 1 / 4, 9: 1 / 9, 10: 1 / 10, 12: 1 / 4, 15: 1 / 5}
 
 
-def test_criterion_01_table_reproduction(tmp_path, monkeypatch):
+def test_criterion_01_table_reproduction(tmp_path):
     """Solve N=10, M<=4 through the CLI and match every published root."""
-    monkeypatch.setenv("TCQB_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "solve"
     started = time.perf_counter()
     result = CliRunner().invoke(

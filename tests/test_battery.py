@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distribution
-from tcqb import battery
+from tcqb import battery, cli
 from tcqb.battery import (
     EnergyTable,
     InequalityReport,
@@ -60,9 +60,16 @@ class TestPhotonDistribution:
         assert dist.mean == pytest.approx(2.5)
         assert dist.max_support == 3
 
-    def test_json_roundtrip(self):
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_probability(self, p):
+        with pytest.raises(ValueError, match="not finite"):
+            PhotonDistribution({1: 0.5, 2: p, 3: 0.5})
+
+    def test_json_roundtrip(self, tmp_path):
         dist = PhotonDistribution(EXAMPLE_PROBS)
-        back = PhotonDistribution.from_dict(dist.to_dict())
+        path = tmp_path / "dist.json"
+        cli._write_json(path, {"probs": cli._probs_doc(dist)})
+        back = cli._parse_init(f"file:{path}")
         assert back.probs.keys() == dist.probs.keys()
         assert back.mean == pytest.approx(10.0, abs=1e-10)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcqb import bethe
+from tcqb import bethe, cli
 from tcqb.bethe import (
     BetheBranch,
     BetheError,
@@ -478,14 +478,6 @@ class TestOracleSeededRecovery:
             solve_sector(SectorSpec(10, 9), prev_branches=[])
         assert err.value.expected == 10
 
-    def test_provenance_survives_serialization(self, chains):
-        payload = bethe.branches_to_payload(10, 11, 0, chains[11])
-        provenance = [b["provenance"] for b in payload["branches"]]
-        assert provenance.count("completeness") == 1
-        back = bethe.branches_from_payload(payload)
-        assert [b.provenance for b in back] == provenance
-        assert [b.is_completeness for b in back] == [b.is_completeness for b in chains[11]]
-
 
 class TestSectorSpec:
     def test_rejects_bad_counts(self):
@@ -500,10 +492,11 @@ class TestSectorSpec:
         assert SectorSpec(3, 7).branch_count == 4
 
 
-def test_payload_roundtrip(chains):
-    # Payload floats carry 12 significant digits.
-    payload = bethe.branches_to_payload(10, 4, 0, chains[4])
-    back = bethe.branches_from_payload(payload)
+def test_payload_roundtrip(chains, tmp_path):
+    # Sector files carry 12 significant digits.
+    path = tmp_path / "sector_M04.json"
+    cli._write_json(path, cli._sector_doc(10, 4, 0, chains[4]))
+    back = cli._read_branches(path, 4)
     for a, b in zip(back, chains[4]):
         assert a.energy == pytest.approx(b.energy, rel=1e-11, abs=1e-12)
         assert np.allclose(a.roots, b.roots, atol=1e-10)

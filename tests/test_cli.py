@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcqb
-from tcqb import battery, cli, lindblad, oracle, spectral
+from tcqb import battery, bethe, cli, lindblad, oracle, spectral
 from tcqb.bethe import SectorSpec
 from tcqb.cli import main
 
@@ -146,6 +146,14 @@ class TestOptimalAndSplit:
         assert result.output.strip().splitlines() == ["optimal failed: mean photon number -1.0 is negative"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mean, top", [("64.5", 65), ("1e20", 10**20)])
+    def test_mean_beyond_supported_sectors_exits_3_with_one_line(self, runner, tmp_path, mean, top):
+        result = runner.invoke(main, ["optimal", "--mean", mean, "--out", str(tmp_path / "opt.json")])
+        assert result.exit_code == 3, result.output
+        assert result.output.strip().splitlines() == [
+            f"optimal failed: distribution reaches M = {top}; supported sectors stop at 64"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("mean", ["nan", "inf"])
     def test_non_finite_mean_is_a_usage_error(self, runner, mean):
         result = runner.invoke(main, ["optimal", "--mean", mean])
@@ -161,7 +169,7 @@ class TestOptimalAndSplit:
     def test_parsed_distributions_are_normalised(self, tmp_path_factory, text, weights):
         path = tmp_path_factory.mktemp("dist") / "dist.json"
         probs = np.array(weights) / math.fsum(weights)
-        path.write_text(json.dumps(battery.PhotonDistribution(dict(enumerate(probs))).to_dict()))
+        cli._write_json(path, {"probs": cli._probs_doc(battery.PhotonDistribution(dict(enumerate(probs))))})
         for dist in (cli._parse_init(text), cli._parse_init(f"file:{path}")):
             assert abs(math.fsum(dist.probs.values()) - 1.0) <= 1e-12
 
@@ -351,6 +359,21 @@ class TestVerify:
         assert result.stderr.strip().splitlines() == [
             "verify failed: first failing invariant: recomputed root equations < 1e-10"]
 
+    def test_solved_dir_passes_and_keeps_provenance(self, runner, tmp_path):
+        # N = 2, M = 3 is an odd M > 2J sector, so it holds a completeness branch.
+        out = tmp_path / "solve"
+        assert runner.invoke(main, ["solve", "--n-atoms", "2", "--m-max", "3", "--out", str(out)]).exit_code == 0
+        result = runner.invoke(main, ["verify", "--n-atoms", "2", "--m-max", "3", "--dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "all invariants pass" in result.output
+        path = out / "sector_M03.json"
+        provenance = [b["provenance"] for b in json.loads(path.read_text())["branches"]]
+        assert provenance.count("completeness") == 1
+        back = cli._read_branches(path, 3)
+        assert [b.provenance for b in back] == provenance
+        solved = bethe.solve_sectors(2, 3)[3]
+        assert [b.is_completeness for b in back] == [b.is_completeness for b in solved]
+
     @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
         out = tmp_path / "solve"
@@ -390,12 +413,21 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(cfg), "optimal", "--mean", "4"])
         assert json.loads(result.output)["probs"] == {"4": 1.0}
 
+    def test_config_values_read_as_their_flags(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"energy": {"init": "fock:1", "n_atoms": 2, "t_end": 1, "steps": 10, "out": 5}}))
+        result = runner.invoke(main, ["--config", str(cfg), "energy"])
+        assert result.exit_code == 0, result.output
+        header, data = read_csv(tmp_path / "5")
+        assert header == ["t", "E", "P"] and data.shape == (10, 3) and data[-1, 0] == 1.0
+
 
 def test_energy_reruns_are_byte_identical_and_write_only_their_outputs(tmp_path, monkeypatch):
     home = tmp_path / "home"
     home.mkdir()
     monkeypatch.chdir(tmp_path)
-    env = {"HOME": str(home), "TCQB_CACHE_DIR": str(tmp_path / "cache")}
+    env = {"HOME": str(home)}
     outs = [tmp_path / "out" / "run1.csv", tmp_path / "out" / "run2.csv"]
     for out in outs:
         result = CliRunner().invoke(
@@ -430,12 +462,18 @@ def _short_mass_json(path):
     return f"file:{path}"
 
 
+def _nan_probability_json(path):
+    path.write_text('{"probs": {"1": 0.5, "2": NaN, "3": 0.5}}')
+    return f"file:{path}"
+
+
 BAD_DISTRIBUTIONS = {
     "truncated-json": _truncated_json,
     "sums-to-0.9": _short_mass_json,
     "coherent-abc": lambda path: "coherent:abc",
     "coherent-extra-field": lambda path: "coherent:6:16:junk",
     "fock-abc": lambda path: "fock:abc",
+    "nan-probability": _nan_probability_json,
 }
 
 
@@ -566,12 +604,23 @@ def test_lindblad_has_no_truncation_flag(runner, tmp_path):
     assert result.exit_code == 2 and "No such option '--n-max'" in result.output
 
 
-@pytest.mark.parametrize("text", ['{"optimal": {"mean": 2.', '[1, 2]'], ids=["invalid", "not-object"])
-def test_bad_config_file_is_a_usage_error(runner, tmp_path, text):
+@pytest.mark.parametrize("text, hint", [
+    ('{"optimal": {"mean": 2.', "'--config'"),
+    ('[1, 2]', "'--config'"),
+    ('{"energy": "x"}', "'--config'"),
+    ('{"lindblad": {"kappa": [1, 2]}}', "'--config'"),
+    ('{"optimal": {"mean": null}}', "'--config'"),
+    ('{"optimal": {"mean": true}}', "'--config'"),
+    ('{"energy": {"n_atoms": 3.7}}', "'--n-atoms'"),
+], ids=["invalid", "not-object", "section-not-object", "list-value", "null-value", "boolean-value",
+        "fractional-int"])
+def test_bad_config_file_is_a_usage_error(runner, tmp_path, text, hint):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    result = runner.invoke(main, ["--config", str(cfg), "optimal", "--mean", "2"])
-    _assert_usage_error(result, "'--config'")
+    out = tmp_path / "e.csv"
+    result = runner.invoke(main, ["--config", str(cfg), "energy", "--init", "fock:1", "--out", str(out)])
+    _assert_usage_error(result, hint)
+    assert not out.exists()
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):

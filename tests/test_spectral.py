@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tcqb.bethe import SectorSpec
+from tcqb.cli import main
 from tcqb.oracle import diagonalize, oracle_F, sector_hamiltonian
 from tcqb.spectral import (
     CosineSeries,
@@ -208,9 +210,12 @@ class TestSeriesDerivative:
         assert deriv.value(1.3) == 0.0
 
 
-def test_series_json_roundtrip(table):
+def test_series_json_roundtrip(table, tmp_path):
+    # The spectrum command solves the same N = 10 chain as the table (seed 0).
+    result = CliRunner().invoke(main, ["spectrum", "--n-atoms", "10", "--m-max", "3", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
     series = table.series[3]
-    doc = json.loads(json.dumps(series.to_dict(m=3)))
+    doc = json.loads((tmp_path / "spectrum_M03.json").read_text())["series"]
     assert doc["m"] == 3
     assert doc["offset"] == float(f"{series.offset:.12g}")
     assert doc["terms"] == [[float(f"{a:.12g}"), float(f"{w:.12g}")] for a, w in series.terms]
