@@ -9,10 +9,10 @@ and a sector has exactly K = min(2J, M) + 1 distinct solution sets
 ("branches"), each giving one eigenstate with energy E = -sum_j x_j in
 units of g.  Branches are found by damped Newton iteration warm-started
 from the solved (M-1) sector: every previous branch is extended by one
-duplicated member, and branches the extension cannot reach (the
-mixed-sign ones) come from randomized restarts around the roots already
-found.  The equations are odd under x -> -x, so the negation of every
-accepted branch is taken as a branch too, without refinement.
+duplicated member, then by one negated member, which reaches the
+mixed-sign branches (at M = 2 the zero-energy pair +-sqrt(2J - 1)).
+The equations are odd under x -> -x, so the negation of every accepted
+branch is taken as a branch too, without refinement.  No step is random.
 
 A sector's trials are refined NEWTON_CHUNK at a time by one stacked
 kernel (one batched linear solve per iteration) and taken in trial
@@ -22,9 +22,8 @@ refining the trials one by one.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +57,6 @@ CONJ_PAIR_TOL = 1e-6
 DUP_PERTURB = 1e-3  # duplicated trial entries are shifted by this * (1+1j)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-RANDOM_RESTARTS = 500  # per sector, drawn only while branches are missing
 NEWTON_CHUNK = 16  # trials refined together by one stacked Newton kernel
 
 
@@ -91,7 +89,7 @@ class UnpairedComplexRoot(BetheError):
 
 
 class MissingBranches(BetheError):
-    """Fewer branches than the sector count after continuation and restarts."""
+    """Fewer branches than the sector count after continuation."""
 
     def __init__(self, found: int, expected: int, n_atoms: int, excitations: int):
         self.found = found
@@ -402,44 +400,18 @@ def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndar
 
     Every previous branch is extended by a copy of each of its members,
     shifted by +-DUP_PERTURB*(1+1j) off the pairwise pole; both signs
-    are emitted.
+    are emitted.  The same extensions with the copied member negated
+    follow them, for the mixed-sign branches that no copy lies near.
     """
     guesses: list[np.ndarray] = []
     # Root-free completeness branches carry no seed material.
-    for branch in prev_branches:
-        if len(branch.roots) != target_M - 1:
-            continue
-        base = np.asarray(branch.roots, dtype=complex)
-        for member in branch.roots:
-            for sign in (+1.0, -1.0):
-                guesses.append(np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j)))
+    bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches if len(b.roots) == target_M - 1]
+    for negate in (False, True):
+        for base in bases:
+            for member in (-base if negate else base):
+                for sign in (+1.0, -1.0):
+                    guesses.append(np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j)))
     return guesses
-
-
-def _restart_guesses(rng: np.random.Generator, branches: list[BetheBranch], M: int):
-    """Randomized seeds derived from the known branches, drawn lazily.
-
-    Alternates Gaussian perturbations (sigma = 0.2) of whole known root
-    vectors with vectors resampled from the pooled roots of all known
-    branches; the pooled draws reach mixed-sign branches that no single
-    parent branch can seed.
-    """
-    branches = list(branches)  # frozen at the first draw; restarts append to the caller's list
-    if not branches:
-        return
-    pool = np.concatenate([np.asarray(b.roots, dtype=complex) for b in branches])
-    pool = pool[np.abs(pool) > 1e-10]
-    if pool.size == 0:
-        return
-    for i in range(RANDOM_RESTARTS):
-        noise = 0.2 * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
-        if i % 2 == 0:
-            base = np.asarray(branches[rng.integers(0, len(branches))].roots, dtype=complex)
-            if base.size != M:
-                base = pool[rng.integers(0, pool.size, size=M)]
-        else:
-            base = pool[rng.integers(0, pool.size, size=M)]
-        yield base + noise
 
 
 def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:
@@ -447,7 +419,7 @@ def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:
 
     True when exactly one branch of an odd-M, M > 2J sector is missing
     and the trace rule (sector energies sum to zero) pins its energy to
-    zero.  Restarts cannot succeed then: a regular zero-energy root set
+    zero.  No trial can succeed then: a regular zero-energy root set
     would have to be closed under negation with an odd number of nonzero
     members.
     """
@@ -459,20 +431,13 @@ def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:
     return abs(sum(b.energy for b in branches)) < 1e-8
 
 
-def solve_sector(
-    spec: SectorSpec,
-    prev_branches: list[BetheBranch] | None = None,
-    *,
-    seed: int = 0,
-) -> list[BetheBranch]:
+def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = None) -> list[BetheBranch]:
     """All K branches of one sector, sorted by energy ascending.
 
     Sectors are solved in increasing M: M = 0 is the trivial empty
     branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
-    refine the one-member extensions of prev_branches, the solved
-    M - 1 sector, which M >= 2 requires (ValueError without it).
-    Branches still missing are sought by up to RANDOM_RESTARTS
-    randomized restarts seeded from the branches found.  Trials are
+    refine seed_trials(prev_branches, M), built from the solved M - 1
+    sector, which M >= 2 requires (ValueError without it).  Trials are
     refined NEWTON_CHUNK at a time and taken in trial order; a result
     is kept when its energy is new (the sector spectrum is simple), and
     the negation of a kept branch, exactly a branch since the root
@@ -480,25 +445,25 @@ def solve_sector(
     eigenstate provably has no regular root set (see BetheBranch) and
     is returned as a root-free completeness branch once it is the only
     one missing.  Raises MissingBranches if branches are still missing
-    after that.  Deterministic for a fixed seed.
+    after the last trial.  Deterministic.
     """
     J = spec.total_spin
     M = spec.excitations
     if M == 0:
         return [BetheBranch(roots=(), energy=0.0, residual=0.0)]
     if M == 1:
-        guesses = [np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0)]
+        trials = [np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0)]
     else:
         if prev_branches is None:
             raise ValueError(f"sector M = {M} needs prev_branches, the solved M - 1 sector")
-        guesses = seed_trials(prev_branches, M)
+        trials = seed_trials(prev_branches, M)
     K = spec.branch_count
     branches: list[BetheBranch] = []
 
     def done() -> bool:
         return len(branches) >= K or _completeness_gap(branches, spec)
 
-    def keep(result: BetheBranch | BetheError, provenance: str) -> bool:
+    def keep(result: BetheBranch | BetheError) -> bool:
         # Keyed on the energy, not the roots: beyond M = 2J different root
         # multisets can generate the same eigenstate (only the first 2J+1
         # symmetric functions of -1/x enter it), and the sector spectrum
@@ -507,19 +472,17 @@ def solve_sector(
             abs(result.energy - b.energy) < ENERGY_DEDUP_TOL for b in branches
         ):
             return False
-        branches.append(replace(result, provenance=provenance))
+        branches.append(result)
         return True
 
-    rng = np.random.default_rng([seed, spec.n_atoms, M])
-    stages = (("continuation", iter(guesses)),
-              ("random_restart", _restart_guesses(rng, branches, M)))
-    for provenance, trials in stages:
-        while not done() and (chunk := list(itertools.islice(trials, NEWTON_CHUNK))):
-            for result in _newton_rows(chunk, J):
-                if done():
-                    break
-                if keep(result, provenance) and len(branches) < K:
-                    keep(_finish(result.negated(), J), provenance)
+    for start in range(0, len(trials), NEWTON_CHUNK):
+        if done():
+            break
+        for result in _newton_rows(trials[start:start + NEWTON_CHUNK], J):
+            if done():
+                break
+            if keep(result) and len(branches) < K:
+                keep(_finish(result.negated(), J))
     if _completeness_gap(branches, spec):
         branches.append(BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness"))
     if len(branches) < K:
@@ -527,12 +490,11 @@ def solve_sector(
     return sorted(branches, key=lambda b: (b.energy, b.roots[0].real if b.roots else 0.0))
 
 
-def solve_sectors(n_atoms: int, m_max: int, *, seed: int = 0) -> dict[int, list[BetheBranch]]:
+def solve_sectors(n_atoms: int, m_max: int) -> dict[int, list[BetheBranch]]:
     """Solve the continuation chain M = 0..m_max for one atom count."""
     out: dict[int, list[BetheBranch]] = {}
     prev: list[BetheBranch] | None = None
     for M in range(0, m_max + 1):
-        out[M] = solve_sector(SectorSpec(n_atoms, M), prev if M >= 2 else None, seed=seed)
+        out[M] = solve_sector(SectorSpec(n_atoms, M), prev if M >= 2 else None)
         prev = out[M]
     return out
-

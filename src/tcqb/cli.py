@@ -8,15 +8,18 @@ typed errors to exit codes through EXIT_TABLE and writes the manifest
 Data files are written atomically, never hold nan or inf, and are
 byte-identical across reruns with equal inputs.  `energy`, `split-check`
 and `inequality` build their energy tables from the exact-diagonalization
-sector spectra and accept --seed only to echo it; `solve`, `spectrum`
-and `verify` run the root solver, which is where the seed is used.
+sector spectra; `solve`, `spectrum` and `verify` run the root solver,
+which is deterministic.  No command uses a seed: those six accept --seed
+only to echo it in the manifest.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
-or inf number, or a --config value that is not a string or number,
-among them) and an --out that cannot be created (one stderr line naming
-the path), 3 distribution/table errors (any distribution beyond
-MAX_SECTOR, optimal's included) and results that are not finite,
-4 verification failure, 5 open-system errors.
+or inf number, or a --config section, key or value that names no
+command, no parameter of its command, or no string or number, among
+them) and an --out that cannot be created (one stderr line naming the
+path), 3 distribution/table errors (any distribution beyond MAX_SECTOR,
+optimal's included) and results that are not finite, 4 verification
+failure (a --dir sector file recording another n_atoms or m among
+them), 5 open-system errors.
 """
 
 from __future__ import annotations
@@ -150,18 +153,22 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _sector_doc(n_atoms: int, m: int, seed: int, branches: list[bethe.BetheBranch]) -> dict:
+def _sector_doc(n_atoms: int, m: int, branches: list[bethe.BetheBranch]) -> dict:
     """The document of a solved sector file, sector_MNN.json."""
-    return {"n_atoms": n_atoms, "m": m, "seed": seed, "branches": [
+    return {"n_atoms": n_atoms, "m": m, "branches": [
         {"roots": [[_r12(z.real), _r12(z.imag)] for z in b.roots], "energy": _r12(b.energy),
          "residual": _r12(b.residual), "provenance": b.provenance} for b in branches]}
 
 
-def _read_branches(path: Path, m: int) -> list[bethe.BetheBranch]:
-    """The branches of sector m's file; unreadable or malformed content is an InputError."""
+def _read_branches(path: Path, n_atoms: int, m: int) -> list[bethe.BetheBranch]:
+    """Sector (n_atoms, m)'s branches from path; unreadable, malformed or mismatched content is an InputError."""
     try:
+        sector = json.loads(path.read_text())
+        for key, want in (("n_atoms", n_atoms), ("m", m)):
+            if sector[key] != want:
+                raise InputError(f"{path.name}: file records {key} = {sector[key]!r}, expected {want}")
         branches = []
-        for i, doc in enumerate(json.loads(path.read_text())["branches"]):
+        for i, doc in enumerate(sector["branches"]):
             b = bethe.BetheBranch(roots=tuple(complex(re, im) for re, im in doc["roots"]),
                                   energy=float(doc["energy"]), residual=float(doc["residual"]),
                                   provenance=str(doc.get("provenance", "continuation")))
@@ -250,10 +257,10 @@ def _supported(dist: battery.PhotonDistribution) -> battery.PhotonDistribution:
     return dist
 
 
-# The table commands read no seed; they keep the option so that the
-# same flags work on every command, and echo it in the manifest.
+# No command reads a seed; these keep the option so that existing command
+# lines still run, and echo it in the manifest.
 _echoed_seed = click.option("--seed", type=int, default=0, show_default=True,
-                            help="Recorded in the manifest; the energy table uses no seed.")
+                            help="Recorded in the manifest; no command uses a seed.")
 
 
 def _config_callback(ctx: click.Context, param: click.Parameter, value: str | None):
@@ -266,9 +273,14 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value: str | No
         if not isinstance(defaults, dict):
             raise click.BadParameter(f"{value} must hold a JSON object of per-command defaults")
         for name, section in defaults.items():
+            command = ctx.command.commands.get(name)
+            if command is None:
+                raise click.BadParameter(f"{value}: section {name!r} names no command")
             if not isinstance(section, dict) or not all(
                     isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in section.values()):
                 raise click.BadParameter(f"{value}: section {name!r} must map parameters to strings or numbers")
+            if unknown := sorted(section.keys() - {p.name for p in command.params}):
+                raise click.BadParameter(f"{value}: {name} has no parameter {', '.join(map(repr, unknown))}")
         ctx.default_map = {name: {k: str(v) for k, v in section.items()} for name, section in defaults.items()}
     return value
 
@@ -293,15 +305,15 @@ main.command_class = Runner  # every command below runs through the runner
 @main.command()
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--m-max", type=click.IntRange(1, MAX_SECTOR), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 def solve(n_atoms, m_max, seed, out):
     """Solve sector root sets M = 1..m-max by warm-started continuation."""
     with _creating(out):
         out.mkdir(parents=True, exist_ok=True)
-    chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
+    chains = bethe.solve_sectors(n_atoms, m_max)
     for m in range(1, m_max + 1):
-        _write_json(out / f"sector_M{m:02d}.json", _sector_doc(n_atoms, m, seed, chains[m]))
+        _write_json(out / f"sector_M{m:02d}.json", _sector_doc(n_atoms, m, chains[m]))
     click.echo(f"solved {m_max} sectors for N={n_atoms} -> {out}")
     return _completeness_warnings(n_atoms, chains)
 
@@ -309,13 +321,13 @@ def solve(n_atoms, m_max, seed, out):
 @main.command()
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--m-max", type=click.IntRange(0, MAX_SECTOR), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 def spectrum(n_atoms, m_max, seed, out):
     """Per-sector eigenbasis summaries and stored-energy series."""
     with _creating(out):
         out.mkdir(parents=True, exist_ok=True)
-    chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
+    chains = bethe.solve_sectors(n_atoms, m_max)
     spectra = [spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), chains[m])
                for m in range(0, m_max + 1)]
     series = [spectral.number_state_energy(s) for s in spectra]
@@ -464,7 +476,7 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out):
 @main.command()
 @click.option("--n-atoms", type=click.IntRange(1, MAX_SECTOR), required=True)
 @click.option("--m-max", type=click.IntRange(0, MAX_SECTOR), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_echoed_seed
 @click.option("--dir", "branch_dir", type=click.Path(file_okay=False, exists=True), default=None,
               help="Validate previously solved sector files instead of solving fresh.")
 def verify(n_atoms, m_max, seed, branch_dir):
@@ -479,11 +491,11 @@ def verify(n_atoms, m_max, seed, branch_dir):
 
     try:
         if branch_dir:
-            chains = {m: _read_branches(Path(branch_dir) / f"sector_M{m:02d}.json", m)
+            chains = {m: _read_branches(Path(branch_dir) / f"sector_M{m:02d}.json", n_atoms, m)
                       for m in range(1, m_max + 1)}
             chains[0] = [bethe.BetheBranch(roots=(), energy=0.0, residual=0.0)]
         else:
-            chains = bethe.solve_sectors(n_atoms, m_max, seed=seed)
+            chains = bethe.solve_sectors(n_atoms, m_max)
     except (bethe.MissingBranches, InputError) as err:
         raise NoBranches(str(err)) from err
 

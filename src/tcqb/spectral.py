@@ -117,16 +117,13 @@ class SectorSpectrum:
     energies[i]; norms[i] is the pre-normalization norm of the generating
     product state (1 when no product state generated the vector).  Rows
     are sorted by energy ascending and the k = 0 component of every vector
-    is nonnegative.  max_eigen_residual is measured when the basis is
-    rebuilt from roots; a basis from diagonalize passed its own < 1e-10
-    gate and records 0.
+    is nonnegative.
     """
 
     spec: SectorSpec
     energies: np.ndarray
     vectors: np.ndarray
     norms: np.ndarray
-    max_eigen_residual: float = 0.0
 
     @property
     def dimension(self) -> int:
@@ -179,9 +176,7 @@ def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpec
     res = float(np.max(np.abs(vectors @ H - energies[:, None] * vectors)))
     if res >= 1e-8:
         raise EigenResidualTooLarge(f"max |Hv - Ev| = {res:.3e}")
-    return SectorSpectrum(
-        spec=spec, energies=energies, vectors=vectors, norms=norms, max_eigen_residual=res
-    )
+    return SectorSpectrum(spec=spec, energies=energies, vectors=vectors, norms=norms)
 
 
 def tridiagonal_spectrum(spec: SectorSpec) -> SectorSpectrum:

@@ -13,7 +13,7 @@ M_MAX = 20
 @pytest.fixture(scope="session")
 def chains():
     """Solved branch sets for N = 10, M = 0..20."""
-    return bethe.solve_sectors(N_ATOMS, M_MAX, seed=0)
+    return bethe.solve_sectors(N_ATOMS, M_MAX)
 
 
 @pytest.fixture(scope="session")

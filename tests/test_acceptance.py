@@ -138,7 +138,7 @@ def test_criterion_02_series_reproduction(table):
 def test_criterion_03_oracle_equivalence():
     """Full solve + compare sweep: |F_BA - F_ED| < 1e-8 in under 60 s."""
     started = time.perf_counter()
-    chains = bethe.solve_sectors(10, 20, seed=0)
+    chains = bethe.solve_sectors(10, 20)
     worst = 0.0
     for m in range(0, 21):
         spec = bethe.SectorSpec(10, m)

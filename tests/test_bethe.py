@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -299,14 +298,12 @@ class TestNewtonKernel:
 
     @pytest.mark.parametrize("n_atoms", [2, 6])
     def test_matches_reference_loop(self, n_atoms):
-        # Every continuation trial of M = 2..8 and 8 restart guesses per
-        # sector, each sector's trials in one stack.
-        chain = bethe.solve_sectors(n_atoms, 8, seed=0)
-        rng = np.random.default_rng(n_atoms)
+        # Every continuation trial of M = 2..8, negated extensions included,
+        # each sector's trials in one stack.
+        chain = bethe.solve_sectors(n_atoms, 8)
         J = n_atoms / 2
         for m in range(2, 9):
-            restarts = itertools.islice(bethe._restart_guesses(rng, chain[m], m), 8)
-            trials = seed_trials(chain[m - 1], m) + list(restarts)
+            trials = seed_trials(chain[m - 1], m)
             assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
 
 
@@ -314,16 +311,10 @@ class TestSeedTrials:
     def test_stage0_appends_each_distinct_member(self):
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0)]
         guesses = seed_trials(prev, 3)
-        assert len(guesses) == 4  # two members x two perturbation signs
+        # Two members x two perturbation signs, then the same with the member negated.
         eps = 1e-3 * (1 + 1j)
-        expected = {
-            (1.0, 2.0, 1.0 + eps.real),
-            (1.0, 2.0, 1.0 - eps.real),
-            (1.0, 2.0, 2.0 + eps.real),
-            (1.0, 2.0, 2.0 - eps.real),
-        }
-        got = {tuple(g.real.round(9)) for g in guesses}
-        assert got == expected
+        expected = [[1.0, 2.0, r + s * eps] for r in (1.0, 2.0, -1.0, -2.0) for s in (+1, -1)]
+        assert [g.tolist() for g in guesses] == expected
         for g in guesses:
             dist = np.abs(g[:, None] - g[None, :])
             np.fill_diagonal(dist, np.inf)
@@ -394,18 +385,28 @@ class TestSolveSector:
                 for j in range(i + 1, len(regular)):
                     assert np.max(np.abs(regular[i] - regular[j])) > 1e-6
 
-    def test_deterministic_for_fixed_seed(self):
-        a = bethe.solve_sectors(10, 5, seed=7)
-        b = bethe.solve_sectors(10, 5, seed=7)
-        for m in a:
-            assert [x.roots for x in a[m]] == [x.roots for x in b[m]]
-            assert [x.energy for x in a[m]] == [x.energy for x in b[m]]
+    def test_two_runs_are_identical(self):
+        for n_atoms in (2, 10):
+            a = bethe.solve_sectors(n_atoms, 8)
+            b = bethe.solve_sectors(n_atoms, 8)
+            for m in a:
+                assert [(_bits(x), x.provenance) for x in a[m]] == [(_bits(x), x.provenance) for x in b[m]]
+
+    def test_m2_zero_energy_branch_is_the_mirror_pair(self):
+        # x2 = -x1 turns the root equations into x^2 = 2J - 1 = N - 1; the
+        # negated-member extensions reach this branch by continuation.
+        for n_atoms in range(2, 65):
+            zero = [b for b in bethe.solve_sectors(n_atoms, 2)[2] if abs(b.energy) < 1e-8]
+            assert len(zero) == 1, n_atoms
+            r = math.sqrt(n_atoms - 1)
+            assert np.allclose(zero[0].roots, [-r, r], rtol=0, atol=1e-12), n_atoms
+            assert zero[0].provenance == "continuation", n_atoms
 
     def test_branch_counts_all_supported_atom_numbers(self):
         from tcqb.oracle import diagonalize, sector_hamiltonian
 
         for n_atoms in range(1, 13):
-            out = bethe.solve_sectors(n_atoms, 20, seed=1)
+            out = bethe.solve_sectors(n_atoms, 20)
             for m, branches in out.items():
                 assert len(branches) == min(n_atoms, m) + 1, (n_atoms, m)
                 synthetic = [b for b in branches if b.is_completeness and m > 0]
@@ -416,18 +417,6 @@ class TestSolveSector:
                 evals, _ = diagonalize(sector_hamiltonian(SectorSpec(n_atoms, m)))
                 got = np.sort([b.energy for b in branches])
                 assert np.max(np.abs(got - evals)) < 1e-8, (n_atoms, m)
-
-    @pytest.mark.parametrize("n_atoms", [2, 6])
-    def test_every_seed_finds_every_branch(self, n_atoms):
-        from tcqb.oracle import diagonalize, sector_hamiltonian
-
-        for seed in range(5):
-            out = bethe.solve_sectors(n_atoms, 12, seed=seed)
-            for m, branches in out.items():
-                assert len(branches) == min(n_atoms, m) + 1, (seed, m)
-                evals, _ = diagonalize(sector_hamiltonian(SectorSpec(n_atoms, m)))
-                got = np.sort([b.energy for b in branches])
-                assert np.max(np.abs(got - evals)) < 1e-8, (seed, m)
 
     def test_completeness_branch_only_for_odd_m_beyond_2j(self, chains):
         for m, branches in chains.items():
@@ -446,12 +435,12 @@ class TestSectorAssembly:
             raise AssertionError("solve_sector refined a single trial")
 
         monkeypatch.setattr(bethe, "newton_refine", refuse)
-        out = bethe.solve_sectors(n_atoms, 8, seed=0)
+        out = bethe.solve_sectors(n_atoms, 8)
         assert [len(out[m]) for m in range(9)] == [min(n_atoms, m) + 1 for m in range(9)]
 
     @pytest.mark.parametrize("n_atoms", [2, 6, 10])
     def test_every_branch_has_its_exact_mirror(self, n_atoms):
-        for m, branches in bethe.solve_sectors(n_atoms, 12, seed=0).items():
+        for m, branches in bethe.solve_sectors(n_atoms, 12).items():
             held = [_bits(b)[0] for b in branches]
             for b in branches:
                 if not b.roots:
@@ -495,8 +484,8 @@ class TestSectorSpec:
 def test_payload_roundtrip(chains, tmp_path):
     # Sector files carry 12 significant digits.
     path = tmp_path / "sector_M04.json"
-    cli._write_json(path, cli._sector_doc(10, 4, 0, chains[4]))
-    back = cli._read_branches(path, 4)
+    cli._write_json(path, cli._sector_doc(10, 4, chains[4]))
+    back = cli._read_branches(path, 10, 4)
     for a, b in zip(back, chains[4]):
         assert a.energy == pytest.approx(b.energy, rel=1e-11, abs=1e-12)
         assert np.allclose(a.roots, b.roots, atol=1e-10)

@@ -54,6 +54,18 @@ class TestSolve:
             name = f"sector_M{m:02d}.json"
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_seed_changes_no_sector_file(self, runner, tmp_path):
+        # The solver is deterministic; --seed is only echoed in the manifest.
+        for seed in ("0", "5"):
+            result = runner.invoke(
+                main, ["solve", "--n-atoms", "2", "--m-max", "4", "--seed", seed, "--out", str(tmp_path / seed)]
+            )
+            assert result.exit_code == 0, result.output
+        for m in range(1, 5):
+            name = f"sector_M{m:02d}.json"
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "5" / name).read_bytes()
+            assert set(json.loads((tmp_path / "0" / name).read_text())) == {"n_atoms", "m", "branches"}
+
 
 class TestEnergy:
     def test_single_photon_curve(self, runner, tmp_path):
@@ -369,10 +381,29 @@ class TestVerify:
         path = out / "sector_M03.json"
         provenance = [b["provenance"] for b in json.loads(path.read_text())["branches"]]
         assert provenance.count("completeness") == 1
-        back = cli._read_branches(path, 3)
+        back = cli._read_branches(path, 2, 3)
         assert [b.provenance for b in back] == provenance
         solved = bethe.solve_sectors(2, 3)[3]
         assert [b.is_completeness for b in back] == [b.is_completeness for b in solved]
+
+    @pytest.mark.parametrize("solved_n, edit, line", [
+        ("10", {"n_atoms": 99, "m": 7}, "sector_M02.json: file records n_atoms = 99, expected 10"),
+        ("10", {"m": 7}, "sector_M02.json: file records m = 7, expected 2"),
+        ("2", {}, "sector_M01.json: file records n_atoms = 2, expected 10"),
+    ], ids=["edited-n-atoms-and-m", "edited-m", "solved-at-n-2"])
+    def test_sector_mismatch_exits_4_naming_both_values(self, runner, tmp_path, solved_n, edit, line):
+        out = tmp_path / "solve"
+        assert runner.invoke(
+            main, ["solve", "--n-atoms", solved_n, "--m-max", "2", "--out", str(out)]
+        ).exit_code == 0
+        path = out / "sector_M02.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        result = runner.invoke(
+            main, ["verify", "--n-atoms", "10", "--m-max", "2", "--dir", str(out)]
+        )
+        assert result.exit_code == 4, result.output
+        assert result.stdout == ""
+        assert result.stderr.strip().splitlines() == [f"verify could not obtain branches: {line}"]
 
     @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
@@ -526,11 +557,11 @@ def _fail_spectrum(spec, branches):
     raise spectral.ImaginaryLeak("relative eigenvector imaginary part 1e-3")
 
 
-def _fail_solve(n_atoms, m_max, seed):
+def _fail_solve(n_atoms, m_max):
     raise oracle.ConvergenceFailure("eigen residual 1e-3")
 
 
-def _miss_branches(n_atoms, m_max, seed):
+def _miss_branches(n_atoms, m_max):
     raise cli.bethe.MissingBranches(2, 3, n_atoms, m_max)
 
 
@@ -612,8 +643,10 @@ def test_lindblad_has_no_truncation_flag(runner, tmp_path):
     ('{"optimal": {"mean": null}}', "'--config'"),
     ('{"optimal": {"mean": true}}', "'--config'"),
     ('{"energy": {"n_atoms": 3.7}}', "'--n-atoms'"),
+    ('{"enrgy": {"x": 1}}', "'--config'"),
+    ('{"energy": {"n_atom": 3}}', "'--config'"),
 ], ids=["invalid", "not-object", "section-not-object", "list-value", "null-value", "boolean-value",
-        "fractional-int"])
+        "fractional-int", "unknown-section", "unknown-key"])
 def test_bad_config_file_is_a_usage_error(runner, tmp_path, text, hint):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -621,6 +654,18 @@ def test_bad_config_file_is_a_usage_error(runner, tmp_path, text, hint):
     result = runner.invoke(main, ["--config", str(cfg), "energy", "--init", "fock:1", "--out", str(out)])
     _assert_usage_error(result, hint)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, tail", [
+    ('{"enrgy": {"x": 1}}', "section 'enrgy' names no command"),
+    ('{"energy": {"n_atom": 3}}', "energy has no parameter 'n_atom'"),
+], ids=["section", "key"])
+def test_config_error_names_the_unknown_entry(runner, tmp_path, text, tail):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["--config", str(cfg), "optimal", "--mean", "2"])
+    _assert_usage_error(result, "'--config'")
+    assert result.output.strip().splitlines()[-1].endswith(tail)
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):

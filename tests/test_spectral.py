@@ -211,7 +211,7 @@ class TestSeriesDerivative:
 
 
 def test_series_json_roundtrip(table, tmp_path):
-    # The spectrum command solves the same N = 10 chain as the table (seed 0).
+    # The spectrum command solves the same N = 10 chain as the table.
     result = CliRunner().invoke(main, ["spectrum", "--n-atoms", "10", "--m-max", "3", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     series = table.series[3]
