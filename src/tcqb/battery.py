@@ -272,7 +272,6 @@ class SplitPart:
     """Group j of the splitting: matched probability and matched mean."""
 
     j: int
-    weight: float  # j p([nbar]+j) / sum_k k p([nbar]+k)
     probs_below: dict[int, float]  # p_j(i) for i <= [nbar]
     frac_part: float  # (nbar - [nbar])_j
     one_minus_frac_part: float  # [1 - (nbar - [nbar])]_j
@@ -288,7 +287,6 @@ class SplitTableau:
     the optimal two-point distribution.
     """
 
-    nbar: float
     floor: int
     frac: float
     d: int
@@ -320,11 +318,10 @@ def split(dist: PhotonDistribution) -> SplitTableau:
     are split proportionally to w_j.  A distribution whose support stops
     at [nbar] yields the empty tableau (d = 0).
     """
-    nbar = dist.mean
-    fl, frac = _mean_parts(nbar)
+    fl, frac = _mean_parts(dist.mean)
     d = dist.max_support - fl
     if d <= 0:
-        return SplitTableau(nbar=nbar, floor=fl, frac=frac, d=0, parts=())
+        return SplitTableau(floor=fl, frac=frac, d=0, parts=())
     balance = math.fsum(k * dist.prob(fl + k) for k in range(1, d + 1))
     if balance <= 0:
         raise DegenerateSplit(
@@ -338,13 +335,12 @@ def split(dist: PhotonDistribution) -> SplitTableau:
         parts.append(
             SplitPart(
                 j=j,
-                weight=w,
                 probs_below={i: w * p for i, p in below.items()},
                 frac_part=w * frac,
                 one_minus_frac_part=w * (below_total - frac) + dist.prob(fl + j),
             )
         )
-    return SplitTableau(nbar=nbar, floor=fl, frac=frac, d=d, parts=tuple(parts))
+    return SplitTableau(floor=fl, frac=frac, d=d, parts=tuple(parts))
 
 
 def delta_F(dist: PhotonDistribution, table: EnergyTable, t):

@@ -9,10 +9,11 @@ and a sector has exactly K = min(2J, M) + 1 distinct solution sets
 ("branches"), each giving one eigenstate with energy E = -sum_j x_j in
 units of g.  Branches are found by damped Newton iteration warm-started
 from the solved (M-1) sector: every previous branch is extended by one
-duplicated member, then by one negated member, which reaches the
-mixed-sign branches (at M = 2 the zero-energy pair +-sqrt(2J - 1)).
-The equations are odd under x -> -x, so the negation of every accepted
-branch is taken as a branch too, without refinement.  No step is random.
+perturbed copy of each of its members, then of each negated member,
+which reaches the mixed-sign branches (at M = 2 the zero-energy pair
++-sqrt(2J - 1)).  The equations are odd under x -> -x, so the negation
+of every accepted branch is taken as a branch too, without refinement.
+No step is random.
 
 A sector's trials are refined NEWTON_CHUNK at a time by one stacked
 kernel (one batched linear solve per iteration) and taken in trial
@@ -398,20 +399,20 @@ def newton_refine(guess, J: float) -> BetheBranch:
 def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndarray]:
     """Trial sets for the M-sector built from the solved (M-1)-sector.
 
-    Every previous branch is extended by a copy of each of its members,
-    shifted by +-DUP_PERTURB*(1+1j) off the pairwise pole; both signs
-    are emitted.  The same extensions with the copied member negated
-    follow them, for the mixed-sign branches that no copy lies near.
+    Every previous branch is extended by one copy of each of its
+    members, shifted by DUP_PERTURB*(1+1j) off the pairwise pole.  The
+    same extensions with the copied member negated follow them, for the
+    mixed-sign branches that no copy lies near.
     """
-    guesses: list[np.ndarray] = []
+    shift = DUP_PERTURB * (1.0 + 1.0j)
     # Root-free completeness branches carry no seed material.
     bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches if len(b.roots) == target_M - 1]
-    for negate in (False, True):
-        for base in bases:
-            for member in (-base if negate else base):
-                for sign in (+1.0, -1.0):
-                    guesses.append(np.append(base, member + sign * DUP_PERTURB * (1.0 + 1.0j)))
-    return guesses
+    return [
+        np.append(base, member + shift)
+        for negate in (False, True)
+        for base in bases
+        for member in (-base if negate else base)
+    ]
 
 
 def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:

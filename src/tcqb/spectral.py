@@ -74,8 +74,20 @@ class NoMaximumFound(SpectralError):
 
 
 def elementary_symmetric(values: np.ndarray) -> np.ndarray:
-    """All e_0..e_n of the given values by the stable product recurrence."""
-    values = np.asarray(values, dtype=complex)
+    """All e_0..e_n of the given values by the product recurrence.
+
+    The values enter in Leja order (Reichel, BIT 30 (1990) 332): the
+    largest |value| first, then each time the value that maximises the
+    product of distances to those already taken.  In the input order
+    the float64 recurrence loses the large sectors (N = 28, M = 36).
+    """
+    values = np.array(values, dtype=complex)  # a copy, reordered in place
+    log_dist = np.zeros(values.size)  # log product of distances to the values taken
+    with np.errstate(divide="ignore"):  # equal values are at distance 0
+        for k in range(values.size):
+            j = k + int(np.argmax(log_dist[k:] if k else np.abs(values)))
+            values[[k, j]], log_dist[[k, j]] = values[[j, k]], log_dist[[j, k]]
+            log_dist[k + 1:] += np.log(np.abs(values[k + 1:] - values[k]))
     e = np.zeros(values.size + 1, dtype=complex)
     e[0] = 1.0
     for i, v in enumerate(values):
@@ -275,32 +287,13 @@ def number_state_energy(spectrum: SectorSpectrum) -> CosineSeries:
     return CosineSeries(offset=float(M - offset_n.real), terms=terms)
 
 
-def _golden_max(fun, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximizer on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return (a + b) / 2.0
-
-
 def first_max_time(series: CosineSeries) -> float:
     """Earliest t > 0 where the series attains a local maximum.
 
     Scans a uniform grid of step SCAN_STEP SCAN_CHUNK points at a time,
-    stops at the first interior peak and refines its bracket by
-    golden-section search to PEAK_XTOL.  Raises NoMaximumFound when
-    nothing peaks inside (0, SCAN_END].
+    stops at the first interior peak and refines its bracket to PEAK_XTOL
+    by bisection on the sign of the exact derivative.  Raises
+    NoMaximumFound when nothing peaks inside (0, SCAN_END].
     """
     t = np.arange(0.0, SCAN_END + SCAN_STEP / 2, SCAN_STEP)
     for start in range(0, t.size - 2, SCAN_CHUNK):
@@ -308,5 +301,9 @@ def first_max_time(series: CosineSeries) -> float:
         peaks = ((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])).nonzero()[0]
         if peaks.size:
             i = start + 1 + peaks[0]
-            return _golden_max(series.value, t[i - 1], t[i + 1], PEAK_XTOL)
+            slope, lo, hi = series_derivative(series), t[i - 1], t[i + 1]
+            while hi - lo > PEAK_XTOL:
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if slope.value(mid) > 0 else (lo, mid)
+            return (lo + hi) / 2.0
     raise NoMaximumFound(f"no local maximum in (0, {SCAN_END}]")

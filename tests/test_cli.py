@@ -327,6 +327,22 @@ class TestLindbladCommand:
         assert len(lines) == 1 and lines[0].startswith("lindblad failed: t_end = 0.001 is not")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rates", [["--kappa", "1e300", "--gamma-phi", "0"],
+                                       ["--kappa", "0", "--gamma-phi", "1e200"]])
+    def test_nan_trace_exits_5_with_one_line(self, runner, tmp_path, rates):
+        # The overflowing step leaves a nan trace, which must fail the trace
+        # guard before any eigenvalue of the state is taken.
+        out = tmp_path / "open.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "2", "--init", "fock:2", *rates,
+             "--t-end", "0.01", "--out", str(out)],
+        )
+        assert result.exit_code == 5, result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lindblad failed: trace drifted to nan")
+        assert not out.exists()
+
     def test_run_builds_no_dense_state(self, runner, tmp_path, monkeypatch):
         class Refuse:
             def __init__(self, *args, **kwargs):
@@ -348,6 +364,12 @@ class TestLindbladCommand:
 class TestVerify:
     def test_fresh_pipeline_passes(self, runner):
         result = runner.invoke(main, ["verify", "--n-atoms", "10", "--m-max", "2"])
+        assert result.exit_code == 0, result.output
+        assert "all invariants pass" in result.output
+
+    def test_large_sectors_pass(self, runner):
+        # The root-built eigenvectors hold to the 1e-8 gate up to N = 32, M = 38.
+        result = runner.invoke(main, ["verify", "--n-atoms", "32", "--m-max", "38"])
         assert result.exit_code == 0, result.output
         assert "all invariants pass" in result.output
 
