@@ -12,49 +12,18 @@ The modules:
                 / charging power for arbitrary photon distributions,
                 optimal-state construction, probability splitting, and
                 the hypersensitivity inequality checks
-    oracle   -- exact diagonalization of the tridiagonal sector
-                Hamiltonian and direct state evolution, the ground truth
-                the root-built spectra are checked against
+    oracle   -- excitation sectors (SectorSpec), exact diagonalization
+                of the tridiagonal sector Hamiltonian and direct state
+                evolution, the ground truth the root-built spectra are
+                checked against
     lindblad -- open-system evolution under cavity decay and collective
                 dephasing
     cli      -- file-based command line driver (``tcqb``)
 
 All energies are in units of the coupling g (one quantum per excited
-atom), all times in 1/g, and the drive is resonant.
+atom), all times in 1/g, and the drive is resonant.  Import the module
+that holds a name (``from tcqb.battery import stored_energy``); the
+package re-exports nothing, so a command loads only the modules it runs.
 """
 
 __version__ = "0.1.0"
-
-from .bethe import BetheBranch, SectorSpec, solve_sector, solve_sectors
-from .spectral import CosineSeries, SectorSpectrum, sector_spectrum, number_state_energy
-from .battery import (
-    EnergyTable,
-    PhotonDistribution,
-    coherent_distribution,
-    energy_table,
-    fock_distribution,
-    optimal_distribution,
-    stored_energy,
-)
-from .oracle import oracle_F, sector_hamiltonian
-
-__all__ = [
-    "__version__",
-    "BetheBranch",
-    "SectorSpec",
-    "solve_sector",
-    "solve_sectors",
-    "CosineSeries",
-    "SectorSpectrum",
-    "sector_spectrum",
-    "number_state_energy",
-    "EnergyTable",
-    "PhotonDistribution",
-    "coherent_distribution",
-    "energy_table",
-    "fock_distribution",
-    "optimal_distribution",
-    "stored_energy",
-    "oracle_F",
-    "sector_hamiltonian",
-]

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bethe import SectorSpec
-from .spectral import CosineSeries, first_max_time, number_state_energy, series_derivative, tridiagonal_spectrum
+from .oracle import SectorSpec
+
+if TYPE_CHECKING:  # spectral is imported where a table is built or scanned
+    from .spectral import CosineSeries
 
 __all__ = [
     "BatteryError",
@@ -196,6 +199,8 @@ class EnergyTable:
     def _scan(self, m: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """(t_max, t, F, dF/dt) of sector m on _default_grid(t_max), cached."""
         if m not in self._scans:
+            from .spectral import first_max_time, series_derivative
+
             series = self.series[m]
             t_max = first_max_time(series)
             t = _default_grid(t_max)
@@ -209,6 +214,8 @@ class EnergyTable:
 
 def energy_table(n_atoms: int, m_max: int) -> EnergyTable:
     """Energy series of all sectors up to m_max from their tridiagonal spectra."""
+    from .spectral import number_state_energy, tridiagonal_spectrum
+
     series = {
         m: number_state_energy(tridiagonal_spectrum(SectorSpec(n_atoms, m)))
         for m in range(0, m_max + 1)

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracle import SectorSpec
+
 __all__ = [
     "BetheError",
     "ZeroRoot",
@@ -101,34 +103,6 @@ class MissingBranches(BetheError):
             f"sector (N={n_atoms}, M={excitations}): found {found} of "
             f"{expected} branches"
         )
-
-
-@dataclass(frozen=True)
-class SectorSpec:
-    """One excitation sector of the resonant model.
-
-    n_atoms is N (so the total spin is J = N/2), excitations is the
-    conserved quantum number M.  Energies are reported in units of the
-    coupling.
-    """
-
-    n_atoms: int
-    excitations: int
-
-    def __post_init__(self):
-        if self.n_atoms < 1 or self.n_atoms != int(self.n_atoms):
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        if self.excitations < 0 or self.excitations != int(self.excitations):
-            raise ValueError(f"excitations must be >= 0, got {self.excitations}")
-
-    @property
-    def total_spin(self) -> float:
-        return self.n_atoms / 2.0
-
-    @property
-    def branch_count(self) -> int:
-        """K = min(2J, M) + 1 solution sets."""
-        return min(self.n_atoms, self.excitations) + 1
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ Data files are written atomically, never hold nan or inf, and are
 byte-identical across reruns with equal inputs.  `energy`, `split-check`
 and `inequality` build their energy tables from the exact-diagonalization
 sector spectra; `solve`, `spectrum` and `verify` run the root solver,
-which is deterministic.  No command uses a seed: those six accept --seed
-only to echo it in the manifest.
+which is deterministic.  bethe, spectral and lindblad are imported by
+the commands that run them, so no command loads code it does not run.
+No command uses a seed: those six accept --seed only to echo it in the
+manifest.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
 or inf number, or a --config section, key or value that names no
@@ -24,18 +26,24 @@ them), 5 open-system errors.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import __version__, battery, bethe, oracle, spectral
+from . import __version__, battery, oracle
+
+if TYPE_CHECKING:  # bethe, spectral and lindblad are imported by the commands that run them
+    from .bethe import BetheBranch
 
 MAX_SECTOR = 64
 
@@ -62,9 +70,10 @@ class OpenSystemError(Exception):
 
 # Each typed error a command may raise, its exit code, and the words between
 # the command name and the message on its one stderr line; the first row
-# that matches wins.
+# that matches wins.  "module.Class" names a class of a tcqb module that
+# only some commands load; it is imported when a command fails, not before.
 EXIT_TABLE = (
-    ((bethe.MissingBranches, oracle.ConvergenceFailure, spectral.SpectralError), 2, "failed"),
+    (("bethe.MissingBranches", oracle.ConvergenceFailure, "spectral.SpectralError"), 2, "failed"),
     ((InputError, battery.BatteryError, NonFiniteResult), 3, "failed"),
     ((NoBranches,), 4, "could not obtain branches"),
     ((VerificationFailed,), 4, "failed"),
@@ -96,6 +105,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+CSV_CHUNK_ROWS = 4096  # rows formatted by one %-operation in _write_csv
+
+
 def _r12(x: float) -> float:
     """x as a JSON number of 12 significant digits."""
     return float(_fmt(x))
@@ -111,13 +123,14 @@ def _creating(path: Path):
         raise SystemExit(click.UsageError.exit_code) from None
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write a sibling temporary file, then rename it over path."""
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks of text to a sibling temporary file, then rename it over path."""
     with _creating(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(text)
+            with open(tmp, "w") as fh:
+                fh.writelines(chunks)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -131,7 +144,7 @@ def _dumps(payload: dict, indent: int | None = None) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, _dumps(payload, indent=2) + "\n")
+    _write_text(path, [_dumps(payload, indent=2) + "\n"])
 
 
 def _write_or_print(out: Path | None, payload: dict) -> None:
@@ -143,25 +156,33 @@ def _write_or_print(out: Path | None, payload: dict) -> None:
         click.echo(_dumps(payload))
 
 
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> Iterable[str]:
+    """The header line, then the rows, CSV_CHUNK_ROWS to a string; each value as _fmt writes it."""
+    yield ",".join(header) + "\n"
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        block = np.column_stack([c[start : start + CSV_CHUNK_ROWS] for c in columns])
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     for name, column in zip(header, columns):
         if not np.isfinite(column).all():
             raise NonFiniteResult(f"column {name} of {path.name} holds nan or inf")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, _csv_text(header, columns))
 
 
-def _sector_doc(n_atoms: int, m: int, branches: list[bethe.BetheBranch]) -> dict:
+def _sector_doc(n_atoms: int, m: int, branches: list[BetheBranch]) -> dict:
     """The document of a solved sector file, sector_MNN.json."""
     return {"n_atoms": n_atoms, "m": m, "branches": [
         {"roots": [[_r12(z.real), _r12(z.imag)] for z in b.roots], "energy": _r12(b.energy),
          "residual": _r12(b.residual), "provenance": b.provenance} for b in branches]}
 
 
-def _read_branches(path: Path, n_atoms: int, m: int) -> list[bethe.BetheBranch]:
+def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
     """Sector (n_atoms, m)'s branches from path; unreadable, malformed or mismatched content is an InputError."""
+    from . import bethe
+
     try:
         sector = json.loads(path.read_text())
         for key, want in (("n_atoms", n_atoms), ("m", m)):
@@ -187,6 +208,14 @@ def _probs_doc(dist: battery.PhotonDistribution) -> dict[str, float]:
     return {str(m): float(f"{p:.15g}") for m, p in dist.probs.items()}
 
 
+def _error_type(entry: type | str) -> type:
+    """A class of EXIT_TABLE, importing the tcqb module that a "module.Class" entry names."""
+    if isinstance(entry, type):
+        return entry
+    module, _, name = entry.partition(".")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 class Runner(click.Command):
     """Runs a command body, which returns its manifest warnings or None.
 
@@ -202,7 +231,7 @@ class Runner(click.Command):
                 warnings = super().invoke(ctx)
         except Exception as err:
             for types, code, lead in EXIT_TABLE:
-                if isinstance(err, types):
+                if isinstance(err, tuple(map(_error_type, types))):
                     click.echo(f"{self.name} {lead}: {err}", err=True)
                     raise SystemExit(code) from None
             raise
@@ -216,7 +245,7 @@ class Runner(click.Command):
                                "wall_time_s": wall_time, "warnings": warnings or []})
 
 
-def _completeness_warnings(n_atoms: int, chains: dict[int, list[bethe.BetheBranch]]) -> list[str]:
+def _completeness_warnings(n_atoms: int, chains: dict[int, list[BetheBranch]]) -> list[str]:
     return [f"sector (N={n_atoms}, M={m}): zero-energy state has no regular root "
             f"set (odd M > 2J); eigenvector fixed by completeness"
             for m, branches in sorted(chains.items()) for b in branches if b.is_completeness]
@@ -309,6 +338,8 @@ main.command_class = Runner  # every command below runs through the runner
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 def solve(n_atoms, m_max, seed, out):
     """Solve sector root sets M = 1..m-max by warm-started continuation."""
+    from . import bethe
+
     with _creating(out):
         out.mkdir(parents=True, exist_ok=True)
     chains = bethe.solve_sectors(n_atoms, m_max)
@@ -325,10 +356,12 @@ def solve(n_atoms, m_max, seed, out):
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 def spectrum(n_atoms, m_max, seed, out):
     """Per-sector eigenbasis summaries and stored-energy series."""
+    from . import bethe, spectral
+
     with _creating(out):
         out.mkdir(parents=True, exist_ok=True)
     chains = bethe.solve_sectors(n_atoms, m_max)
-    spectra = [spectral.sector_spectrum(bethe.SectorSpec(n_atoms, m), chains[m])
+    spectra = [spectral.sector_spectrum(oracle.SectorSpec(n_atoms, m), chains[m])
                for m in range(0, m_max + 1)]
     series = [spectral.number_state_energy(s) for s in spectra]
     for m, (spect, f) in enumerate(zip(spectra, series)):
@@ -454,8 +487,8 @@ def estimate(e_known, m_ref, e_observed):
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
 def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out):
     """Open-system stored energy under cavity decay and collective dephasing."""
-    # Imported here: loading lindblad adds 7-10 ms to a command's start-up
-    # (no cached .pyc), and only this command uses it.
+    # Imported here, as bethe and spectral are in the commands that run them:
+    # this command loads lindblad and none of the solver modules.
     from . import lindblad
 
     dist = _parse_init(init)
@@ -481,6 +514,8 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out):
               help="Validate previously solved sector files instead of solving fresh.")
 def verify(n_atoms, m_max, seed, branch_dir):
     """Cross-check the root-solver pipeline against exact diagonalization."""
+    from . import bethe, spectral
+
     failures: list[str] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -501,7 +536,7 @@ def verify(n_atoms, m_max, seed, branch_dir):
 
     grid = np.linspace(0.0, 3.0, 2000)
     for m in range(0, m_max + 1):
-        spec = bethe.SectorSpec(n_atoms, m)
+        spec = oracle.SectorSpec(n_atoms, m)
         branches = chains[m]
         click.echo(f"sector M={m}:")
         check("branch count = min(2J, M) + 1", len(branches) == spec.branch_count,

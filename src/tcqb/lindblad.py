@@ -36,7 +36,7 @@ import numpy as np
 
 from . import oracle
 from .battery import PhotonDistribution
-from .bethe import SectorSpec
+from .oracle import SectorSpec
 
 __all__ = [
     "LindbladError",
@@ -49,6 +49,12 @@ __all__ = [
     "TimeSeries",
     "evolve",
 ]
+
+
+# Sampled states held for one batch of checks: at most this many bytes, or one state.
+SAMPLE_CHUNK_BYTES = 1 << 20
+# A run takes at most this many steps, as `tcqb energy` takes at most this many samples.
+MAX_STEPS = 2_000_000
 
 
 class LindbladError(Exception):
@@ -71,8 +77,8 @@ class OpenSystemConfig:
     (DensityMatrix, build_operators, lindblad_rhs); evolve does not read
     it.  kappa (cavity decay) and gamma_phi (collective dephasing) are in
     units of g; time step dt and horizon t_end are in 1/g, and t_end
-    must be a whole number of steps (to a relative 1e-9), so the run
-    ends exactly at t_end.
+    must be a whole number of steps (to a relative 1e-9), at most
+    MAX_STEPS of them, so the run ends exactly at t_end.
     """
 
     n_atoms: int
@@ -95,6 +101,8 @@ class OpenSystemConfig:
         if not 0 < self.dt <= self.t_end:
             raise ValueError(f"need 0 < dt <= t_end, got dt = {self.dt:g}, t_end = {self.t_end:g}")
         steps = self.t_end / self.dt
+        if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, and inf too
+            raise ValueError(f"t_end / dt = {steps:.6g} steps exceeds the limit of {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}")
         if self.sample_stride < 1:
@@ -177,18 +185,16 @@ class _RowPadded:
     """Square sparse matrix stored as W nonzeros per row, padded with zeros.
 
     Row i holds vals[w, i] at column cols[w, i], w = 0..W-1, sorted by
-    column; y -> sum_w vals[w] * y[cols[w]] is one pass per w over
-    contiguous length-n vectors.
+    column; y -> sum_w vals[w] * y[cols[w]] is one gather, one product
+    and one reduce over the W slots.
     """
 
     cols: np.ndarray
     vals: np.ndarray
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        out = self.vals[0] * y[self.cols[0]]
-        for cols, vals in zip(self.cols[1:], self.vals[1:]):
-            out += vals * y[cols]
-        return out
+        # A reduce over axis 0 adds the slots in order, w = 0..W-1.
+        return np.add.reduce(self.vals * y[self.cols], axis=0)
 
 
 def _block_generator(config: OpenSystemConfig, m_top: int) -> _RowPadded:
@@ -275,6 +281,26 @@ class TimeSeries:
     final_state: list[np.ndarray] | None = field(default=None, repr=False)
 
 
+def _block_checks(chunk: np.ndarray, offsets: np.ndarray, sizes: list[int]) -> tuple[float, np.ndarray]:
+    """Hermiticity drift and min eig(rho) of each stacked state, one eigvalsh per block.
+
+    The drift is the largest |r - r'| entry over every block and state;
+    min eig(rho) of a state is the least of its blocks' lowest
+    eigenvalues and 0 (every sector above M_top is empty), taking the
+    first of equal values, so a zero keeps the sign of the block that
+    gave it.
+    """
+    drift = 0.0
+    min_eig = np.zeros(len(chunk))
+    for i, (o, s) in enumerate(zip(offsets, sizes)):
+        r = chunk[:, o : o + s**2].reshape(-1, s, s)
+        r_h = r.conj().transpose(0, 2, 1)
+        drift = max(drift, float(np.max(np.abs(r - r_h), initial=0.0)))
+        low = np.linalg.eigvalsh((r + r_h) / 2.0)[:, 0]
+        min_eig = low if i == 0 else np.where(low < min_eig, low, min_eig)
+    return drift, np.where(0.0 < min_eig, 0.0, min_eig)
+
+
 def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
     """Fixed-step RK4 on the excitation blocks rho_M of a field p(M).
 
@@ -289,9 +315,14 @@ def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
     observables are diagonal in M.  min_eig and herm_drift describe the
     M-dephased state that is integrated.  Stored energy is <Jz>(t) + N/2
     (the atoms start in the ground state), power is E/t (0 at t = 0).
-    Each sample is checked when it is reached and stops the run there
-    with StepUnstable when the trace drifts beyond 1e-6 or min eig(rho)
-    falls below -1e-6.
+
+    The trace of each sample is checked when the sample is reached.  The
+    sampled states are kept, up to SAMPLE_CHUNK_BYTES at a time, and
+    checked together (finite entries, then Hermiticity drift and
+    min eig(rho)) when the chunk fills, the run ends or a trace fails.
+    The first sample that fails a check raises StepUnstable: its trace
+    drifted beyond 1e-6, its entries are not finite, or min eig(rho)
+    fell below -1e-6.
     """
     m_top = dist.max_support
     sizes = [SectorSpec(config.n_atoms, m).branch_count for m in range(m_top + 1)]
@@ -299,41 +330,62 @@ def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
     offsets = np.cumsum([0] + [s**2 for s in sizes])
     y = np.zeros(offsets[-1], dtype=complex)
     y[offsets[:-1]] = [dist.prob(m) for m in range(m_top + 1)]
-    mats = [y[o : o + s**2].reshape(s, s) for o, s in zip(offsets, sizes)]
     diag_pos = np.concatenate([o + np.arange(s) * (s + 1) for o, s in zip(offsets, sizes)])
     q = np.concatenate([np.arange(s) for s in sizes])  # atomic excitations k
     m_shift = np.concatenate([np.full(s, m - config.n_atoms / 2.0) for m, s in enumerate(sizes)])
     n_steps = int(round(config.t_end / config.dt))
-    rows: list[tuple[float, float, float, float, float]] = []
+    sample_steps = [0, *range(config.sample_stride, n_steps, config.sample_stride), n_steps]
+    t_out = np.array(sample_steps) * config.dt
+    energy, trace, min_eig, m_expect = (np.empty(t_out.size) for _ in range(4))
+    chunk = np.empty((max(1, min(t_out.size, SAMPLE_CHUNK_BYTES // y.nbytes)), y.size), dtype=complex)
+    checked = 0  # samples before this one passed every check; the rest since sit in chunk
     herm_drift = 0.0
 
-    def record(t_i: float) -> None:
-        """Check the current state and append its observables."""
-        nonlocal herm_drift
+    def check_chunk(end: int) -> None:
+        """Check the held samples checked..end-1 and raise at the first that fails."""
+        nonlocal checked, herm_drift
+        held = chunk[: end - checked]
+        finite = np.isfinite(held).all(axis=1)
+        n_finite = len(held) if finite.all() else int(np.argmin(finite))
+        drift, low = _block_checks(held[:n_finite], offsets, sizes)
+        bad = np.flatnonzero(low < -1e-6)
+        if bad.size:
+            j = bad[0]
+            raise StepUnstable(f"min eig(rho) fell to {low[j]:.3e} at t = {t_out[checked + j]:g}; reduce dt")
+        if n_finite < len(held):
+            raise StepUnstable(f"rho is not finite at t = {t_out[checked + n_finite]:g}; reduce dt")
+        herm_drift = max(herm_drift, drift)
+        min_eig[checked:end] = low
+        checked = end
+
+    dt = config.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    tmp = np.empty_like(y)
+    done = 0
+    for i, target in enumerate(sample_steps):
+        for _ in range(target - done):
+            # y += dt/6 (k1 + 2 (k2 + k3) + k4), each product and sum with
+            # the operands of that expression in the same order.
+            k1 = lop @ y
+            k2 = lop @ np.add(y, np.multiply(half, k1, out=tmp), out=tmp)
+            k3 = lop @ np.add(y, np.multiply(half, k2, out=tmp), out=tmp)
+            k4 = lop @ np.add(y, np.multiply(dt, k3, out=tmp), out=tmp)
+            np.multiply(2.0, np.add(k2, k3, out=tmp), out=tmp)
+            np.add(np.add(k1, tmp, out=tmp), k4, out=tmp)
+            y += np.multiply(sixth, tmp, out=tmp)
+        done = target
         diag = y[diag_pos].real
         tr = float(diag.sum())
         if not abs(tr - 1.0) <= 1e-6:  # a nan trace fails too
-            raise StepUnstable(f"trace drifted to {tr!r} at t = {t_i:g}; reduce dt")
-        herm_drift = max([herm_drift] + [float(np.max(np.abs(r - r.conj().T))) for r in mats])
-        # every sector above M_top is empty: exact zero eigenvalues of rho
-        min_eig = min([np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0] for r in mats] + [0.0])
-        if min_eig < -1e-6:
-            raise StepUnstable(f"min eig(rho) fell to {min_eig:.3e} at t = {t_i:g}; reduce dt")
-        rows.append((t_i, float(q @ diag), tr, float(min_eig), float(m_shift @ diag)))
+            check_chunk(i)  # an earlier sample may have failed first
+            raise StepUnstable(f"trace drifted to {tr!r} at t = {t_out[i]:g}; reduce dt")
+        energy[i], trace[i], m_expect[i] = q @ diag, tr, m_shift @ diag
+        chunk[i - checked] = y
+        if i + 1 - checked == len(chunk) or i + 1 == t_out.size:
+            check_chunk(i + 1)
 
-    dt = config.dt
-    record(0.0)
-    for step in range(1, n_steps + 1):
-        k1 = lop @ y
-        k2 = lop @ (y + 0.5 * dt * k1)
-        k3 = lop @ (y + 0.5 * dt * k2)
-        k4 = lop @ (y + dt * k3)
-        y += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if step % config.sample_stride == 0 or step == n_steps:
-            record(step * dt)
-
-    t_out, energy, trace, min_eig, m_expect = (np.array(col) for col in zip(*rows))
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t_out[1:]
+    mats = [y[o : o + s**2].reshape(s, s) for o, s in zip(offsets, sizes)]
     return TimeSeries(t=t_out, energy=energy, power=power, trace=trace, min_eig=min_eig,
                       m_expect=m_expect, herm_drift=herm_drift, final_state=mats)

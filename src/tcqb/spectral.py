@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bethe import BetheBranch, SectorSpec
-from .oracle import diagonalize, sector_hamiltonian
+from .oracle import SectorSpec, diagonalize, sector_hamiltonian
+
+if TYPE_CHECKING:  # the energy tables use this module without the root solver
+    from .bethe import BetheBranch
 
 __all__ = [
     "SpectralError",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distribution
-from tcqb import battery, cli
+from tcqb import battery, cli, spectral
 from tcqb.battery import (
     EnergyTable,
     InequalityReport,
@@ -332,7 +332,7 @@ class TestDerivativeInequality:
     def test_holds_on_short_horizon(self, table, monkeypatch):
         # With every first maximum read as 0.2 the scan covers t <= 0.2,
         # well inside the charging window.
-        monkeypatch.setattr(battery, "first_max_time", lambda series: 0.2)
+        monkeypatch.setattr(spectral, "first_max_time", lambda series: 0.2)
         short = EnergyTable(n_atoms=table.n_atoms, series=table.series)
         for M, m, m0 in ((6, 4, 2), (10, 5, 1), (14, 9, 4)):
             report = check_derivative_inequality(short, M, m, m0)

@@ -343,6 +343,21 @@ class TestLindbladCommand:
         assert len(lines) == 1 and lines[0].startswith("lindblad failed: trace drifted to nan")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt, steps", [("1e-300", "1e+298"), ("1e-9", "1e+07")])
+    def test_more_steps_than_the_cap_exit_5_with_one_line(self, runner, tmp_path, dt, steps):
+        # Uncapped, the first would never end and the second would take
+        # minutes; both are refused before a step is taken.
+        out = tmp_path / "l.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0", "--gamma-phi", "0",
+             "--dt", dt, "--t-end", "0.01", "--out", str(out)],
+        )
+        assert result.exit_code == 5, result.output
+        lines = result.output.strip().splitlines()
+        assert lines == [f"lindblad failed: t_end / dt = {steps} steps exceeds the limit of 2000000"]
+        assert not out.exists()
+
     def test_run_builds_no_dense_state(self, runner, tmp_path, monkeypatch):
         class Refuse:
             def __init__(self, *args, **kwargs):
@@ -559,7 +574,7 @@ def _fail_series(spectrum):
 
 @pytest.mark.parametrize("module, name, fake", [
     (spectral, "diagonalize", _fail_diagonalize),
-    (battery, "number_state_energy", _fail_series),
+    (spectral, "number_state_energy", _fail_series),
 ], ids=["ConvergenceFailure", "SpectralError"])
 @pytest.mark.parametrize("command", ["energy", "split-check", "inequality"])
 def test_table_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake, command):
@@ -584,13 +599,13 @@ def _fail_solve(n_atoms, m_max):
 
 
 def _miss_branches(n_atoms, m_max):
-    raise cli.bethe.MissingBranches(2, 3, n_atoms, m_max)
+    raise bethe.MissingBranches(2, 3, n_atoms, m_max)
 
 
 @pytest.mark.parametrize("module, name, fake", [
     (spectral, "sector_spectrum", _fail_spectrum),
-    (cli.bethe, "solve_sectors", _fail_solve),
-    (cli.bethe, "solve_sectors", _miss_branches),
+    (bethe, "solve_sectors", _fail_solve),
+    (bethe, "solve_sectors", _miss_branches),
 ], ids=["SpectralError", "ConvergenceFailure", "MissingBranches"])
 def test_spectrum_failure_exits_2(runner, tmp_path, monkeypatch, module, name, fake):
     monkeypatch.setattr(module, name, fake)
@@ -705,6 +720,21 @@ def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
 
 
+@pytest.mark.parametrize("chunk_rows", [3, cli.CSV_CHUNK_ROWS])
+def test_csv_rows_are_the_per_value_format(tmp_path, monkeypatch, chunk_rows):
+    # Rows go out a chunk at a time, each formatted by one %-operation; the
+    # bytes must be those of formatting every value on its own with _fmt.
+    values = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1 + 0.2, 1.0, -3.0, 2.0**53,
+              1e15, 123456789012.0, 1234567890123.0, 1 / 3, math.pi, -2.5e-7]
+    columns = [np.array(values), np.array(values[::-1]), np.arange(len(values), dtype=float) * 0.1]
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "x.csv"
+    cli._write_csv(path, ["a", "b", "c"], columns)
+    expected = ["a,b,c"] + [",".join(cli._fmt(float(v)) for v in row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text().splitlines()[1] == "-0,-2.5e-07,0"
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "--n-atoms", "2", "--m-max", "2"],
     ["spectrum", "--n-atoms", "2", "--m-max", "2"],
@@ -810,29 +840,37 @@ def test_every_command_runs_through_the_runner():
 
 
 STARTUP_PROBE = """
-import sys
-import tcqb, tcqb.cli
+import json, sys
+import tcqb.cli
 
-out = sys.argv[1]
-for args in (
-    ["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--out", out + "/e.csv"],
-    ["split-check", "--dist", "coherent:2:8", "--n-atoms", "4"],
-    ["inequality", "--which", "29", "--n-atoms", "4", "--max-m", "4"],
-    ["optimal", "--mean", "2.5"],
-    ["estimate", "--e-known", "1", "--m", "2", "--e-observed", "3"],
-    ["verify", "--n-atoms", "2", "--m-max", "4"],
-    ["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0.2", "--gamma-phi", "0.1",
-     "--t-end", "0.01", "--out", out + "/l.csv"],
-):
-    tcqb.cli.main(args, standalone_mode=False)
-print(sorted(name for name in sys.modules if name.startswith("scipy")))
+tcqb.cli.main(sys.argv[1:], standalone_mode=False)
+print(json.dumps(sorted(name for name in sys.modules if name.startswith(("scipy", "tcqb.")))))
 """
 
+_SOLVER = ("tcqb.bethe", "tcqb.spectral")
 
-def test_table_commands_run_without_scipy(tmp_path):
+
+@pytest.mark.parametrize("args, loads, skips", [
+    (["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--out", "{out}/e.csv"],
+     ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
+    (["split-check", "--dist", "coherent:2:8", "--n-atoms", "4"],
+     ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
+    (["inequality", "--which", "29", "--n-atoms", "4", "--max-m", "4"],
+     ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
+    (["optimal", "--mean", "2.5"], [], [*_SOLVER, "tcqb.lindblad"]),
+    (["estimate", "--e-known", "1", "--m", "2", "--e-observed", "3"], [], [*_SOLVER, "tcqb.lindblad"]),
+    (["verify", "--n-atoms", "2", "--m-max", "4"], list(_SOLVER), ["tcqb.lindblad"]),
+    (["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0.2", "--gamma-phi", "0.1",
+      "--t-end", "0.01", "--out", "{out}/l.csv"], ["tcqb.lindblad"], list(_SOLVER)),
+], ids=["energy", "split-check", "inequality", "optimal", "estimate", "verify", "lindblad"])
+def test_each_command_loads_only_what_it_runs(tmp_path, args, loads, skips):
+    # One child per command: the modules it loads are those it runs, and none is scipy.
     src = str(Path(tcqb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+    argv = [a.format(out=tmp_path) for a in args]
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not [name for name in loaded if name.startswith("scipy")]
+    assert set(loads) <= set(loaded) and not set(skips) & set(loaded), loaded

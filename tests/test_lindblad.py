@@ -297,6 +297,124 @@ class TestEvolve:
             assert np.max(np.abs(getattr(ts, name) - mixed)) <= 1e-12, name
 
 
+def _reference_evolve(dist, config):
+    """evolve as first written: a matvec loop over the slots, one eigvalsh
+    per block and sample, a fresh array for every RK4 term.  The kernel
+    must give the same bits and raise the same first failure."""
+    m_top = dist.max_support
+    sizes = [SectorSpec(config.n_atoms, m).branch_count for m in range(m_top + 1)]
+    lop = lindblad._block_generator(config, m_top)
+
+    def matvec(y):
+        out = lop.vals[0] * y[lop.cols[0]]
+        for cols, vals in zip(lop.cols[1:], lop.vals[1:]):
+            out += vals * y[cols]
+        return out
+
+    offsets = np.cumsum([0] + [s**2 for s in sizes])
+    y = np.zeros(offsets[-1], dtype=complex)
+    y[offsets[:-1]] = [dist.prob(m) for m in range(m_top + 1)]
+    mats = [y[o : o + s**2].reshape(s, s) for o, s in zip(offsets, sizes)]
+    diag_pos = np.concatenate([o + np.arange(s) * (s + 1) for o, s in zip(offsets, sizes)])
+    q = np.concatenate([np.arange(s) for s in sizes])
+    m_shift = np.concatenate([np.full(s, m - config.n_atoms / 2.0) for m, s in enumerate(sizes)])
+    n_steps = int(round(config.t_end / config.dt))
+    rows, herm_drift = [], 0.0
+
+    def record(t_i):
+        nonlocal herm_drift
+        diag = y[diag_pos].real
+        tr = float(diag.sum())
+        if not abs(tr - 1.0) <= 1e-6:
+            raise StepUnstable(f"trace drifted to {tr!r} at t = {t_i:g}; reduce dt")
+        herm_drift = max([herm_drift] + [float(np.max(np.abs(r - r.conj().T))) for r in mats])
+        min_eig = min([np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0] for r in mats] + [0.0])
+        if min_eig < -1e-6:
+            raise StepUnstable(f"min eig(rho) fell to {min_eig:.3e} at t = {t_i:g}; reduce dt")
+        rows.append((t_i, float(q @ diag), tr, float(min_eig), float(m_shift @ diag)))
+
+    dt = config.dt
+    record(0.0)
+    for step in range(1, n_steps + 1):
+        k1 = matvec(y)
+        k2 = matvec(y + 0.5 * dt * k1)
+        k3 = matvec(y + 0.5 * dt * k2)
+        k4 = matvec(y + dt * k3)
+        y += (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if step % config.sample_stride == 0 or step == n_steps:
+            record(step * dt)
+    t_out, energy, trace, min_eig, m_expect = (np.array(col) for col in zip(*rows))
+    power = np.zeros_like(energy)
+    power[1:] = energy[1:] / t_out[1:]
+    return lindblad.TimeSeries(t=t_out, energy=energy, power=power, trace=trace, min_eig=min_eig,
+                               m_expect=m_expect, herm_drift=herm_drift, final_state=mats)
+
+
+def _assert_same_bits(got, want):
+    for name in ("t", "energy", "power", "trace", "min_eig", "m_expect"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+    assert got.herm_drift == want.herm_drift
+    assert len(got.final_state) == len(want.final_state)
+    for block, ref in zip(got.final_state, want.final_state):
+        assert np.array_equal(block, ref)
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("kappa,gamma_phi", [(0.2, 0.1), (0.0, 0.1), (0.0, 0.0)])
+    def test_open_system_runs_match_the_reference(self, kappa, gamma_phi):
+        config = OpenSystemConfig(n_atoms=10, n_max=11, kappa=kappa, gamma_phi=gamma_phi, t_end=0.5)
+        dist = fock_distribution(10)
+        _assert_same_bits(evolve(dist, config), _reference_evolve(dist, config))
+
+    @pytest.mark.parametrize("states", [1, 2, 7])
+    def test_checks_in_chunks_match_the_reference(self, monkeypatch, states):
+        # 84 samples checked a few states at a time, the last chunk partial.
+        dist = coherent_distribution(1.5, truncation=6)
+        config = small_config(n_atoms=3, kappa=0.6, gamma_phi=0.3, dt=2e-3, t_end=0.5, sample_stride=3)
+        n_entries = sum(SectorSpec(3, m).branch_count ** 2 for m in range(7))
+        monkeypatch.setattr(lindblad, "SAMPLE_CHUNK_BYTES", states * 16 * n_entries)
+        _assert_same_bits(evolve(dist, config), _reference_evolve(dist, config))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20], ids=["one-state", "whole-run"])
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n_atoms=3, dt=0.5, t_end=3.0, sample_stride=1), "min eig(rho) fell to -2.179e+00 at t = 0.5"),
+        (dict(n_atoms=3, kappa=1e300, t_end=1.0), "trace drifted to nan at t = 0.01"),
+        (dict(n_atoms=2, dt=1.0, t_end=40.0, sample_stride=1), None),
+        (dict(n_atoms=10, n_max=11, kappa=0.2, gamma_phi=0.1, dt=0.05, t_end=1.0, sample_stride=1), None),
+    ], ids=["closed-dt0.5", "kappa1e300", "closed-dt1", "n10-dt0.05"])
+    def test_failing_runs_keep_their_first_failure(self, monkeypatch, chunk_bytes, kw, message):
+        # Held samples are checked before a later trace failure is raised,
+        # so the first sample that fails any check names the failure (at
+        # closed-dt1, min eig fails at t = 1 and the trace at t = 10).
+        config = small_config(**kw)
+        dist = fock_distribution(config.n_atoms)
+        monkeypatch.setattr(lindblad, "SAMPLE_CHUNK_BYTES", chunk_bytes)
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI runs it
+            with pytest.raises(StepUnstable) as want:
+                _reference_evolve(dist, config)
+            with pytest.raises(StepUnstable) as got:
+                evolve(dist, config)
+        assert str(got.value) == str(want.value)
+        if message:
+            assert str(got.value) == f"{message}; reduce dt"
+
+    def test_non_finite_state_fails_before_its_eigenvalues_are_taken(self, monkeypatch):
+        # A nan off-diagonal entry leaves the trace at 1, so only the finite
+        # check keeps that state away from eigvalsh.
+        n = sum(SectorSpec(2, m).branch_count ** 2 for m in range(3))
+        vals = np.zeros((1, n), dtype=complex)
+        vals[0, n - 2] = np.nan  # entry (2, 1) of block M = 2
+        lop = lindblad._RowPadded(cols=np.arange(n)[None, :], vals=vals)
+        monkeypatch.setattr(lindblad, "_block_generator", lambda config, m_top: lop)
+        seen, checks = [], lindblad._block_checks
+        monkeypatch.setattr(lindblad, "_block_checks",
+                            lambda chunk, *args: seen.append(chunk.copy()) or checks(chunk, *args))
+        with pytest.raises(StepUnstable, match=r"^rho is not finite at t = 0\.001; reduce dt$"):
+            evolve(fock_distribution(2), small_config(t_end=0.05, sample_stride=1))
+        assert [len(c) for c in seen] == [1] and np.isfinite(seen[0]).all()
+
+
 class TestConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
@@ -316,6 +434,12 @@ class TestConfig:
             small_config(dt=4e-4, t_end=1e-3)
         for t_end in (0.5, 0.4):
             assert small_config(dt=1e-3, t_end=t_end).t_end == t_end
+
+    def test_at_most_max_steps(self):
+        assert small_config(dt=1e-6, t_end=2.0).t_end == 2.0  # 2,000,000 steps
+        for dt, t_end in ((1e-6, 2.000001), (5e-324, 1e300)):  # 2,000,001 steps; inf
+            with pytest.raises(ValueError, match="exceeds the limit of 2000000"):
+                small_config(dt=dt, t_end=t_end)
 
     @pytest.mark.parametrize("field", ["kappa", "gamma_phi", "dt", "t_end"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
