@@ -29,7 +29,6 @@ __all__ = [
     "TruncationTooSmall",
     "SupportExceedsTable",
     "NonpositiveTime",
-    "DegenerateSplit",
     "ZeroReferenceEnergy",
     "NegativeObservedEnergy",
     "DeltaFMismatch",
@@ -55,6 +54,7 @@ PROB_SUM_TOL = 1e-12
 MEAN_SNAP_TOL = 1e-9
 INEQ_TOL = 1e-9
 GRID_STEP = 1e-3
+COHERENT_TAIL_TOL = 1e-6  # Poisson mass dropped by an automatic coherent truncation
 
 
 class BatteryError(Exception):
@@ -75,10 +75,6 @@ class SupportExceedsTable(BatteryError):
 
 class NonpositiveTime(BatteryError):
     """Average power is defined for t > 0 only."""
-
-
-class DegenerateSplit(BatteryError):
-    """No mass above the mean's integer part although balance requires it."""
 
 
 class ZeroReferenceEnergy(BatteryError):
@@ -136,15 +132,13 @@ def fock_distribution(m: int) -> PhotonDistribution:
     return PhotonDistribution({int(m): 1.0})
 
 
-def coherent_distribution(
-    alpha_sq: float, truncation: int | None = None, tail_tol: float = 1e-6
-) -> PhotonDistribution:
+def coherent_distribution(alpha_sq: float, truncation: int | None = None) -> PhotonDistribution:
     """Poissonian photon statistics of a coherent field, truncated.
 
     p(M) = exp(-|a|^2) |a|^(2M) / M! renormalized over 0..truncation.
     Without an explicit truncation the support is grown until the
-    dropped tail is below tail_tol.  An explicit truncation dropping
-    more than 1e-3 of the mass raises TruncationTooSmall.
+    dropped tail is below COHERENT_TAIL_TOL.  An explicit truncation
+    dropping more than 1e-3 of the mass raises TruncationTooSmall.
     """
     if alpha_sq < 0:
         raise ValueError("mean photon number |alpha|^2 must be >= 0")
@@ -152,7 +146,7 @@ def coherent_distribution(
         return fock_distribution(0)
     if truncation is None:
         truncation = max(1, int(math.ceil(alpha_sq)))
-        while _poisson_tail(alpha_sq, truncation) > tail_tol:
+        while _poisson_tail(alpha_sq, truncation) > COHERENT_TAIL_TOL:
             truncation += 1
     tail = _poisson_tail(alpha_sq, truncation)
     if tail > 1e-3:
@@ -323,17 +317,15 @@ def split(dist: PhotonDistribution) -> SplitTableau:
     w_j = j p([nbar]+j) / sum_k k p([nbar]+k); the below-mean
     probabilities and the fractional weights of the optimal distribution
     are split proportionally to w_j.  A distribution whose support stops
-    at [nbar] yields the empty tableau (d = 0).
+    at [nbar] yields the empty tableau (d = 0).  Otherwise the weights'
+    denominator is at least d p([nbar]+d) > 0, since a distribution keeps
+    only positive probabilities, so every tableau is well defined.
     """
     fl, frac = _mean_parts(dist.mean)
     d = dist.max_support - fl
     if d <= 0:
         return SplitTableau(floor=fl, frac=frac, d=0, parts=())
     balance = math.fsum(k * dist.prob(fl + k) for k in range(1, d + 1))
-    if balance <= 0:
-        raise DegenerateSplit(
-            "no mass above the mean's integer part although the mean balance requires it"
-        )
     below = {i: p for i, p in dist.probs.items() if i <= fl}
     below_total = math.fsum(below.values())
     parts = []

@@ -15,10 +15,12 @@ which reaches the mixed-sign branches (at M = 2 the zero-energy pair
 of every accepted branch is taken as a branch too, without refinement.
 No step is random.
 
-A sector's trials are refined NEWTON_CHUNK at a time by one stacked
-kernel (one batched linear solve per iteration) and taken in trial
-order, so the branches found and their provenance are exactly those of
-refining the trials one by one.
+The trials go round-robin over the previous branches, so the first
+trials reach many children rather than the same child many times.  A
+sector's trials are refined NEWTON_CHUNK at a time by one stacked
+kernel (one batched linear solve per iteration), which hands out each
+row as soon as it stops, so a row that never converges holds up no
+other row; each row iterates exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -127,10 +129,6 @@ class BetheBranch:
     energy: float
     residual: float
     provenance: str = "continuation"
-
-    @property
-    def excitations(self) -> int:
-        return len(self.roots)
 
     @property
     def is_completeness(self) -> bool:
@@ -274,9 +272,10 @@ def _newton_rows(trials, J: float):
     Each row runs the iteration described in newton_refine as if alone;
     the rows only share numpy calls: one stacked solve per iteration
     (per-row solves when the stack is singular) and a lockstep line
-    search with one step scale per row.  Yields each row's BetheBranch,
-    or the BetheError that ended it, in row order as soon as that row
-    and all earlier rows have finished, so a caller can stop early.
+    search with one step scale per row.  Yields (row index, result) for
+    each row as soon as it stops, rows that stop together in row order;
+    the result is the row's BetheBranch or the BetheError that ended it.
+    A caller can stop early.
     """
     x = np.array(trials, dtype=complex)
     T, M = x.shape
@@ -299,12 +298,12 @@ def _newton_rows(trials, J: float):
         stop((np.abs(x).min(axis=1) < 1e-10).nonzero()[0],
              DivergedToZeroRoot, "trial set starts inside |x| < 1e-10")
     refresh(live.nonzero()[0])
-    done = 0  # rows handed out; a finished row's x is frozen and canonicalized only then
+    pending = np.ones(T, dtype=bool)  # not handed out; a stopped row's x is frozen until then
     for _ in range(NEWTON_MAX_ITER):
         live &= ~(norm < NEWTON_TOL)  # a NaN norm keeps iterating
-        while done < T and not live[done]:
-            yield errors[done] or _finish(x[done], J)
-            done += 1
+        for r in (pending & ~live).nonzero()[0].tolist():
+            pending[r] = False
+            yield r, errors[r] or _finish(x[r], J)
         rows = live.nonzero()[0]
         if not rows.size:
             return
@@ -352,7 +351,7 @@ def _newton_rows(trials, J: float):
         stop(rejected[fails[rejected] >= 5], SingularJacobian, "full damping failed 5 times in a row")
     for r in (live & (norm >= NEWTON_TOL)).nonzero()[0]:
         errors[r] = NoConvergence(f"residual {norm[r]:.3e} after {NEWTON_MAX_ITER} iterations")
-    yield from (errors[r] or _finish(x[r], J) for r in range(done, T))
+    yield from ((r, errors[r] or _finish(x[r], J)) for r in pending.nonzero()[0].tolist())
 
 
 def newton_refine(guess, J: float) -> BetheBranch:
@@ -364,7 +363,7 @@ def newton_refine(guess, J: float) -> BetheBranch:
     failures raise SingularJacobian.  The converged set is canonicalized
     (conjugate symmetry restored exactly) before the branch is built.
     """
-    result = next(_newton_rows(_as_roots(guess)[None], J))
+    _, result = next(_newton_rows(_as_roots(guess)[None], J))
     if isinstance(result, BetheError):
         raise result
     return result
@@ -376,16 +375,18 @@ def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndar
     Every previous branch is extended by one copy of each of its
     members, shifted by DUP_PERTURB*(1+1j) off the pairwise pole.  The
     same extensions with the copied member negated follow them, for the
-    mixed-sign branches that no copy lies near.
+    mixed-sign branches that no copy lies near.  Within each sign the
+    trials go round-robin: the copy of member i of every branch in
+    turn, then member i + 1, so the first trials cover every branch.
     """
     shift = DUP_PERTURB * (1.0 + 1.0j)
     # Root-free completeness branches carry no seed material.
     bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches if len(b.roots) == target_M - 1]
     return [
-        np.append(base, member + shift)
+        np.append(base, (-base[i] if negate else base[i]) + shift)
         for negate in (False, True)
+        for i in range(target_M - 1)
         for base in bases
-        for member in (-base if negate else base)
     ]
 
 
@@ -413,9 +414,11 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
     branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
     refine seed_trials(prev_branches, M), built from the solved M - 1
     sector, which M >= 2 requires (ValueError without it).  Trials are
-    refined NEWTON_CHUNK at a time and taken in trial order; a result
-    is kept when its energy is new (the sector spectrum is simple), and
-    the negation of a kept branch, exactly a branch since the root
+    refined NEWTON_CHUNK at a time and each result is taken as its row
+    stops, so the sector is done as soon as its last branch converges,
+    without waiting for rows still iterating.  A result is kept
+    when its energy is new (the sector spectrum is simple), and the
+    negation of a kept branch, exactly a branch since the root
     equations are odd, is kept with it.  For odd M > 2J the zero-energy
     eigenstate provably has no regular root set (see BetheBranch) and
     is returned as a root-free completeness branch once it is the only
@@ -453,7 +456,7 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
     for start in range(0, len(trials), NEWTON_CHUNK):
         if done():
             break
-        for result in _newton_rows(trials[start:start + NEWTON_CHUNK], J):
+        for _, result in _newton_rows(trials[start:start + NEWTON_CHUNK], J):
             if done():
                 break
             if keep(result) and len(branches) < K:

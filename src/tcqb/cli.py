@@ -255,7 +255,8 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
     """fock:M | coherent:ALPHA2[:TRUNC] | file:PATH, with support <= MAX_SECTOR."""
     kind, _, rest = text.partition(":")
     if kind not in ("fock", "coherent", "file"):
-        raise InputError(f"unknown initial state {text!r} (fock:M, coherent:A2[:T], file:PATH)")
+        raise InputError(f"bad distribution {text!r}: unknown kind {kind!r} "
+                         f"(fock:M, coherent:A2[:T], file:PATH)")
     try:
         if kind == "fock":
             dist = battery.fock_distribution(int(rest))

@@ -174,10 +174,7 @@ def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpec
             raise ImaginaryLeak(f"relative eigenvector imaginary part {leak:.3e}")
         vec = raw.real
         norms[i] = np.linalg.norm(vec)
-        vec = vec / norms[i]
-        if vec[0] < 0:
-            vec = -vec
-        vectors[i] = vec
+        vectors[i] = vec / norms[i]  # vec[0] = sqrt(M!) e_0 > 0
     if synth:
         others = np.delete(vectors, synth[0], axis=0)
         _, _, vt = np.linalg.svd(others)

@@ -109,7 +109,7 @@ class TestFockAndCoherent:
             coherent_distribution(30.0, truncation=16)
 
     def test_auto_truncation_tail(self):
-        dist = coherent_distribution(4.0, tail_tol=1e-8)
+        dist = coherent_distribution(4.0)
         assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert abs(dist.mean - 4.0) < 1e-4
 

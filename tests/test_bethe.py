@@ -266,7 +266,10 @@ def _alone(refine, guess, J):
 
 
 def _stacked(trials, J):
-    return [_bits(r) for r in bethe._newton_rows(np.array(trials), J)]
+    """The kernel's results in row order; it hands each row out when that row stops."""
+    out = list(bethe._newton_rows(np.array(trials), J))
+    assert sorted(r for r, _ in out) == list(range(len(trials)))
+    return [_bits(result) for _, result in sorted(out, key=lambda item: item[0])]
 
 
 class TestNewtonKernel:
@@ -306,6 +309,33 @@ class TestNewtonKernel:
             trials = seed_trials(chain[m - 1], m)
             assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
 
+    def test_rows_are_handed_out_as_they_stop(self):
+        # N = 4, M = 5: a few continuation trials run all NEWTON_MAX_ITER
+        # iterations; every row that stops sooner is handed out before them.
+        trials = seed_trials(bethe.solve_sectors(4, 4)[4], 5)
+        out = list(bethe._newton_rows(np.array(trials), 2.0))
+        order = [r for r, _ in out]
+        assert sorted(order) == list(range(len(trials)))
+        stalled = [f"after {bethe.NEWTON_MAX_ITER} iterations" in str(result) for _, result in out]
+        k = sum(stalled)
+        assert k and stalled == [False] * (len(out) - k) + [True] * k
+        assert order != sorted(order)
+
+    def test_large_chain_refines_few_rows(self, monkeypatch):
+        # Round-robin trials and rows handed out as they stop: the N = 32
+        # chain to M = 38 needs 914 rows (8,146 with the trials of one
+        # previous branch all before the next's, handed out in row order).
+        rows = []
+        kernel = bethe._newton_rows
+
+        def counted(trials, J):
+            rows.append(len(trials))
+            return kernel(trials, J)
+
+        monkeypatch.setattr(bethe, "_newton_rows", counted)
+        bethe.solve_sectors(32, 38)
+        assert sum(rows) <= 1000
+
 
 class TestSeedTrials:
     def test_stage0_appends_each_distinct_member(self):
@@ -319,6 +349,17 @@ class TestSeedTrials:
             dist = np.abs(g[:, None] - g[None, :])
             np.fill_diagonal(dist, np.inf)
             assert dist.min() > 1e-12
+
+    def test_parents_take_turns(self):
+        prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0),
+                BetheBranch(roots=(3.0 + 0j, 4.0 + 0j), energy=-7.0, residual=0.0)]
+        eps = 1e-3 * (1 + 1j)
+        # Member i of every parent in turn, first the copies, then the negations.
+        expected = [[1.0, 2.0, 1.0 + eps], [3.0, 4.0, 3.0 + eps],
+                    [1.0, 2.0, 2.0 + eps], [3.0, 4.0, 4.0 + eps],
+                    [1.0, 2.0, -1.0 + eps], [3.0, 4.0, -3.0 + eps],
+                    [1.0, 2.0, -2.0 + eps], [3.0, 4.0, -4.0 + eps]]
+        assert [g.tolist() for g in seed_trials(prev, 3)] == expected
 
     def test_empty_prev_is_empty(self):
         assert seed_trials([], 4) == []

@@ -525,23 +525,30 @@ def _truncated_json(path):
     return f"file:{path}"
 
 
-def _short_mass_json(path):
-    path.write_text(json.dumps({"probs": {"0": 0.4, "2": 0.5}}))
-    return f"file:{path}"
-
-
 def _nan_probability_json(path):
     path.write_text('{"probs": {"1": 0.5, "2": NaN, "3": 0.5}}')
     return f"file:{path}"
 
 
+def _probs_json(probs):
+    def write(path):
+        path.write_text(json.dumps({"probs": probs}))
+        return f"file:{path}"
+    return write
+
+
 BAD_DISTRIBUTIONS = {
     "truncated-json": _truncated_json,
-    "sums-to-0.9": _short_mass_json,
+    "sums-to-0.9": _probs_json({"0": 0.4, "2": 0.5}),
     "coherent-abc": lambda path: "coherent:abc",
     "coherent-extra-field": lambda path: "coherent:6:16:junk",
+    "coherent-negative": lambda path: "coherent:-1",
     "fock-abc": lambda path: "fock:abc",
     "nan-probability": _nan_probability_json,
+    "negative-photon-number": _probs_json({"-1": 1.0}),
+    "no-support": _probs_json({}),
+    "zero-probability-only": _probs_json({"3": 0.0}),
+    "unknown-kind": lambda path: "bogus:1",
 }
 
 
