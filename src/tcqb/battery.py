@@ -99,6 +99,8 @@ class PhotonDistribution:
     def __post_init__(self):
         cleaned = {}
         for m, p in self.probs.items():
+            if isinstance(p, bool):
+                raise ValueError(f"probability p({m}) = {p} is a boolean, not a number")
             m = int(m)
             p = float(p)
             if not math.isfinite(p):
@@ -137,11 +139,14 @@ def coherent_distribution(alpha_sq: float, truncation: int | None = None) -> Pho
 
     p(M) = exp(-|a|^2) |a|^(2M) / M! renormalized over 0..truncation.
     Without an explicit truncation the support is grown until the
-    dropped tail is below COHERENT_TAIL_TOL.  An explicit truncation
-    dropping more than 1e-3 of the mass raises TruncationTooSmall.
+    dropped tail is below COHERENT_TAIL_TOL.  A negative truncation
+    raises ValueError; an explicit truncation dropping more than 1e-3 of
+    the mass raises TruncationTooSmall.
     """
     if alpha_sq < 0:
         raise ValueError("mean photon number |alpha|^2 must be >= 0")
+    if truncation is not None and truncation < 0:
+        raise ValueError(f"truncation {truncation} is negative; it must be >= 0")
     if alpha_sq == 0:
         return fock_distribution(0)
     if truncation is None:
@@ -385,13 +390,12 @@ def avg_slope_monotone(table: EnergyTable, t: float) -> tuple[bool, tuple[int, f
     Returns (True, None) or (False, (M, excess)) for the first M whose
     average slope exceeds that of M-1 beyond 1e-9.
     """
-    prev = None
-    for m in range(1, table.m_max + 1):
-        slope = table.series[m].value(t) / m
-        if prev is not None and slope > prev + INEQ_TOL:
-            return False, (m, float(slope - prev))
-        prev = slope
-    return True, None
+    slopes = np.array([table.series[m].value(t) / m for m in range(1, table.m_max + 1)])
+    bad = np.flatnonzero(slopes[1:] > slopes[:-1] + INEQ_TOL)
+    if bad.size == 0:
+        return True, None
+    i = int(bad[0])
+    return False, (i + 2, float(slopes[i + 1] - slopes[i]))
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ def spectrum(n_atoms, m_max, seed, out):
             "n_atoms": n_atoms,
             "m": m,
             "energies": [_r12(e) for e in spect.energies],
-            "overlaps": [_r12(spectral.initial_overlap(spect, s)) for s in range(spect.dimension)],
+            "overlaps": [_r12(c) for c in spect.vectors[:, 0]],
             "norms": [_r12(x) for x in spect.norms],
             "series": {"m": m, "offset": _r12(f.offset), "terms": [[_r12(a), _r12(w)] for a, w in f.terms]},
         })

@@ -6,10 +6,10 @@ A solved branch with roots {x_j} generates the (unnormalized) eigenstate
 
 whose component on |M-k> (x) |J,-J+k> is the elementary symmetric
 polynomial e_k(-1/x_1, .., -1/x_M) times the ladder factors
-sqrt((M-k)!) * prod_{l<k} sqrt((2J-l)(l+1)).  From the normalized
-eigenbasis the photon number evolves as a finite sum of complex
-exponentials, which collapses into the exact real cosine series of the
-number-state stored energy F(M, t).
+sqrt((M-k)!) * prod_{l<k} sqrt((2J-l)(l+1)).  The normalized
+eigenbasis is real, so the photon number evolves as a real cosine
+series in the eigenvalue gaps, assembled in float64 arithmetic: the
+exact series of the number-state stored energy F(M, t).
 
 The same eigenbasis also comes straight from the tridiagonal sector
 Hamiltonian (tridiagonal_spectrum); the energy tables are built that
@@ -40,7 +40,6 @@ __all__ = [
     "SectorSpectrum",
     "sector_spectrum",
     "tridiagonal_spectrum",
-    "initial_overlap",
     "CosineSeries",
     "SineSeries",
     "number_state_energy",
@@ -69,7 +68,7 @@ class EigenResidualTooLarge(SpectralError):
 
 
 class ImaginaryLeak(SpectralError):
-    """Collapsing the exponential sum left a non-real amplitude."""
+    """A root-built eigenvector kept a non-real component."""
 
 
 class NoMaximumFound(SpectralError):
@@ -178,12 +177,7 @@ def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpec
     if synth:
         others = np.delete(vectors, synth[0], axis=0)
         _, _, vt = np.linalg.svd(others)
-        vec = vt[-1]
-        if vec[np.argmax(np.abs(vec))] < 0:
-            vec = -vec
-        if vec[0] < 0:
-            vec = -vec
-        vectors[synth[0]] = vec
+        vectors[synth[0]] = vt[-1] if vt[-1, 0] >= 0 else -vt[-1]
     H = sector_hamiltonian(spec).dense()
     res = float(np.max(np.abs(vectors @ H - energies[:, None] * vectors)))
     if res >= 1e-8:
@@ -201,15 +195,6 @@ def tridiagonal_spectrum(spec: SectorSpec) -> SectorSpectrum:
     energies, evecs = diagonalize(sector_hamiltonian(spec))
     vectors = evecs.T * np.where(evecs[0] < 0, -1.0, 1.0)[:, None]
     return SectorSpectrum(spec=spec, energies=energies, vectors=vectors, norms=np.ones(energies.size))
-
-
-def initial_overlap(spectrum: SectorSpectrum, sigma: int) -> float:
-    """Overlap of eigenstate sigma with the bare state |M> (x) |J,-J>.
-
-    Equals the k = 0 component of the normalized eigenvector, i.e.
-    sqrt(M!)/norm for the generating product state.
-    """
-    return float(spectrum.vectors[sigma, 0])
 
 
 @dataclass(frozen=True)
@@ -253,38 +238,29 @@ def series_derivative(series: CosineSeries) -> SineSeries:
 def number_state_energy(spectrum: SectorSpectrum) -> CosineSeries:
     """Stored energy F(M, t) of the sector's bare initial state.
 
-    The photon number is sum_{g,s} c_g c_s exp(i(E_g - E_s) t) A_{gs}
-    with overlaps c and photon-number matrix A in the eigenbasis; the
-    Hermitian pairing collapses it to a real cosine series and
-    F(M, t) = M - <n>(t).  Terms below 1e-12 in amplitude are pruned.
+    The photon number is sum_{g,s} C_gs cos((E_s - E_g) t) with the real
+    coefficients C = outer(c, c) * (V diag(M - k) V^T) of the eigenbasis
+    V and the overlaps c = V[:, 0]; each pair g < s is one cosine of
+    amplitude C_gs + C_sg.  Equal frequencies are merged, the pairs
+    taken in stable ascending-gap order, and F(M, t) = M - <n>(t).
+    Terms below 1e-12 in amplitude are pruned.
     """
     M = spectrum.spec.excitations
-    K = spectrum.dimension
     c = spectrum.vectors[:, 0]
-    photon = M - np.arange(K, dtype=float)
-    A = (spectrum.vectors * photon) @ spectrum.vectors.T
-    # Complex pair coefficients; test the leak explicitly even though the
-    # realified eigenbasis makes it vanish identically here.
-    coeff = np.outer(c, c).astype(complex) * A
-    offset_n = coeff.trace()
-    if abs(offset_n.imag) >= 1e-9:
-        raise ImaginaryLeak(f"zero-frequency amplitude imag {offset_n.imag:.3e}")
-    raw: list[tuple[float, float]] = []
-    for g in range(K):
-        for s in range(g + 1, K):
-            amp = coeff[g, s] + coeff[s, g]
-            if abs(amp.imag) >= 1e-9:
-                raise ImaginaryLeak(f"pair ({g},{s}) amplitude imag {amp.imag:.3e}")
-            raw.append((spectrum.energies[s] - spectrum.energies[g], -amp.real))
-    raw.sort(key=lambda p: p[0])
+    photon = M - np.arange(spectrum.dimension, dtype=float)
+    coeff = np.outer(c, c) * ((spectrum.vectors * photon) @ spectrum.vectors.T)
+    g, s = np.triu_indices(spectrum.dimension, 1)
+    gaps = spectrum.energies[s] - spectrum.energies[g]
+    order = np.argsort(gaps, kind="stable")
+    amps = -(coeff[g, s] + coeff[s, g])
     merged: list[list[float]] = []
-    for omega, amp in raw:
+    for omega, amp in zip(gaps[order].tolist(), amps[order].tolist()):
         if merged and abs(omega - merged[-1][0]) < FREQ_MERGE_TOL:
             merged[-1][1] += amp
         else:
             merged.append([omega, amp])
     terms = tuple((amp, omega) for omega, amp in merged if abs(amp) >= AMP_PRUNE_TOL)
-    return CosineSeries(offset=float(M - offset_n.real), terms=terms)
+    return CosineSeries(offset=float(M - np.trace(coeff)), terms=terms)
 
 
 def first_max_time(series: CosineSeries) -> float:

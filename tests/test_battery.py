@@ -296,6 +296,22 @@ class TestAvgSlopeMonotone:
         assert not ok
         assert violation[0] == 2
 
+    @pytest.mark.parametrize("values", [
+        [0, 3, 5, 6, 9, 10],  # slopes 3, 2.5, 2, 2.25, 2: one violation, at M = 4
+        [0, 2, 4, 7, 6, 10],  # slopes 2, 2, 7/3, 1.5, 2: violations at M = 3 and 5
+        [0, 4, 6, 6],  # slopes 4, 3, 2: none
+    ])
+    def test_first_violation_and_excess_match_a_running_scan(self, values):
+        table = synthetic_table(values)
+        prev, want = None, None
+        for m in range(1, table.m_max + 1):
+            slope = table.series[m].value(0.1) / m
+            if prev is not None and slope > prev + battery.INEQ_TOL:
+                want = (m, slope - prev)
+                break
+            prev = slope
+        assert avg_slope_monotone(table, 0.1) == (want is None, want)
+
 
 class TestRatioInequality:
     def test_published_pair_has_no_violation(self, table):
@@ -380,6 +396,31 @@ def test_shared_grid_scans_equal_fresh_evaluation(n_atoms, m_max):
                 assert check_derivative_inequality(table, M, m, m0) == _fresh_report(
                     table, t_max, (M, m, m0)
                 )
+
+
+@pytest.mark.parametrize("probs", [{10: 1.0}, {3: 0.5, 12: 0.5}], ids=["floor-plus-one", "support"])
+def test_delta_F_refuses_a_distribution_beyond_the_table(probs):
+    # F up to M = 10 only: a mean of 10 needs F(11), and support at 12 needs F(12)
+    with pytest.raises(SupportExceedsTable, match="table stops at 10"):
+        delta_F(PhotonDistribution(probs), synthetic_table(range(11)), 0.1)
+
+
+@pytest.mark.parametrize("ms", [(1, 2), (0, 2), (0, 1, 3)])
+def test_energy_table_support_must_be_contiguous_from_0(ms):
+    with pytest.raises(ValueError, match="contiguous from 0"):
+        EnergyTable(n_atoms=99, series={m: CosineSeries(offset=0.0) for m in ms})
+
+
+@pytest.mark.parametrize("check, indices", [
+    (check_ratio_inequality, (1, 2)),
+    (check_ratio_inequality, (2, 0)),
+    (check_derivative_inequality, (1, 2, 1)),
+    (check_derivative_inequality, (3, 1, 2)),
+    (check_derivative_inequality, (3, 2, 0)),
+])
+def test_inequality_indices_must_be_ordered(check, indices):
+    with pytest.raises(ValueError, match="need M >= m"):
+        check(synthetic_table(range(5)), *indices)
 
 
 class TestEstimator:

@@ -540,15 +540,22 @@ def _probs_json(probs):
 BAD_DISTRIBUTIONS = {
     "truncated-json": _truncated_json,
     "sums-to-0.9": _probs_json({"0": 0.4, "2": 0.5}),
+    "boolean-probability": _probs_json({"1": True}),
     "coherent-abc": lambda path: "coherent:abc",
     "coherent-extra-field": lambda path: "coherent:6:16:junk",
     "coherent-negative": lambda path: "coherent:-1",
+    "coherent-negative-truncation": lambda path: "coherent:3:-1",
     "fock-abc": lambda path: "fock:abc",
     "nan-probability": _nan_probability_json,
     "negative-photon-number": _probs_json({"-1": 1.0}),
     "no-support": _probs_json({}),
     "zero-probability-only": _probs_json({"3": 0.0}),
     "unknown-kind": lambda path: "bogus:1",
+}
+# The one line names the fault itself, not a consequence of it.
+BAD_DISTRIBUTION_MESSAGES = {
+    "boolean-probability": "p(1) = True is a boolean",
+    "coherent-negative-truncation": "truncation -1 is negative",
 }
 
 
@@ -568,6 +575,7 @@ def test_bad_distribution_exits_3_with_one_line(runner, tmp_path, command, case)
     assert "Traceback" not in result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{command} failed: bad distribution")
+    assert BAD_DISTRIBUTION_MESSAGES.get(case, "") in lines[0]
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -576,7 +584,7 @@ def _fail_diagonalize(matrix):
 
 
 def _fail_series(spectrum):
-    raise spectral.ImaginaryLeak("pair (0,1) amplitude imag 1e-3")
+    raise spectral.SpectralError("series assembly failed")
 
 
 @pytest.mark.parametrize("module, name, fake", [

@@ -6,22 +6,57 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tcqb.bethe import SectorSpec, solve_sectors
+from tcqb.bethe import BetheBranch, SectorSpec, solve_sectors
 from tcqb.cli import main
 from tcqb.oracle import diagonalize, oracle_F, sector_hamiltonian
 from tcqb.spectral import (
+    AMP_PRUNE_TOL,
+    FREQ_MERGE_TOL,
     CosineSeries,
+    IncompleteBranchSet,
     NoMaximumFound,
     elementary_symmetric,
     expand_eigenstate,
     first_max_time,
-    initial_overlap,
+    number_state_energy,
     sector_spectrum,
     series_derivative,
     tridiagonal_spectrum,
 )
 
 SQRT10 = math.sqrt(10.0)
+_COMPLETENESS = BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
+
+
+def _reference_number_state_energy(spectrum):
+    """number_state_energy as one loop over the pairs in complex arithmetic."""
+    M = spectrum.spec.excitations
+    K = spectrum.dimension
+    c = spectrum.vectors[:, 0]
+    photon = M - np.arange(K, dtype=float)
+    A = (spectrum.vectors * photon) @ spectrum.vectors.T
+    coeff = np.outer(c, c).astype(complex) * A
+    raw = []
+    for g in range(K):
+        for s in range(g + 1, K):
+            amp = coeff[g, s] + coeff[s, g]
+            raw.append((spectrum.energies[s] - spectrum.energies[g], -amp.real))
+    raw.sort(key=lambda p: p[0])
+    merged = []
+    for omega, amp in raw:
+        if merged and abs(omega - merged[-1][0]) < FREQ_MERGE_TOL:
+            merged[-1][1] += amp
+        else:
+            merged.append([omega, amp])
+    terms = tuple((amp, omega) for omega, amp in merged if abs(amp) >= AMP_PRUNE_TOL)
+    return CosineSeries(offset=float(M - coeff.trace().real), terms=terms)
+
+
+def _assert_matches_reference(spectrum):
+    """Bit-identical terms; the offset within 1 ulp of M (its trace is summed in another order)."""
+    got, want = number_state_energy(spectrum), _reference_number_state_energy(spectrum)
+    assert [(a.hex(), w.hex()) for a, w in got.terms] == [(a.hex(), w.hex()) for a, w in want.terms]
+    assert abs(got.offset - want.offset) <= np.spacing(float(spectrum.spec.excitations))
 
 
 class TestElementarySymmetric:
@@ -53,6 +88,11 @@ class TestExpandEigenstate:
     def test_vacuum_sector(self, chains):
         vec = expand_eigenstate(chains[0][0], SectorSpec(10, 0))
         assert vec == pytest.approx(np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_root_count_must_match_the_sector(self, chains, m):
+        with pytest.raises(ValueError, match=f"branch has 2 roots, sector expects {m}"):
+            expand_eigenstate(chains[2][0], SectorSpec(10, m))
 
     def test_branch_pair_orthogonal(self, chains):
         spec = SectorSpec(10, 1)
@@ -105,6 +145,14 @@ class TestSectorSpectrum:
             res = np.max(np.abs(spectrum.vectors @ H - spectrum.energies[:, None] * spectrum.vectors))
             assert res < 3e-12, m
 
+    @pytest.mark.parametrize("pick, message", [
+        (lambda branches: branches[:-1], "got 3 branches, sector needs 4"),
+        (lambda branches: [_COMPLETENESS] * 2 + branches[:2], "at most one completeness branch"),
+    ], ids=["too-few", "two-completeness"])
+    def test_incomplete_branch_sets_are_refused(self, chains, pick, message):
+        with pytest.raises(IncompleteBranchSet, match=message):
+            sector_spectrum(SectorSpec(10, 3), pick(chains[3]))
+
     def test_energies_match_generating_branches(self, chains, spectra):
         for m in (3, 8, 14):
             want = sorted(b.energy for b in chains[m])
@@ -112,21 +160,17 @@ class TestSectorSpectrum:
 
 
 class TestInitialOverlap:
+    """The overlap of eigenstate s with |M> (x) |J,-J> is vectors[s, 0]."""
+
     def test_single_excitation_overlaps(self, spectra):
-        values = [initial_overlap(spectra[1], s) for s in range(2)]
         # sign convention makes both positive 1/sqrt(2)
-        assert values == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-12)
+        assert spectra[1].vectors[:, 0] == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-12)
 
     def test_vacuum_overlap_is_one(self, spectra):
-        assert initial_overlap(spectra[0], 0) == pytest.approx(1.0)
+        assert spectra[0].vectors[0, 0] == pytest.approx(1.0)
 
     def test_overlaps_complete(self, spectra):
-        total = sum(initial_overlap(spectra[6], s) ** 2 for s in range(7))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range_raises(self, spectra):
-        with pytest.raises(IndexError):
-            initial_overlap(spectra[1], 5)
+        assert np.sum(spectra[6].vectors[:, 0] ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNumberStateEnergy:
@@ -179,6 +223,15 @@ class TestNumberStateEnergy:
             photon = m - np.arange(spect.dimension)
             diag = sum(c[s] ** 2 * (spect.vectors[s] * photon @ spect.vectors[s]) for s in range(spect.dimension))
             assert table.series[m].offset == pytest.approx(m - diag, abs=1e-10)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 10, 64])
+    def test_matches_pair_loop_on_tridiagonal_spectra(self, n_atoms):
+        for m in range(65):
+            _assert_matches_reference(tridiagonal_spectrum(SectorSpec(n_atoms, m)))
+
+    def test_matches_pair_loop_on_root_built_spectra(self, spectra):
+        for spectrum in spectra.values():
+            _assert_matches_reference(spectrum)
 
     def test_matches_oracle_on_grid(self, table):
         t = np.linspace(0.0, 3.0, 400)
