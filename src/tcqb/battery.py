@@ -13,6 +13,8 @@ hypersensitivity inequalities of the number-state stored energy.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-12
-MEAN_SNAP_TOL = 1e-9
+MEAN_SNAP_ULPS = 4  # a mean this many ulps from an integer is that integer
 INEQ_TOL = 1e-9
 GRID_STEP = 1e-3
 COHERENT_TAIL_TOL = 1e-6  # Poisson mass dropped by an automatic coherent truncation
@@ -89,19 +91,43 @@ class DeltaFMismatch(BatteryError):
     """Direct and split-decomposed expectation gaps disagree."""
 
 
+def _photon_number(key) -> int:
+    """A pmf key as a photon number: an integer, or a string written as one (a JSON key)."""
+    try:
+        m = int(key) if isinstance(key, str) else operator.index(key)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or isinstance(key, bool) or (isinstance(key, str) and key != str(m)):
+        raise ValueError(f"photon number {key!r} is not an integer")
+    return m
+
+
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """Probability mass function over photon numbers with cached mean."""
+    """Probability mass function over photon numbers with cached mean.
+
+    Keys are integers (numpy integers too) or strings written exactly
+    as str(int), as a JSON document stores them; each photon number is
+    given once.  Probabilities are ints or floats (numpy scalars too,
+    booleans not), finite and >= 0, and sum to 1 within PROB_SUM_TOL.
+    Anything else raises ValueError naming the key.  Zero probabilities
+    are dropped.
+    """
 
     probs: dict[int, float]
     mean: float = field(init=False)
 
     def __post_init__(self):
-        cleaned = {}
-        for m, p in self.probs.items():
+        cleaned, seen = {}, set()
+        for key, p in self.probs.items():
+            m = _photon_number(key)
+            if m in seen:
+                raise ValueError(f"photon number {key!r} is given twice")
+            seen.add(m)
             if isinstance(p, bool):
                 raise ValueError(f"probability p({m}) = {p} is a boolean, not a number")
-            m = int(m)
+            if not isinstance(p, numbers.Real):
+                raise ValueError(f"probability p({m}) = {p!r} is not a number")
             p = float(p)
             if not math.isfinite(p):
                 raise ValueError(f"probability p({m}) = {p} is not finite")
@@ -248,11 +274,13 @@ def _mean_parts(nbar: float) -> tuple[int, float]:
     """Integer part and fractional remainder, snapping near-integers.
 
     Floating summation can leave an intended integer mean a few ulp
-    below the integer, which would flip the floor; means within 1e-9 of
-    an integer are treated as exact.
+    below the integer, which would flip the floor; means within
+    MEAN_SNAP_ULPS ulps of an integer are treated as exact.  Nothing
+    wider snaps: the optimal partner must keep the mean, so a mean of
+    5e-10 or 1e-300 keeps its fraction.
     """
     nearest = round(nbar)
-    if abs(nbar - nearest) < MEAN_SNAP_TOL:
+    if abs(nbar - nearest) <= MEAN_SNAP_ULPS * math.ulp(nearest):
         return int(nearest), 0.0
     fl = math.floor(nbar)
     return int(fl), nbar - fl

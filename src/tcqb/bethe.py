@@ -9,24 +9,26 @@ and a sector has exactly K = min(2J, M) + 1 distinct solution sets
 ("branches"), each giving one eigenstate with energy E = -sum_j x_j in
 units of g.  Branches are found by damped Newton iteration warm-started
 from the solved (M-1) sector: every previous branch is extended by one
-perturbed copy of each of its members, then of each negated member,
-which reaches the mixed-sign branches (at M = 2 the zero-energy pair
+perturbed copy of one of its members, plain or negated (the negated
+copies reach the mixed-sign branches, at M = 2 the zero-energy pair
 +-sqrt(2J - 1)).  The equations are odd under x -> -x, so the negation
 of every accepted branch is taken as a branch too, without refinement.
 No step is random.
 
-The trials go round-robin over the previous branches, so the first
-trials reach many children rather than the same child many times.  A
-sector's trials are refined NEWTON_CHUNK at a time by one stacked
-kernel (one batched linear solve per iteration), which hands out each
-row as soon as it stops, so a row that never converges holds up no
-other row; each row iterates exactly as it would alone.
+The trials are a lazy stream: member i of every previous branch in
+turn, plain then negated, then member i + 1.  A sector draws them
+NEWTON_CHUNK at a time, as it needs them, and refines each chunk with
+one stacked kernel (one batched linear solve per iteration), which
+hands out each row as soon as it stops; each row iterates exactly as
+it would alone, and a row whose Jacobian is singular stops there.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -86,7 +88,7 @@ class DivergedToZeroRoot(BetheError):
 
 
 class SingularJacobian(BetheError):
-    """Damping failed repeatedly on an (effectively) singular system."""
+    """The Newton step is undefined (singular Jacobian) or fully damped 5 times in a row."""
 
 
 class UnpairedComplexRoot(BetheError):
@@ -271,11 +273,12 @@ def _newton_rows(trials, J: float):
 
     Each row runs the iteration described in newton_refine as if alone;
     the rows only share numpy calls: one stacked solve per iteration
-    (per-row solves when the stack is singular) and a lockstep line
-    search with one step scale per row.  Yields (row index, result) for
-    each row as soon as it stops, rows that stop together in row order;
-    the result is the row's BetheBranch or the BetheError that ended it.
-    A caller can stop early.
+    and a lockstep line search with one step scale per row.  When the
+    stacked solve is singular the rows are solved one by one, and a row
+    whose own Jacobian is singular stops with SingularJacobian.  Yields
+    (row index, result) for each row as soon as it stops, rows that stop
+    together in row order; the result is the row's BetheBranch or the
+    BetheError that ended it.  A caller can stop early.
     """
     x = np.array(trials, dtype=complex)
     T, M = x.shape
@@ -288,16 +291,14 @@ def _newton_rows(trials, J: float):
             errors[r] = error(message)
         live[rows] = False
 
-    def refresh(rows):
-        code, f, n = _evaluate(x[rows], J)
-        for c, (error, message) in _POLE_ERRORS.items():
-            stop(rows[code == c], error, message)
-        fx[rows[code == 0]], norm[rows[code == 0]] = f, n
-
     if M:
         stop((np.abs(x).min(axis=1) < 1e-10).nonzero()[0],
              DivergedToZeroRoot, "trial set starts inside |x| < 1e-10")
-    refresh(live.nonzero()[0])
+    rows = live.nonzero()[0]
+    code, f, n = _evaluate(x[rows], J)
+    for c, (error, message) in _POLE_ERRORS.items():
+        stop(rows[code == c], error, message)
+    fx[rows[code == 0]], norm[rows[code == 0]] = f, n
     pending = np.ones(T, dtype=bool)  # not handed out; a stopped row's x is frozen until then
     for _ in range(NEWTON_MAX_ITER):
         live &= ~(norm < NEWTON_TOL)  # a NaN norm keeps iterating
@@ -310,19 +311,14 @@ def _newton_rows(trials, J: float):
         jac, rhs = _jacobian_rows(x[rows], J), -fx[rows]
         try:
             step = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # solve row by row; a singular row is nudged instead
+        except np.linalg.LinAlgError:  # solve row by row; a singular row stops
             step, solved = np.zeros_like(rhs), np.ones(rows.size, dtype=bool)
             for i in range(rows.size):
                 try:
                     step[i] = np.linalg.solve(jac[i], rhs[i])
                 except np.linalg.LinAlgError:
                     solved[i] = False
-            nudge = rows[~solved]
-            fails[nudge] += 1
-            stop(nudge[fails[nudge] >= 5], SingularJacobian, "linear solve failed repeatedly")
-            nudge = nudge[fails[nudge] < 5]
-            x[nudge] = x[nudge] * (1.0 + 1e-6) + 1e-8
-            refresh(nudge)
+            stop(rows[~solved], SingularJacobian, "the Jacobian is singular")
             rows, step = rows[solved], step[solved]
         # Line search: halve each row's step up to 30 times until its
         # sup-norm residual decreases.
@@ -359,9 +355,10 @@ def newton_refine(guess, J: float) -> BetheBranch:
 
     The one-row case of the stacked kernel that solve_sector runs on a
     sector's trials.  The step is halved up to 30 times whenever the
-    sup-norm residual fails to decrease; five consecutive fully-damped
-    failures raise SingularJacobian.  The converged set is canonicalized
-    (conjugate symmetry restored exactly) before the branch is built.
+    sup-norm residual fails to decrease; a singular Jacobian, or five
+    consecutive fully-damped failures, raise SingularJacobian.  The
+    converged set is canonicalized (conjugate symmetry restored exactly)
+    before the branch is built.
     """
     _, result = next(_newton_rows(_as_roots(guess)[None], J))
     if isinstance(result, BetheError):
@@ -369,25 +366,26 @@ def newton_refine(guess, J: float) -> BetheBranch:
     return result
 
 
-def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> list[np.ndarray]:
-    """Trial sets for the M-sector built from the solved (M-1)-sector.
+def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> Iterator[np.ndarray]:
+    """Trial sets for the M-sector built from the solved (M-1)-sector, lazily.
 
     Every previous branch is extended by one copy of each of its
-    members, shifted by DUP_PERTURB*(1+1j) off the pairwise pole.  The
-    same extensions with the copied member negated follow them, for the
-    mixed-sign branches that no copy lies near.  Within each sign the
-    trials go round-robin: the copy of member i of every branch in
-    turn, then member i + 1, so the first trials cover every branch.
+    members, shifted by DUP_PERTURB*(1+1j) off the pairwise pole, and by
+    the same copy negated, for the mixed-sign branches that no plain
+    copy lies near.  The trials go round-robin: the plain copy of member
+    i of every branch in turn, then its negated copy of every branch,
+    then member i + 1, so the first trials cover every branch and both
+    signs.  Each trial is built only when it is drawn.
     """
     shift = DUP_PERTURB * (1.0 + 1.0j)
     # Root-free completeness branches carry no seed material.
     bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches if len(b.roots) == target_M - 1]
-    return [
+    return (
         np.append(base, (-base[i] if negate else base[i]) + shift)
-        for negate in (False, True)
         for i in range(target_M - 1)
+        for negate in (False, True)
         for base in bases
-    ]
+    )
 
 
 def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:
@@ -414,9 +412,10 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
     branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
     refine seed_trials(prev_branches, M), built from the solved M - 1
     sector, which M >= 2 requires (ValueError without it).  Trials are
-    refined NEWTON_CHUNK at a time and each result is taken as its row
-    stops, so the sector is done as soon as its last branch converges,
-    without waiting for rows still iterating.  A result is kept
+    drawn and refined NEWTON_CHUNK at a time and each result is taken as
+    its row stops, so the sector is done as soon as its last branch
+    converges, without waiting for rows still iterating or building
+    trials it does not refine.  A result is kept
     when its energy is new (the sector spectrum is simple), and the
     negation of a kept branch, exactly a branch since the root
     equations are odd, is kept with it.  For odd M > 2J the zero-energy
@@ -430,7 +429,7 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
     if M == 0:
         return [BetheBranch(roots=(), energy=0.0, residual=0.0)]
     if M == 1:
-        trials = [np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0)]
+        trials = (np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0))
     else:
         if prev_branches is None:
             raise ValueError(f"sector M = {M} needs prev_branches, the solved M - 1 sector")
@@ -453,10 +452,8 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
         branches.append(result)
         return True
 
-    for start in range(0, len(trials), NEWTON_CHUNK):
-        if done():
-            break
-        for _, result in _newton_rows(trials[start:start + NEWTON_CHUNK], J):
+    while not done() and (chunk := list(islice(trials, NEWTON_CHUNK))):
+        for _, result in _newton_rows(chunk, J):
             if done():
                 break
             if keep(result) and len(branches) < K:

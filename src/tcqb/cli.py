@@ -273,10 +273,21 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
                 )
             dist = battery.coherent_distribution(mean, trunc)
         else:
-            dist = battery.PhotonDistribution(json.loads(Path(rest).read_text())["probs"])
+            doc = json.loads(Path(rest).read_text(), object_pairs_hook=_unique_keys)
+            dist = battery.PhotonDistribution(doc["probs"])
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
         raise InputError(f"bad distribution {text!r}: {type(err).__name__}: {err}") from err
     return _supported(dist)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object that names each key once (json keeps the last of a repeated key)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given twice")
+        doc[key] = value
+    return doc
 
 
 def _supported(dist: battery.PhotonDistribution) -> battery.PhotonDistribution:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distribution
@@ -64,6 +64,18 @@ class TestPhotonDistribution:
     def test_rejects_non_finite_probability(self, p):
         with pytest.raises(ValueError, match="not finite"):
             PhotonDistribution({1: 0.5, 2: p, 3: 0.5})
+
+    def test_rejects_non_integral_photon_number(self):
+        with pytest.raises(ValueError, match="photon number 2.7 is not an integer"):
+            PhotonDistribution({2.7: 1.0})
+
+    def test_rejects_a_photon_number_given_twice(self):
+        with pytest.raises(ValueError, match="photon number '1' is given twice"):
+            PhotonDistribution({1: 0.5, "1": 0.5})
+
+    def test_numpy_keys_and_probabilities_pass(self):
+        dist = PhotonDistribution({np.int64(2): np.float64(0.5), np.int32(4): 0.5})
+        assert dist.probs == {2: 0.5, 4: 0.5}
 
     def test_json_roundtrip(self, tmp_path):
         dist = PhotonDistribution(EXAMPLE_PROBS)
@@ -191,7 +203,7 @@ class TestOptimalDistribution:
             assert optimal_distribution(nbar).mean == pytest.approx(nbar, abs=1e-12)
 
     def test_near_integer_mean_snaps(self):
-        dist = optimal_distribution(3.0 - 1e-12)
+        dist = optimal_distribution(math.nextafter(3.0, 0))
         assert dist.probs == {3: 1.0}
 
 
@@ -264,14 +276,18 @@ class TestDeltaF:
         assert delta_F(dist, tbl, 0.2) == pytest.approx(9 - (1 + 25) / 2)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), mean=st.floats(0.05, 19.5))
-    def test_gap_nonnegative_inside_the_charging_window(self, table, seed, mean):
+    @given(dist=st.builds(lambda seed, mean: random_distribution(np.random.default_rng(seed), mean),
+                          st.integers(0, 2**32 - 1), st.floats(0.05, 19.5)))
+    # Means a hair above an integer: the optimal partner keeps the fraction.
+    @example(dist=PhotonDistribution({0: 1 - 5e-10, 1: 5e-10}))
+    @example(dist=coherent_distribution(1e-300))
+    def test_gap_nonnegative_inside_the_charging_window(self, table, dist):
         # The window closes at the earliest first maximum among the
         # sectors the pmf and its optimal two-point partner occupy.
-        dist = random_distribution(np.random.default_rng(seed), mean, max_support=20)
         floor = math.floor(dist.mean)
         window = min(table.t_max(m) for m in {*dist.probs, floor, floor + 1} if m >= 1)
         t = np.linspace(0.0, window, 201)[1:]
+        assert optimal_distribution(dist.mean).mean == pytest.approx(dist.mean, rel=1e-12, abs=0)
         assert np.min(delta_F(dist, table, t)) >= -1e-12
 
     def test_routes_cross_check_enforced(self, table):

@@ -204,7 +204,9 @@ def _reference_newton(guess, J):
             break
         try:
             step = np.linalg.solve(_ref_jacobian(x, J), -fx)
-        except (np.linalg.LinAlgError, ZeroRoot, CoincidentRoots):
+        except np.linalg.LinAlgError:
+            raise SingularJacobian("the Jacobian is singular")
+        except (ZeroRoot, CoincidentRoots):
             damp_failures += 1
             if damp_failures >= 5:
                 raise SingularJacobian("linear solve failed repeatedly")
@@ -290,14 +292,17 @@ class TestNewtonKernel:
     def test_singular_row_falls_back_to_row_solves(self):
         # J = 1/2, x = i: the 1 x 1 Jacobian -J/x^2 - 1/2 is exactly zero,
         # so the stacked solve raises and every other row is solved alone.
+        # The singular row stops at that first solve, before any other
+        # row converges; the rows that start inside |x| < 1e-10 go first.
         trials = [[0.9], [1j], [1.3 + 0.2j], [5e-11], [-2.0]]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(bae_jacobian([1j], 0.5), np.ones(1))
         got = _stacked(trials, 0.5)
         assert got == [_alone(newton_refine, t, 0.5) for t in trials]
         assert got == [_alone(_reference_newton, t, 0.5) for t in trials]
-        assert got[1][0] is SingularJacobian
+        assert got[1] == (SingularJacobian, "the Jacobian is singular")
         assert [isinstance(got[i][0], list) for i in (0, 2, 4)] == [True] * 3
+        assert [r for r, _ in bethe._newton_rows(np.array(trials), 0.5)][:2] == [3, 1]
 
     @pytest.mark.parametrize("n_atoms", [2, 6])
     def test_matches_reference_loop(self, n_atoms):
@@ -306,13 +311,13 @@ class TestNewtonKernel:
         chain = bethe.solve_sectors(n_atoms, 8)
         J = n_atoms / 2
         for m in range(2, 9):
-            trials = seed_trials(chain[m - 1], m)
+            trials = list(seed_trials(chain[m - 1], m))
             assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
 
     def test_rows_are_handed_out_as_they_stop(self):
         # N = 4, M = 5: a few continuation trials run all NEWTON_MAX_ITER
         # iterations; every row that stops sooner is handed out before them.
-        trials = seed_trials(bethe.solve_sectors(4, 4)[4], 5)
+        trials = list(seed_trials(bethe.solve_sectors(4, 4)[4], 5))
         out = list(bethe._newton_rows(np.array(trials), 2.0))
         order = [r for r, _ in out]
         assert sorted(order) == list(range(len(trials)))
@@ -325,6 +330,10 @@ class TestNewtonKernel:
         # Round-robin trials and rows handed out as they stop: the N = 32
         # chain to M = 38 needs 914 rows (8,146 with the trials of one
         # previous branch all before the next's, handed out in row order).
+        # N = 2 to M = 64 needs 990: each even sector's zero-energy branch
+        # comes from a negated copy, which is drawn right after the plain
+        # copies of the same member (2,782 rows when every plain copy
+        # went first).
         rows = []
         kernel = bethe._newton_rows
 
@@ -333,17 +342,38 @@ class TestNewtonKernel:
             return kernel(trials, J)
 
         monkeypatch.setattr(bethe, "_newton_rows", counted)
-        bethe.solve_sectors(32, 38)
-        assert sum(rows) <= 1000
+        for n_atoms, m_max in ((32, 38), (2, 64)):
+            rows.clear()
+            bethe.solve_sectors(n_atoms, m_max)
+            assert sum(rows) <= 1000, n_atoms
+
+    def test_trials_are_built_only_when_refined(self, monkeypatch):
+        # The N = 16 chain to M = 22 refines 322 rows; building every
+        # trial of each sector up front made 6,380 arrays.
+        rows, built = [], []
+        kernel, append = bethe._newton_rows, np.append
+
+        def counted(trials, J):
+            rows.append(len(trials))
+            return kernel(trials, J)
+
+        def counted_append(*args, **kwargs):
+            built.append(1)
+            return append(*args, **kwargs)
+
+        monkeypatch.setattr(bethe, "_newton_rows", counted)
+        monkeypatch.setattr(np, "append", counted_append)
+        bethe.solve_sectors(16, 22)
+        assert 0 < len(built) <= sum(rows)
 
 
 class TestSeedTrials:
     def test_stage0_appends_each_distinct_member(self):
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0)]
-        guesses = seed_trials(prev, 3)
-        # One perturbed copy of each member, then of each negated member.
+        guesses = list(seed_trials(prev, 3))
+        # One perturbed copy of each member, each followed by its negation.
         eps = 1e-3 * (1 + 1j)
-        expected = [[1.0, 2.0, r + eps] for r in (1.0, 2.0, -1.0, -2.0)]
+        expected = [[1.0, 2.0, r + eps] for r in (1.0, -1.0, 2.0, -2.0)]
         assert [g.tolist() for g in guesses] == expected
         for g in guesses:
             dist = np.abs(g[:, None] - g[None, :])
@@ -354,15 +384,16 @@ class TestSeedTrials:
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0),
                 BetheBranch(roots=(3.0 + 0j, 4.0 + 0j), energy=-7.0, residual=0.0)]
         eps = 1e-3 * (1 + 1j)
-        # Member i of every parent in turn, first the copies, then the negations.
+        # Member i of every parent in turn, first the copies, then the
+        # negations, then member i + 1.
         expected = [[1.0, 2.0, 1.0 + eps], [3.0, 4.0, 3.0 + eps],
-                    [1.0, 2.0, 2.0 + eps], [3.0, 4.0, 4.0 + eps],
                     [1.0, 2.0, -1.0 + eps], [3.0, 4.0, -3.0 + eps],
+                    [1.0, 2.0, 2.0 + eps], [3.0, 4.0, 4.0 + eps],
                     [1.0, 2.0, -2.0 + eps], [3.0, 4.0, -4.0 + eps]]
         assert [g.tolist() for g in seed_trials(prev, 3)] == expected
 
     def test_empty_prev_is_empty(self):
-        assert seed_trials([], 4) == []
+        assert list(seed_trials([], 4)) == []
 
 
 class TestSolveSector:

@@ -134,6 +134,21 @@ class TestOptimalAndSplit:
         assert result.exit_code == 0
         assert json.loads(result.output) == {"probs": {"2": 0.5, "3": 0.5}}
 
+    def test_tiny_fractional_mean_is_not_snapped(self, runner, tmp_path):
+        # A mean of 5e-10 is not the integer 0: the optimal partner is the
+        # pmf itself, so the gap is zero and both routes agree.
+        dist_path = tmp_path / "tiny.json"
+        dist_path.write_text(json.dumps({"probs": {"0": 1 - 5e-10, "1": 5e-10}}))
+        for n_atoms, t in (("2", "0.3"), ("4", "0.5")):
+            result = runner.invoke(
+                main, ["split-check", "--dist", f"file:{dist_path}", "--n-atoms", n_atoms, "--t", t]
+            )
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            assert doc["delta_f"] >= -1e-12 and doc["group_mean_error"] < 1e-12
+        result = runner.invoke(main, ["optimal", "--mean", "1e-300"])
+        assert json.loads(result.output) == {"probs": {"0": 1.0, "1": 1e-300}}
+
     def test_split_check_worked_example(self, runner, tmp_path):
         dist_path = tmp_path / "phi.json"
         dist_path.write_text(
@@ -530,6 +545,11 @@ def _nan_probability_json(path):
     return f"file:{path}"
 
 
+def _repeated_key_json(path):
+    path.write_text('{"probs": {"1": 0.3, "2": 0.7, "1": 0.3}}')
+    return f"file:{path}"
+
+
 def _probs_json(probs):
     def write(path):
         path.write_text(json.dumps({"probs": probs}))
@@ -551,11 +571,21 @@ BAD_DISTRIBUTIONS = {
     "no-support": _probs_json({}),
     "zero-probability-only": _probs_json({"3": 0.0}),
     "unknown-kind": lambda path: "bogus:1",
+    "string-probability": _probs_json({"1": "1"}),
+    "underscore-photon-number": _probs_json({"1_0": 1.0}),
+    "padded-photon-number": _probs_json({" 2 ": 1.0}),
+    "zero-padded-photon-number": _probs_json({"1": 0.5, "01": 0.5}),
+    "repeated-photon-number": _repeated_key_json,
 }
 # The one line names the fault itself, not a consequence of it.
 BAD_DISTRIBUTION_MESSAGES = {
     "boolean-probability": "p(1) = True is a boolean",
     "coherent-negative-truncation": "truncation -1 is negative",
+    "string-probability": "p(1) = '1' is not a number",
+    "underscore-photon-number": "photon number '1_0' is not an integer",
+    "padded-photon-number": "photon number ' 2 ' is not an integer",
+    "zero-padded-photon-number": "photon number '01' is not an integer",
+    "repeated-photon-number": "key '1' is given twice",
 }
 
 
