@@ -20,7 +20,7 @@ turn, plain then negated, then member i + 1.  A sector draws them
 NEWTON_CHUNK at a time, as it needs them, and refines each chunk with
 one stacked kernel (one batched linear solve per iteration), which
 hands out each row as soon as it stops; each row iterates exactly as
-it would alone, and a row whose Jacobian is singular stops there.
+it would alone and stops at the first failure newton_refine names.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "SectorSpec",
     "BetheBranch",
     "bae_residual",
-    "bae_jacobian",
     "newton_refine",
     "canonicalize",
     "seed_trials",
@@ -84,11 +83,11 @@ class NoConvergence(BetheError):
 
 
 class DivergedToZeroRoot(BetheError):
-    """An iterate drove a rapidity into |x| < 1e-10."""
+    """A trial set starts inside |x| < 1e-10; iterates never enter it."""
 
 
 class SingularJacobian(BetheError):
-    """The Newton step is undefined (singular Jacobian) or fully damped 5 times in a row."""
+    """The Newton step is undefined (singular Jacobian) or fails all 30 halvings."""
 
 
 class UnpairedComplexRoot(BetheError):
@@ -202,13 +201,6 @@ def bae_residual(roots, J: float) -> np.ndarray:
     return f[0]
 
 
-def bae_jacobian(roots, J: float) -> np.ndarray:
-    """Analytic Jacobian of bae_residual with respect to the rapidities."""
-    x = _as_roots(roots)
-    bae_residual(x, J)  # raises ZeroRoot or CoincidentRoots
-    return _jacobian_rows(x[None], J)[0]
-
-
 def canonicalize(roots) -> np.ndarray:
     """Normal form of a root set: snapped, conjugate-paired, sorted.
 
@@ -275,7 +267,8 @@ def _newton_rows(trials, J: float):
     the rows only share numpy calls: one stacked solve per iteration
     and a lockstep line search with one step scale per row.  When the
     stacked solve is singular the rows are solved one by one, and a row
-    whose own Jacobian is singular stops with SingularJacobian.  Yields
+    whose own Jacobian is singular stops with SingularJacobian, as does
+    a row whose step fails all 30 halvings.  Yields
     (row index, result) for each row as soon as it stops, rows that stop
     together in row order; the result is the row's BetheBranch or the
     BetheError that ended it.  A caller can stop early.
@@ -284,7 +277,7 @@ def _newton_rows(trials, J: float):
     T, M = x.shape
     errors: list[BetheError | None] = [None] * T
     fx, norm = np.zeros_like(x), np.zeros(T)
-    fails, live = np.zeros(T, dtype=int), np.ones(T, dtype=bool)
+    live = np.ones(T, dtype=bool)
 
     def stop(rows, error, message):
         for r in rows:
@@ -321,19 +314,14 @@ def _newton_rows(trials, J: float):
             stop(rows[~solved], SingularJacobian, "the Jacobian is singular")
             rows, step = rows[solved], step[solved]
         # Line search: halve each row's step up to 30 times until its
-        # sup-norm residual decreases.
+        # sup-norm residual decreases at a point outside |x| < 1e-10.
         scale, searching = np.ones(rows.size), np.ones(rows.size, dtype=bool)
         for _ in range(30):
             trying = searching.nonzero()[0]
             if not trying.size:
                 break
             xt = x[rows[trying]] + scale[trying, None] * step[trying]
-            near = np.abs(xt).min(axis=1) < 1e-10
-            if near.any():
-                diverged = trying[near & (scale[trying] == 1.0) & (norm[rows[trying]] > 1.0)]
-                stop(rows[diverged], DivergedToZeroRoot, "iterate entered |x| < 1e-10")
-                searching[diverged] = False
-            far = (~near).nonzero()[0]
+            far = (np.abs(xt).min(axis=1) >= 1e-10).nonzero()[0]
             code, ft, nt = _evaluate(xt[far], J)
             better = nt < norm[rows[trying[far[code == 0]]]]
             keep = far[code == 0][better]
@@ -341,10 +329,7 @@ def _newton_rows(trials, J: float):
             x[take], fx[take], norm[take] = xt[keep], ft[better], nt[better]
             searching[trying[keep]] = False
             scale[trying[searching[trying]]] /= 2.0
-        fails[rows[~searching & live[rows]]] = 0
-        rejected = rows[searching]
-        fails[rejected] += 1
-        stop(rejected[fails[rejected] >= 5], SingularJacobian, "full damping failed 5 times in a row")
+        stop(rows[searching], SingularJacobian, "full damping failed")
     for r in (live & (norm >= NEWTON_TOL)).nonzero()[0]:
         errors[r] = NoConvergence(f"residual {norm[r]:.3e} after {NEWTON_MAX_ITER} iterations")
     yield from ((r, errors[r] or _finish(x[r], J)) for r in pending.nonzero()[0].tolist())
@@ -354,11 +339,12 @@ def newton_refine(guess, J: float) -> BetheBranch:
     """Damped Newton iteration from a trial root set to a branch.
 
     The one-row case of the stacked kernel that solve_sector runs on a
-    sector's trials.  The step is halved up to 30 times whenever the
-    sup-norm residual fails to decrease; a singular Jacobian, or five
-    consecutive fully-damped failures, raise SingularJacobian.  The
-    converged set is canonicalized (conjugate symmetry restored exactly)
-    before the branch is built.
+    sector's trials.  Each step is halved up to 30 times until it lowers
+    the sup-norm residual at a point outside |x| < 1e-10; a step that
+    fails all 30 halvings, or a singular Jacobian, raises
+    SingularJacobian.  A guess inside |x| < 1e-10 raises
+    DivergedToZeroRoot.  The converged set is canonicalized (conjugate
+    symmetry restored exactly) before the branch is built.
     """
     _, result = next(_newton_rows(_as_roots(guess)[None], J))
     if isinstance(result, BetheError):

@@ -5,23 +5,24 @@ significant digits, photon probabilities to 15); the library modules
 hold no file code.  Every command runs through `Runner`, which maps
 typed errors to exit codes through EXIT_TABLE and writes the manifest
 (parameter echo, seed, version, wall time, warnings) next to --out.
-Data files are written atomically, never hold nan or inf, and are
-byte-identical across reruns with equal inputs.  `energy`, `split-check`
-and `inequality` build their energy tables from the exact-diagonalization
-sector spectra; `solve`, `spectrum` and `verify` run the root solver,
-which is deterministic.  bethe, spectral and lindblad are imported by
-the commands that run them, so no command loads code it does not run.
-No command uses a seed: those six accept --seed only to echo it in the
-manifest.
+Data files are written atomically, never hold nan or inf, never replace
+a path that is not a regular file, and are byte-identical across reruns
+with equal inputs.  `energy`, `split-check` and `inequality` build their
+energy tables from the exact-diagonalization sector spectra; `solve`,
+`spectrum` and `verify` run the root solver, which is deterministic.
+bethe, spectral and lindblad are imported by the commands that run them,
+so no command loads code it does not run.  No command uses a seed: those
+six accept --seed only to echo it in the manifest.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
 or inf number, or a --config section, key or value that names no
 command, no parameter of its command, or no string or number, among
-them) and an --out that cannot be created (one stderr line naming the
-path), 3 distribution/table errors (any distribution beyond MAX_SECTOR,
-optimal's included) and results that are not finite, 4 verification
-failure (a --dir sector file recording another n_atoms or m among
-them), 5 open-system errors.
+them) and an --out that cannot be created or that exists but is not a
+regular file, "" (the current directory) among them (one stderr line
+naming the path), 3 distribution/table errors (any distribution beyond
+MAX_SECTOR, optimal's included) and results that are not finite, 4
+verification failure (a --dir sector file recording another n_atoms or
+m among them), 5 open-system errors.
 """
 
 from __future__ import annotations
@@ -124,8 +125,13 @@ def _creating(path: Path):
 
 
 def _write_text(path: Path, chunks: Iterable[str]) -> None:
-    """Write the chunks of text to a sibling temporary file, then rename it over path."""
+    """Write the chunks of text to a sibling temporary file, then rename it over path.
+
+    An existing path that is not a regular file (a FIFO, a device, ".") is refused.
+    """
     with _creating(path):
+        if path.exists() and not path.is_file():
+            raise OSError("not a regular file")
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
@@ -219,15 +225,16 @@ def _error_type(entry: type | str) -> type:
 class Runner(click.Command):
     """Runs a command body, which returns its manifest warnings or None.
 
-    Typed errors exit as EXIT_TABLE says.  A run with --out writes the manifest
-    next to it, whose config is every parameter but --out and --seed.
+    Typed errors exit as EXIT_TABLE says.  numpy's floating-point warnings
+    are silenced, since every writer refuses nan and inf.  A run with --out
+    writes the manifest next to it, whose config is every parameter but
+    --out and --seed.
     """
 
     def invoke(self, ctx: click.Context) -> None:
         start = time.perf_counter()
         try:
-            # Outputs refuse nan and inf, so numpy's warnings would only add stderr lines.
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 warnings = super().invoke(ctx)
         except Exception as err:
             for types, code, lead in EXIT_TABLE:

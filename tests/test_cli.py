@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -780,27 +781,39 @@ def test_csv_rows_are_the_per_value_format(tmp_path, monkeypatch, chunk_rows):
     assert path.read_text().splitlines()[1] == "-0,-2.5e-07,0"
 
 
-@pytest.mark.parametrize("args", [
-    ["solve", "--n-atoms", "2", "--m-max", "2"],
-    ["spectrum", "--n-atoms", "2", "--m-max", "2"],
+FILE_OUT_ARGS = [
     ["energy", "--init", "fock:2", "--n-atoms", "2", "--steps", "10"],
     ["optimal", "--mean", "2.5"],
     ["split-check", "--dist", "fock:2", "--n-atoms", "2"],
     ["inequality", "--which", "28", "--n-atoms", "2", "--max-m", "2"],
     ["lindblad", "--n-atoms", "2", "--init", "fock:1", "--kappa", "0", "--gamma-phi", "0",
      "--t-end", "0.01"],
+]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--n-atoms", "2", "--m-max", "2"],
+    ["spectrum", "--n-atoms", "2", "--m-max", "2"],
+    *FILE_OUT_ARGS,
 ], ids=lambda args: args[0])
-def test_unwritable_out_exits_2_with_one_line(runner, tmp_path, args):
-    # A regular file where a directory is needed; a read-only directory would not stop a superuser.
-    blocker = tmp_path / "blocker"
+def test_unwritable_out_exits_2_with_one_line(runner, tmp_path, monkeypatch, args):
+    # A regular file where a directory is needed (a read-only directory would
+    # not stop a superuser) and, for the commands that write one file, an
+    # existing path that is not a regular file, which renaming over it would
+    # replace: a FIFO, and the current directory that an empty path reads as.
+    # solve and spectrum write into an empty --out as into ".".
+    monkeypatch.chdir(tmp_path)
+    blocker, fifo = tmp_path / "blocker", tmp_path / "fifo"
     blocker.write_text("")
-    out = blocker / "out"
-    result = runner.invoke(main, [*args, "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert "Traceback" not in result.output
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"cannot write {out}"), result.stderr
-    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    os.mkfifo(fifo)
+    for out in [str(blocker / "out")] + ([str(fifo), ""] if args in FILE_OUT_ARGS else []):
+        result = runner.invoke(main, [*args, "--out", out])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"cannot write {out or '.'}:"), result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "fifo"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -824,7 +837,10 @@ def test_non_finite_float_flag_is_a_usage_error(runner, tmp_path, args, flag):
       "--out", "{tmp}/e.csv"], "energy failed: column E of e.csv holds nan or inf"),
     (["estimate", "--e-known", "1e-300", "--m", "64", "--e-observed", "1e300"],
      "estimate failed: photon-number estimate is inf"),
-], ids=["split-check", "split-check-out", "energy", "estimate"])
+    # P = E/t divides by a time step that rounds to zero: no numpy warning on stderr.
+    (["energy", "--init", "fock:3", "--n-atoms", "2", "--t-end", "5e-324", "--steps", "3",
+      "--out", "{tmp}/a.csv"], "energy failed: column P of a.csv holds nan or inf"),
+], ids=["split-check", "split-check-out", "energy", "estimate", "energy-subnormal-t-end"])
 def test_non_finite_result_exits_3_with_one_line(runner, tmp_path, args, line):
     result = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
     assert result.exit_code == 3, result.output
