@@ -30,7 +30,6 @@ __all__ = [
     "NegativeMean",
     "TruncationTooSmall",
     "SupportExceedsTable",
-    "NonpositiveTime",
     "ZeroReferenceEnergy",
     "NegativeObservedEnergy",
     "DeltaFMismatch",
@@ -40,7 +39,6 @@ __all__ = [
     "EnergyTable",
     "energy_table",
     "stored_energy",
-    "charging_power",
     "optimal_distribution",
     "SplitTableau",
     "split",
@@ -73,10 +71,6 @@ class TruncationTooSmall(BatteryError):
 
 class SupportExceedsTable(BatteryError):
     """The distribution needs sectors the energy table does not cover."""
-
-
-class NonpositiveTime(BatteryError):
-    """Average power is defined for t > 0 only."""
 
 
 class ZeroReferenceEnergy(BatteryError):
@@ -258,15 +252,6 @@ def stored_energy(dist: PhotonDistribution, table: EnergyTable, t):
     out = np.zeros_like(t_arr, dtype=float)
     for m, p in dist.probs.items():
         out = out + p * table.series[m].value(t_arr)
-    return out if np.ndim(t) else float(out)
-
-
-def charging_power(dist: PhotonDistribution, table: EnergyTable, t):
-    """Average charging power E(t)/t for t > 0."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise NonpositiveTime("average power needs t > 0")
-    out = stored_energy(dist, table, t_arr) / t_arr
     return out if np.ndim(t) else float(out)
 
 

@@ -21,6 +21,10 @@ NEWTON_CHUNK at a time, as it needs them, and refines each chunk with
 one stacked kernel (one batched linear solve per iteration), which
 hands out each row as soon as it stops; each row iterates exactly as
 it would alone and stops at the first failure newton_refine names.
+
+In the sectors has_rootless_state names, the zero-energy state has no
+regular root set: the continuation stops at K - 1 regular branches and,
+if their energies sum to zero, adds it as a root-free branch.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "MissingBranches",
     "SectorSpec",
     "BetheBranch",
+    "has_rootless_state",
     "bae_residual",
     "newton_refine",
     "canonicalize",
@@ -118,12 +123,13 @@ class BetheBranch:
     the solver produced the branch.
 
     One eigenstate per sector can be non-representable by regular roots:
-    for odd M > 2J the zero-energy state would need an odd root multiset
-    closed under negation with no member at the origin, which cannot
-    exist (the root equations are odd under x -> -x and x = 0 is a
-    pole).  Such a state is returned as a root-free branch with
-    provenance "completeness"; its eigenvector is fixed exactly by
-    orthogonality to the regular branches.
+    when K is odd and M > 2J is odd, the zero-energy state would need an
+    odd root multiset closed under negation with no member at the
+    origin, which cannot exist (the root equations are odd under
+    x -> -x and x = 0 is a pole).  has_rootless_state names those
+    sectors.  There the state is a root-free branch with provenance
+    "completeness"; its eigenvector is fixed exactly by orthogonality to
+    the regular branches.
     """
 
     roots: tuple[complex, ...]
@@ -374,21 +380,14 @@ def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> Iterator[np.
     )
 
 
-def _completeness_gap(branches: list[BetheBranch], spec: SectorSpec) -> bool:
-    """Is the single missing branch the non-representable E = 0 state?
+def has_rootless_state(spec: SectorSpec) -> bool:
+    """Does the sector hold an eigenstate that no regular root set generates?
 
-    True when exactly one branch of an odd-M, M > 2J sector is missing
-    and the trace rule (sector energies sum to zero) pins its energy to
-    zero.  No trial can succeed then: a regular zero-energy root set
-    would have to be closed under negation with an odd number of nonzero
-    members.
+    True exactly when K is odd, so the symmetric spectrum holds a zero,
+    and M > 2J is odd: a zero-energy root set closed under negation
+    would then need an odd number of nonzero members (see BetheBranch).
     """
-    M = spec.excitations
-    if M <= spec.n_atoms or M % 2 == 0:
-        return False
-    if len(branches) != spec.branch_count - 1:
-        return False
-    return abs(sum(b.energy for b in branches)) < 1e-8
+    return spec.branch_count % 2 == 1 and spec.excitations > spec.n_atoms and spec.excitations % 2 == 1
 
 
 def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = None) -> list[BetheBranch]:
@@ -399,16 +398,16 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
     refine seed_trials(prev_branches, M), built from the solved M - 1
     sector, which M >= 2 requires (ValueError without it).  Trials are
     drawn and refined NEWTON_CHUNK at a time and each result is taken as
-    its row stops, so the sector is done as soon as its last branch
-    converges, without waiting for rows still iterating or building
-    trials it does not refine.  A result is kept
-    when its energy is new (the sector spectrum is simple), and the
-    negation of a kept branch, exactly a branch since the root
-    equations are odd, is kept with it.  For odd M > 2J the zero-energy
-    eigenstate provably has no regular root set (see BetheBranch) and
-    is returned as a root-free completeness branch once it is the only
-    one missing.  Raises MissingBranches if branches are still missing
-    after the last trial.  Deterministic.
+    its row stops, so the sector is done as soon as it holds its
+    K - has_rootless_state(spec) regular branches, without waiting for
+    rows still iterating or building trials it does not refine.  A
+    result is kept when its energy is new (the sector spectrum is
+    simple), and the negation of a kept branch, exactly a branch since
+    the root equations are odd, is kept with it.  The root-free
+    zero-energy branch of a has_rootless_state sector is appended only
+    if the regular energies sum to zero within 1e-8 (the trace rule).
+    Raises MissingBranches if branches are still missing after the last
+    trial or the trace rule fails.  Deterministic.
     """
     J = spec.total_spin
     M = spec.excitations
@@ -421,10 +420,8 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
             raise ValueError(f"sector M = {M} needs prev_branches, the solved M - 1 sector")
         trials = seed_trials(prev_branches, M)
     K = spec.branch_count
+    regular = K - has_rootless_state(spec)
     branches: list[BetheBranch] = []
-
-    def done() -> bool:
-        return len(branches) >= K or _completeness_gap(branches, spec)
 
     def keep(result: BetheBranch | BetheError) -> bool:
         # Keyed on the energy, not the roots: beyond M = 2J different root
@@ -438,17 +435,17 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
         branches.append(result)
         return True
 
-    while not done() and (chunk := list(islice(trials, NEWTON_CHUNK))):
+    while len(branches) < regular and (chunk := list(islice(trials, NEWTON_CHUNK))):
         for _, result in _newton_rows(chunk, J):
-            if done():
-                break
-            if keep(result) and len(branches) < K:
+            if keep(result) and len(branches) < regular:
                 keep(_finish(result.negated(), J))
-    if _completeness_gap(branches, spec):
+            if len(branches) == regular:
+                break
+    if len(branches) == regular < K and abs(sum(b.energy for b in branches)) < 1e-8:
         branches.append(BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness"))
     if len(branches) < K:
         raise MissingBranches(len(branches), K, spec.n_atoms, M)
-    return sorted(branches, key=lambda b: (b.energy, b.roots[0].real if b.roots else 0.0))
+    return sorted(branches, key=lambda b: b.energy)
 
 
 def solve_sectors(n_atoms: int, m_max: int) -> dict[int, list[BetheBranch]]:
@@ -456,6 +453,6 @@ def solve_sectors(n_atoms: int, m_max: int) -> dict[int, list[BetheBranch]]:
     out: dict[int, list[BetheBranch]] = {}
     prev: list[BetheBranch] | None = None
     for M in range(0, m_max + 1):
-        out[M] = solve_sector(SectorSpec(n_atoms, M), prev if M >= 2 else None)
+        out[M] = solve_sector(SectorSpec(n_atoms, M), prev)
         prev = out[M]
     return out

@@ -4,9 +4,10 @@ This module formats, writes and reads every data file (numbers to 12
 significant digits, photon probabilities to 15); the library modules
 hold no file code.  Every command runs through `Runner`, which maps
 typed errors to exit codes through EXIT_TABLE and writes the manifest
-(parameter echo, seed, version, wall time, warnings) next to --out.
-Data files are written atomically, never hold nan or inf, never replace
-a path that is not a regular file, and are byte-identical across reruns
+(parameter echo, seed, version, wall time, warnings) next to --out;
+it checks --out before the command body runs.  Data files are written
+atomically, never hold nan or inf, never replace a symbolic link or a
+path that is not a regular file, and are byte-identical across reruns
 with equal inputs.  `energy`, `split-check` and `inequality` build their
 energy tables from the exact-diagonalization sector spectra; `solve`,
 `spectrum` and `verify` run the root solver, which is deterministic.
@@ -17,12 +18,13 @@ six accept --seed only to echo it in the manifest.
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
 or inf number, or a --config section, key or value that names no
 command, no parameter of its command, or no string or number, among
-them) and an --out that cannot be created or that exists but is not a
-regular file, "" (the current directory) among them (one stderr line
-naming the path), 3 distribution/table errors (any distribution beyond
-MAX_SECTOR, optimal's included) and results that are not finite, 4
-verification failure (a --dir sector file recording another n_atoms or
-m among them), 5 open-system errors.
+them), an --out that cannot be created, and a file --out that is a
+symbolic link or exists but is not a regular file, "" (the current
+directory) among them (one stderr line naming the path, before any
+work), 3 distribution/table errors (any distribution beyond MAX_SECTOR,
+optimal's included) and results that are not finite, 4 verification
+failure (a --dir sector file recording another n_atoms or m, or a
+root-free branch where every state has roots), 5 open-system errors.
 """
 
 from __future__ import annotations
@@ -124,15 +126,19 @@ def _creating(path: Path):
         raise SystemExit(click.UsageError.exit_code) from None
 
 
-def _write_text(path: Path, chunks: Iterable[str]) -> None:
-    """Write the chunks of text to a sibling temporary file, then rename it over path.
+def _refuse_non_regular(path: Path) -> None:
+    """Refuse a path that renaming a file over would replace: a symbolic link, or
+    an existing path that is not a regular file (a FIFO, a device, ".")."""
+    if path.is_symlink():
+        raise OSError("a symbolic link")
+    if path.exists() and not path.is_file():
+        raise OSError("not a regular file")
 
-    An existing path that is not a regular file (a FIFO, a device, ".") is refused.
-    """
+
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks of text to a sibling temporary file, then rename it over path."""
     with _creating(path):
-        if path.exists() and not path.is_file():
-            raise OSError("not a regular file")
-        path.parent.mkdir(parents=True, exist_ok=True)
+        _refuse_non_regular(path)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w") as fh:
@@ -186,7 +192,8 @@ def _sector_doc(n_atoms: int, m: int, branches: list[BetheBranch]) -> dict:
 
 
 def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
-    """Sector (n_atoms, m)'s branches from path; unreadable, malformed or mismatched content is an InputError."""
+    """Sector (n_atoms, m)'s branches from path; unreadable, malformed or mismatched content is an InputError,
+    and so is a root-free branch in a sector where bethe.has_rootless_state is false."""
     from . import bethe
 
     try:
@@ -200,6 +207,9 @@ def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
                                   energy=float(doc["energy"]), residual=float(doc["residual"]),
                                   provenance=str(doc.get("provenance", "continuation")))
             bethe.bae_residual(b.roots, 0.0)  # raises ZeroRoot or CoincidentRoots
+            if b.is_completeness and not bethe.has_rootless_state(oracle.SectorSpec(n_atoms, m)):
+                raise InputError(f"{path.name}: branch {i} is root-free, but every state of sector "
+                                 f"(N={n_atoms}, M={m}) has a regular root set")
             if not b.is_completeness and len(b.roots) != m:
                 raise InputError(f"{path.name}: branch {i} has {len(b.roots)} roots, sector M={m} needs {m}")
             branches.append(b)
@@ -225,14 +235,23 @@ def _error_type(entry: type | str) -> type:
 class Runner(click.Command):
     """Runs a command body, which returns its manifest warnings or None.
 
-    Typed errors exit as EXIT_TABLE says.  numpy's floating-point warnings
-    are silenced, since every writer refuses nan and inf.  A run with --out
-    writes the manifest next to it, whose config is every parameter but
-    --out and --seed.
+    Before the body it creates a directory --out (solve, spectrum), or the
+    directory of a file --out, which _refuse_non_regular checks; a failure
+    exits 2.  Typed errors exit as EXIT_TABLE says.  numpy's floating-point
+    warnings are silenced, since every writer refuses nan and inf.  A run
+    with --out writes the manifest next to it, whose config is every
+    parameter but --out and --seed.
     """
 
     def invoke(self, ctx: click.Context) -> None:
         start = time.perf_counter()
+        if (out := ctx.params.get("out")) is not None:
+            with _creating(out):
+                if next(p for p in self.params if p.name == "out").type.file_okay:
+                    out.parent.mkdir(parents=True, exist_ok=True)
+                    _refuse_non_regular(out)
+                else:
+                    out.mkdir(parents=True, exist_ok=True)
         try:
             with np.errstate(all="ignore"):
                 warnings = super().invoke(ctx)
@@ -359,8 +378,6 @@ def solve(n_atoms, m_max, seed, out):
     """Solve sector root sets M = 1..m-max by warm-started continuation."""
     from . import bethe
 
-    with _creating(out):
-        out.mkdir(parents=True, exist_ok=True)
     chains = bethe.solve_sectors(n_atoms, m_max)
     for m in range(1, m_max + 1):
         _write_json(out / f"sector_M{m:02d}.json", _sector_doc(n_atoms, m, chains[m]))
@@ -377,8 +394,6 @@ def spectrum(n_atoms, m_max, seed, out):
     """Per-sector eigenbasis summaries and stored-energy series."""
     from . import bethe, spectral
 
-    with _creating(out):
-        out.mkdir(parents=True, exist_ok=True)
     chains = bethe.solve_sectors(n_atoms, m_max)
     spectra = [spectral.sector_spectrum(oracle.SectorSpec(n_atoms, m), chains[m])
                for m in range(0, m_max + 1)]
@@ -547,7 +562,7 @@ def verify(n_atoms, m_max, seed, branch_dir):
         if branch_dir:
             chains = {m: _read_branches(Path(branch_dir) / f"sector_M{m:02d}.json", n_atoms, m)
                       for m in range(1, m_max + 1)}
-            chains[0] = [bethe.BetheBranch(roots=(), energy=0.0, residual=0.0)]
+            chains[0] = bethe.solve_sector(oracle.SectorSpec(n_atoms, 0))
         else:
             chains = bethe.solve_sectors(n_atoms, m_max)
     except (bethe.MissingBranches, InputError) as err:

@@ -107,8 +107,6 @@ def expand_eigenstate(branch: BetheBranch, spec: SectorSpec) -> np.ndarray:
     """
     M = spec.excitations
     K = spec.branch_count
-    if M == 0:
-        return np.ones(1, dtype=complex)
     roots = np.asarray(branch.roots, dtype=complex)
     if roots.size != M:
         raise ValueError(f"branch has {roots.size} roots, sector expects {M}")

@@ -10,13 +10,11 @@ from tcqb import battery, cli, spectral
 from tcqb.battery import (
     EnergyTable,
     InequalityReport,
-    NonpositiveTime,
     PhotonDistribution,
     SupportExceedsTable,
     TruncationTooSmall,
     ZeroReferenceEnergy,
     avg_slope_monotone,
-    charging_power,
     check_derivative_inequality,
     check_ratio_inequality,
     coherent_distribution,
@@ -170,21 +168,10 @@ class TestEnergyTable:
 
 
 class TestChargingPower:
-    def test_positive_time_required(self, table):
-        with pytest.raises(NonpositiveTime):
-            charging_power(fock_distribution(1), table, 0.0)
-
-    def test_power_times_time_is_energy(self, table):
-        dist = coherent_distribution(4.0, truncation=16)
-        t = 0.37
-        assert charging_power(dist, table, t) * t == pytest.approx(
-            stored_energy(dist, table, t), abs=1e-12
-        )
-
     def test_short_time_linear_growth(self, table):
-        # F(1, t) ~ 2 J M t^2 = 10 t^2, so P ~ 10 t
+        # F(1, t) ~ 2 J M t^2 = 10 t^2, so the average power E/t ~ 10 t
         t = 1e-3
-        p = charging_power(fock_distribution(1), table, t)
+        p = stored_energy(fock_distribution(1), table, t) / t
         assert p == pytest.approx(10.0 * t, rel=1e-4)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -477,11 +478,10 @@ class TestSolveSector:
             out = bethe.solve_sectors(n_atoms, 20)
             for m, branches in out.items():
                 assert len(branches) == min(n_atoms, m) + 1, (n_atoms, m)
-                synthetic = [b for b in branches if b.is_completeness and m > 0]
-                if synthetic:
-                    # the only non-representable state: zero energy at
-                    # odd M beyond an even-N multiplet
-                    assert n_atoms % 2 == 0 and m > n_atoms and m % 2 == 1
+                # the only non-representable state: zero energy at odd M
+                # beyond an even-N multiplet, exactly where the rule says
+                synthetic = [b for b in branches if b.is_completeness]
+                assert bethe.has_rootless_state(SectorSpec(n_atoms, m)) == bool(synthetic), (n_atoms, m)
                 evals, _ = diagonalize(sector_hamiltonian(SectorSpec(n_atoms, m)))
                 got = np.sort([b.energy for b in branches])
                 assert np.max(np.abs(got - evals)) < 1e-8, (n_atoms, m)
@@ -497,6 +497,24 @@ class TestSolveSector:
 
 
 class TestSectorAssembly:
+    def test_root_free_branch_needs_the_trace_rule(self, monkeypatch):
+        # N = 2, M = 3 holds two regular branches and the root-free zero-energy
+        # one, added only if the regular energies sum to zero.
+        prev = bethe.solve_sectors(2, 2)[2]
+        assert [b.provenance for b in solve_sector(SectorSpec(2, 3), prev)].count("completeness") == 1
+        kernel = bethe._newton_rows
+
+        def shifted(trials, J):  # refined energies off by 1e-6; mirrors are rebuilt exactly
+            for r, result in kernel(trials, J):
+                if isinstance(result, BetheBranch):
+                    result = dataclasses.replace(result, energy=result.energy + 1e-6)
+                yield r, result
+
+        monkeypatch.setattr(bethe, "_newton_rows", shifted)
+        with pytest.raises(MissingBranches) as err:
+            solve_sector(SectorSpec(2, 3), prev)
+        assert (err.value.found, err.value.expected) == (2, 3)
+
     @pytest.mark.parametrize("n_atoms", [2, 10])
     def test_no_branch_is_refined_alone(self, monkeypatch, n_atoms):
         def refuse(guess, J):

@@ -482,6 +482,23 @@ class TestVerify:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("verify could not obtain branches: sector_M02.json")
 
+    def test_root_free_branch_where_roots_exist_exits_4(self, runner, tmp_path):
+        # N = 2, M = 4 has a regular zero-energy root set; sector_spectrum
+        # would fill a root-free branch's vector by orthogonality and pass.
+        out = tmp_path / "solve"
+        assert runner.invoke(main, ["solve", "--n-atoms", "2", "--m-max", "4", "--out", str(out)]).exit_code == 0
+        path = out / "sector_M04.json"
+        doc = json.loads(path.read_text())
+        zero = min(range(3), key=lambda i: abs(doc["branches"][i]["energy"]))
+        doc["branches"][zero].update(roots=[], provenance="completeness", residual=0)
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["verify", "--n-atoms", "2", "--m-max", "4", "--dir", str(out)])
+        assert result.exit_code == 4, result.output
+        assert result.stdout == ""
+        assert result.stderr.strip().splitlines() == [
+            f"verify could not obtain branches: sector_M04.json: branch {zero} is root-free, "
+            f"but every state of sector (N=2, M=4) has a regular root set"]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, runner, tmp_path):
@@ -810,10 +827,28 @@ def test_unwritable_out_exits_2_with_one_line(runner, tmp_path, monkeypatch, arg
         result = runner.invoke(main, [*args, "--out", out])
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
+        assert result.stdout == ""  # refused before the command's work
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"cannot write {out or '.'}:"), result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "fifo"]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+@pytest.mark.parametrize("args", FILE_OUT_ARGS, ids=lambda args: args[0])
+@pytest.mark.parametrize("target", ["real.json", "missing.json"], ids=["to-file", "dangling"])
+def test_symlink_out_exits_2_and_stays_a_link(runner, tmp_path, monkeypatch, args, target):
+    # Renaming over a link would replace the link and leave its target as it was.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.json").write_text("keep\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    result = runner.invoke(main, [*args, "--out", "link.json"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.strip().splitlines() == ["cannot write link.json: a symbolic link"]
+    assert link.is_symlink() and os.readlink(link) == target
+    assert (tmp_path / "real.json").read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
 
 
 @pytest.mark.parametrize("args, flag", [
