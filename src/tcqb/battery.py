@@ -501,4 +501,4 @@ def estimate_photon_number(e_known: float, m: int, e_observed: float) -> float:
         raise ZeroReferenceEnergy("reference stored energy must be positive")
     if e_observed < 0:
         raise NegativeObservedEnergy(f"observed stored energy {e_observed:g} is negative")
-    return m * e_observed / e_known
+    return m * e_observed / e_known + 0.0  # + 0.0 turns a -0.0 reading into 0.0

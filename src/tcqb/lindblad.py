@@ -23,8 +23,9 @@ lives in the sector basis |M-k> (x) |J, -J+k> of the closed system, and
 its generator is built from oracle.sector_hamiltonian and stored as at
 most six nonzeros per row, applied with numpy gathers.  The dense
 product-basis pieces (DensityMatrix, build_operators, lindblad_rhs) are
-the reference it is checked against.  Trace, Hermiticity and
-positivity are monitored, not enforced.
+the reference it is checked against.  One function, _check_samples,
+judges every sampled state (trace, finite entries, positivity) and
+measures its Hermiticity drift; none of these is enforced.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class DimensionMismatch(LindbladError):
 
 
 class StepUnstable(LindbladError):
-    """Trace drifted or min eig(rho) fell beyond 1e-6; the step is too large."""
+    """A sampled state failed its trace, finite-entry or min eig(rho) check; the step is too large."""
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,6 @@ class DensityMatrix:
         rho[idx, idx] = 1.0
         return cls(matrix=rho, n_atoms=config.n_atoms, n_max=config.n_max)
 
-    def validate(self) -> None:
-        h_err = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if h_err >= 1e-10:
-            raise ValueError(f"state is not Hermitian: deviation {h_err:.3e}")
-        tr_err = abs(self.matrix.trace().real - 1.0)
-        if tr_err >= 1e-9:
-            raise ValueError(f"trace deviates from 1 by {tr_err:.3e}")
-
 
 @dataclass(frozen=True)
 class _RowPadded:
@@ -281,24 +274,38 @@ class TimeSeries:
     final_state: list[np.ndarray] | None = field(default=None, repr=False)
 
 
-def _block_checks(chunk: np.ndarray, offsets: np.ndarray, sizes: list[int]) -> tuple[float, np.ndarray]:
-    """Hermiticity drift and min eig(rho) of each stacked state, one eigvalsh per block.
+def _check_samples(held: np.ndarray, traces: np.ndarray, times: np.ndarray,
+                   offsets: np.ndarray, sizes: list[int]) -> tuple[float, np.ndarray]:
+    """Check stacked sampled states in sample order; the first that fails raises StepUnstable.
 
-    The drift is the largest |r - r'| entry over every block and state;
-    min eig(rho) of a state is the least of its blocks' lowest
-    eigenvalues and 0 (every sector above M_top is empty), taking the
-    first of equal values, so a zero keeps the sign of the block that
-    gave it.
+    A state passes when its trace is within 1e-6 of 1, its entries are
+    finite and min eig(rho) is at least -1e-6, checked in that order, with
+    one eigvalsh per block over the states before the first bad trace or
+    entry.  Returns the Hermiticity drift, the largest |r - r'| entry over
+    every block and state, and each state's min eig(rho): the least of its
+    blocks' lowest eigenvalues and 0 (every sector above M_top is empty),
+    taking the first of equal values, so a zero keeps the sign of the
+    block that gave it.
     """
-    drift = 0.0
-    min_eig = np.zeros(len(chunk))
+    bad_trace = ~(np.abs(traces - 1.0) <= 1e-6)  # a nan trace fails too
+    bad = bad_trace | ~np.isfinite(held).all(axis=1)
+    n = int(np.argmax(bad)) if bad.any() else len(held)
+    drift, min_eig = 0.0, np.zeros(n)
     for i, (o, s) in enumerate(zip(offsets, sizes)):
-        r = chunk[:, o : o + s**2].reshape(-1, s, s)
+        r = held[:n, o : o + s**2].reshape(-1, s, s)
         r_h = r.conj().transpose(0, 2, 1)
         drift = max(drift, float(np.max(np.abs(r - r_h), initial=0.0)))
         low = np.linalg.eigvalsh((r + r_h) / 2.0)[:, 0]
         min_eig = low if i == 0 else np.where(low < min_eig, low, min_eig)
-    return drift, np.where(0.0 < min_eig, 0.0, min_eig)
+    min_eig = np.where(0.0 < min_eig, 0.0, min_eig)
+    fell = np.flatnonzero(min_eig < -1e-6)
+    if fell.size:
+        j = fell[0]
+        raise StepUnstable(f"min eig(rho) fell to {min_eig[j]:.3e} at t = {times[j]:g}; reduce dt")
+    if n < len(held):
+        what = f"trace drifted to {float(traces[n])!r}" if bad_trace[n] else "rho is not finite"
+        raise StepUnstable(f"{what} at t = {times[n]:g}; reduce dt")
+    return drift, min_eig
 
 
 def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
@@ -316,13 +323,11 @@ def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
     M-dephased state that is integrated.  Stored energy is <Jz>(t) + N/2
     (the atoms start in the ground state), power is E/t (0 at t = 0).
 
-    The trace of each sample is checked when the sample is reached.  The
-    sampled states are kept, up to SAMPLE_CHUNK_BYTES at a time, and
-    checked together (finite entries, then Hermiticity drift and
-    min eig(rho)) when the chunk fills, the run ends or a trace fails.
-    The first sample that fails a check raises StepUnstable: its trace
-    drifted beyond 1e-6, its entries are not finite, or min eig(rho)
-    fell below -1e-6.
+    The sampled states are held, up to SAMPLE_CHUNK_BYTES at a time, and
+    _check_samples checks them in sample order when the chunk fills, at
+    the last sample, or as soon as a sample's trace drifts beyond 1e-6.
+    The first sample that fails raises StepUnstable: its trace drifted,
+    its entries are not finite, or min eig(rho) fell below -1e-6.
     """
     m_top = dist.max_support
     sizes = [SectorSpec(config.n_atoms, m).branch_count for m in range(m_top + 1)]
@@ -338,26 +343,8 @@ def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
     t_out = np.array(sample_steps) * config.dt
     energy, trace, min_eig, m_expect = (np.empty(t_out.size) for _ in range(4))
     chunk = np.empty((max(1, min(t_out.size, SAMPLE_CHUNK_BYTES // y.nbytes)), y.size), dtype=complex)
-    checked = 0  # samples before this one passed every check; the rest since sit in chunk
+    start = 0  # samples start..i sit in chunk, unchecked
     herm_drift = 0.0
-
-    def check_chunk(end: int) -> None:
-        """Check the held samples checked..end-1 and raise at the first that fails."""
-        nonlocal checked, herm_drift
-        held = chunk[: end - checked]
-        finite = np.isfinite(held).all(axis=1)
-        n_finite = len(held) if finite.all() else int(np.argmin(finite))
-        drift, low = _block_checks(held[:n_finite], offsets, sizes)
-        bad = np.flatnonzero(low < -1e-6)
-        if bad.size:
-            j = bad[0]
-            raise StepUnstable(f"min eig(rho) fell to {low[j]:.3e} at t = {t_out[checked + j]:g}; reduce dt")
-        if n_finite < len(held):
-            raise StepUnstable(f"rho is not finite at t = {t_out[checked + n_finite]:g}; reduce dt")
-        herm_drift = max(herm_drift, drift)
-        min_eig[checked:end] = low
-        checked = end
-
     dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
     tmp = np.empty_like(y)
@@ -375,14 +362,14 @@ def evolve(dist: PhotonDistribution, config: OpenSystemConfig) -> TimeSeries:
             y += np.multiply(sixth, tmp, out=tmp)
         done = target
         diag = y[diag_pos].real
-        tr = float(diag.sum())
-        if not abs(tr - 1.0) <= 1e-6:  # a nan trace fails too
-            check_chunk(i)  # an earlier sample may have failed first
-            raise StepUnstable(f"trace drifted to {tr!r} at t = {t_out[i]:g}; reduce dt")
-        energy[i], trace[i], m_expect[i] = q @ diag, tr, m_shift @ diag
-        chunk[i - checked] = y
-        if i + 1 - checked == len(chunk) or i + 1 == t_out.size:
-            check_chunk(i + 1)
+        energy[i], trace[i], m_expect[i] = q @ diag, diag.sum(), m_shift @ diag
+        chunk[i - start] = y
+        # A trace that is off is checked at once, so a diverging run stops at its first bad sample.
+        if i + 1 - start == len(chunk) or i + 1 == t_out.size or not abs(trace[i] - 1.0) <= 1e-6:
+            drift, min_eig[start : i + 1] = _check_samples(
+                chunk[: i + 1 - start], trace[start : i + 1], t_out[start : i + 1], offsets, sizes)
+            herm_drift = max(herm_drift, drift)
+            start = i + 1
 
     power = np.zeros_like(energy)
     power[1:] = energy[1:] / t_out[1:]

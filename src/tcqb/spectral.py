@@ -195,6 +195,15 @@ def tridiagonal_spectrum(spec: SectorSpec) -> SectorSpectrum:
     return SectorSpectrum(spec=spec, energies=energies, vectors=vectors, norms=np.ones(energies.size))
 
 
+def _term_sum(t, start: float, terms, wave):
+    """start + sum_i c_i wave(omega_i t), adding the terms in order; a float for a scalar t."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.full_like(t_arr, start, dtype=float)
+    for c, omega in terms:
+        out = out + c * wave(omega * t_arr)
+    return out if np.ndim(t) else float(out)
+
+
 @dataclass(frozen=True)
 class CosineSeries:
     """Finite real series  value(t) = offset + sum_i amp_i cos(omega_i t).
@@ -207,11 +216,7 @@ class CosineSeries:
     terms: tuple[tuple[float, float], ...] = ()  # (amplitude, omega), omega ascending
 
     def value(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.full_like(t_arr, self.offset, dtype=float)
-        for amp, omega in self.terms:
-            out = out + amp * np.cos(omega * t_arr)
-        return out if np.ndim(t) else float(out)
+        return _term_sum(t, self.offset, self.terms, np.cos)
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,7 @@ class SineSeries:
     terms: tuple[tuple[float, float], ...] = ()  # (coefficient, omega)
 
     def value(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(t_arr, dtype=float)
-        for coef, omega in self.terms:
-            out = out + coef * np.sin(omega * t_arr)
-        return out if np.ndim(t) else float(out)
+        return _term_sum(t, 0.0, self.terms, np.sin)
 
 
 def series_derivative(series: CosineSeries) -> SineSeries:

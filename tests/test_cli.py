@@ -239,6 +239,24 @@ class TestInequality:
         assert doc["violations"] > 0
         assert "worst:" in result.output
 
+    def test_derivative_ordering_counterexample_keeps_its_counts(self, runner, tmp_path):
+        # The 7b counterexample (ROADMAP): a series change that moved these
+        # counts would move the acceptance failure without a word.
+        out = tmp_path / "ineq29.json"
+        result = runner.invoke(
+            main,
+            ["inequality", "--which", "29", "--n-atoms", "10", "--max-m", "14",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert (doc["violations"], doc["combinations"]) == (18901, 560)
+        assert len(doc["violating_indices"]) == 231
+        assert result.stdout.splitlines() == [
+            "18901 violations over 560 index combinations",
+            "worst: indices (10, 1, 1) excess 7.44228576399 at t=0.496",
+        ]
+
 
 class TestEstimate:
     def test_prints_scaled_ratio(self, runner):
@@ -263,6 +281,14 @@ class TestEstimate:
         assert len(lines) == 1 and lines[0].startswith("estimate failed: observed stored energy")
         with pytest.raises(battery.NegativeObservedEnergy):
             battery.estimate_photon_number(1.0, 2, -5.0)
+
+    def test_negative_zero_observed_energy_prints_0(self, runner):
+        result = runner.invoke(
+            main, ["estimate", "--e-known", "2", "--m", "3", "--e-observed", "-0.0"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "0\n"
+        assert math.copysign(1.0, battery.estimate_photon_number(2.0, 3, -0.0)) == 1.0
 
 
 class TestLindbladCommand:
@@ -317,6 +343,21 @@ class TestLindbladCommand:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("lindblad failed: min eig(rho)")
         assert not out.exists()
+
+    def test_closed_n32_run_at_the_default_dt_exits_5_with_one_line(self, runner, tmp_path):
+        # RK4 at dt 1e-3 takes this supported closed run out of the positive
+        # cone (ROADMAP item 2); the failure is reported, and nothing is written.
+        out = tmp_path / "open.csv"
+        result = runner.invoke(
+            main,
+            ["lindblad", "--n-atoms", "32", "--init", "fock:32", "--kappa", "0",
+             "--gamma-phi", "0", "--t-end", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 5, result.output
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "lindblad failed: min eig(rho) fell to -1.166e-06 at t = 0.05; reduce dt"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_step_longer_than_horizon_exits_5_with_one_line(self, runner, tmp_path):
         out = tmp_path / "open.csv"

@@ -159,7 +159,7 @@ class TestDensityMatrix:
         idx = 2 * (config.n_atoms + 1)
         assert rho.matrix[idx, idx] == 1.0
         assert rho.matrix.trace() == pytest.approx(1.0)
-        rho.validate()
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
 
     def test_fock_outside_truncation_rejected(self):
         for photons in (-1, 8):  # n_max = 7
@@ -407,12 +407,12 @@ class TestKernelBits:
         vals[0, n - 2] = np.nan  # entry (2, 1) of block M = 2
         lop = lindblad._RowPadded(cols=np.arange(n)[None, :], vals=vals)
         monkeypatch.setattr(lindblad, "_block_generator", lambda config, m_top: lop)
-        seen, checks = [], lindblad._block_checks
-        monkeypatch.setattr(lindblad, "_block_checks",
-                            lambda chunk, *args: seen.append(chunk.copy()) or checks(chunk, *args))
+        seen, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
         with pytest.raises(StepUnstable, match=r"^rho is not finite at t = 0\.001; reduce dt$"):
             evolve(fock_distribution(2), small_config(t_end=0.05, sample_stride=1))
-        assert [len(c) for c in seen] == [1] and np.isfinite(seen[0]).all()
+        # one stacked call per block M = 0, 1, 2, each over the one finite state
+        assert [len(a) for a in seen] == [1, 1, 1] and all(np.isfinite(a).all() for a in seen)
 
 
 class TestConfig:
