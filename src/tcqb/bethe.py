@@ -18,9 +18,10 @@ No step is random.
 The trials are a lazy stream: member i of every previous branch in
 turn, plain then negated, then member i + 1.  A sector draws them
 NEWTON_CHUNK at a time, as it needs them, and refines each chunk with
-one stacked kernel (one batched linear solve per iteration), which
-hands out each row as soon as it stops; each row iterates exactly as
-it would alone and stops at the first failure newton_refine names.
+one stacked kernel (one batched linear solve per iteration, a second
+one without the rows whose Jacobian is singular), which hands out each
+row as soon as it stops; each row iterates exactly as it would alone
+and stops at the first failure newton_refine names.
 
 In the sectors has_rootless_state names, the zero-energy state has no
 regular root set: the continuation stops at K - 1 regular branches and,
@@ -271,10 +272,12 @@ def _newton_rows(trials, J: float):
 
     Each row runs the iteration described in newton_refine as if alone;
     the rows only share numpy calls: one stacked solve per iteration
-    and a lockstep line search with one step scale per row.  When the
-    stacked solve is singular the rows are solved one by one, and a row
-    whose own Jacobian is singular stops with SingularJacobian, as does
-    a row whose step fails all 30 halvings.  Yields
+    and a lockstep line search, in which every row still searching has
+    had its step halved equally often.  When the stacked solve meets an
+    exact zero pivot, one slogdet over the same stack (sign 0 exactly
+    there) names the singular rows, which stop with SingularJacobian,
+    and the rest are solved in one stacked call; a row whose step fails
+    all 30 halvings stops with SingularJacobian too.  Yields
     (row index, result) for each row as soon as it stops, rows that stop
     together in row order; the result is the row's BetheBranch or the
     BetheError that ended it.  A caller can stop early.
@@ -307,35 +310,29 @@ def _newton_rows(trials, J: float):
         rows = live.nonzero()[0]
         if not rows.size:
             return
-        jac, rhs = _jacobian_rows(x[rows], J), -fx[rows]
+        jac, rhs = _jacobian_rows(x[rows], J), -fx[rows, :, None]
         try:
-            step = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # solve row by row; a singular row stops
-            step, solved = np.zeros_like(rhs), np.ones(rows.size, dtype=bool)
-            for i in range(rows.size):
-                try:
-                    step[i] = np.linalg.solve(jac[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    solved[i] = False
-            stop(rows[~solved], SingularJacobian, "the Jacobian is singular")
-            rows, step = rows[solved], step[solved]
-        # Line search: halve each row's step up to 30 times until its
-        # sup-norm residual decreases at a point outside |x| < 1e-10.
-        scale, searching = np.ones(rows.size), np.ones(rows.size, dtype=bool)
-        for _ in range(30):
-            trying = searching.nonzero()[0]
-            if not trying.size:
+            step = np.linalg.solve(jac, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:  # slogdet's sign is 0 at the zero pivots solve meets
+            solvable = np.linalg.slogdet(jac)[0] != 0
+            stop(rows[~solvable], SingularJacobian, "the Jacobian is singular")
+            rows, step = rows[solvable], np.linalg.solve(jac[solvable], rhs[solvable])[:, :, 0]
+        # Line search: the rows still searching have all had their steps
+        # halved h times; a row takes x + step / 2**h once that lowers its
+        # sup-norm residual at a point outside |x| < 1e-10.
+        for h in range(30):
+            if not rows.size:
                 break
-            xt = x[rows[trying]] + scale[trying, None] * step[trying]
+            xt = x[rows] + 0.5**h * step
             far = (np.abs(xt).min(axis=1) >= 1e-10).nonzero()[0]
             code, ft, nt = _evaluate(xt[far], J)
-            better = nt < norm[rows[trying[far[code == 0]]]]
-            keep = far[code == 0][better]
-            take = rows[trying[keep]]
-            x[take], fx[take], norm[take] = xt[keep], ft[better], nt[better]
-            searching[trying[keep]] = False
-            scale[trying[searching[trying]]] /= 2.0
-        stop(rows[searching], SingularJacobian, "full damping failed")
+            better = nt < norm[rows[far[code == 0]]]
+            took = far[code == 0][better]
+            x[rows[took]], fx[rows[took]], norm[rows[took]] = xt[took], ft[better], nt[better]
+            left = np.ones(rows.size, dtype=bool)
+            left[took] = False
+            rows, step = rows[left], step[left]
+        stop(rows, SingularJacobian, "full damping failed")
     for r in (live & (norm >= NEWTON_TOL)).nonzero()[0]:
         errors[r] = NoConvergence(f"residual {norm[r]:.3e} after {NEWTON_MAX_ITER} iterations")
     yield from ((r, errors[r] or _finish(x[r], J)) for r in pending.nonzero()[0].tolist())

@@ -12,8 +12,8 @@ with equal inputs.  `energy`, `split-check` and `inequality` build their
 energy tables from the exact-diagonalization sector spectra; `solve`,
 `spectrum` and `verify` run the root solver, which is deterministic.
 bethe, spectral and lindblad are imported by the commands that run them,
-so no command loads code it does not run.  No command uses a seed: those
-six accept --seed only to echo it in the manifest.
+so no command, failing or not, loads code it does not run.  No command
+uses a seed: those six accept --seed only to echo it in the manifest.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
 or inf number, or a --config section, key or value that names no
@@ -24,15 +24,16 @@ directory) among them (one stderr line naming the path, before any
 work), 3 distribution/table errors (any distribution beyond MAX_SECTOR,
 optimal's included) and results that are not finite, 4 verification
 failure (a --dir sector file recording another n_atoms or m, or a
-root-free branch where every state has roots), 5 open-system errors.
+root-free branch where every state has roots), 5 open-system errors
+(lindblad.LindbladError: a refused configuration or an unstable step).
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import os
+import sys
 import time
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -67,20 +68,17 @@ class VerificationFailed(Exception):
     """An invariant that verify checks does not hold."""
 
 
-class OpenSystemError(Exception):
-    """lindblad refused its configuration or its run lost trace or positivity."""
-
-
 # Each typed error a command may raise, its exit code, and the words between
 # the command name and the message on its one stderr line; the first row
 # that matches wins.  "module.Class" names a class of a tcqb module that
-# only some commands load; it is imported when a command fails, not before.
+# only some commands load; it matches only if that module is loaded, since
+# a module that was never imported raised none of its errors.
 EXIT_TABLE = (
     (("bethe.MissingBranches", oracle.ConvergenceFailure, "spectral.SpectralError"), 2, "failed"),
     ((InputError, battery.BatteryError, NonFiniteResult), 3, "failed"),
     ((NoBranches,), 4, "could not obtain branches"),
     ((VerificationFailed,), 4, "failed"),
-    ((OpenSystemError,), 5, "failed"),
+    (("lindblad.LindbladError",), 5, "failed"),
 )
 
 
@@ -224,12 +222,13 @@ def _probs_doc(dist: battery.PhotonDistribution) -> dict[str, float]:
     return {str(m): float(f"{p:.15g}") for m, p in dist.probs.items()}
 
 
-def _error_type(entry: type | str) -> type:
-    """A class of EXIT_TABLE, importing the tcqb module that a "module.Class" entry names."""
+def _error_type(entry: type | str) -> type | tuple[()]:
+    """A class of EXIT_TABLE, or () for a "module.Class" entry whose tcqb module is not loaded."""
     if isinstance(entry, type):
         return entry
     module, _, name = entry.partition(".")
-    return getattr(importlib.import_module(f".{module}", __package__), name)
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return getattr(loaded, name) if loaded else ()
 
 
 class Runner(click.Command):
@@ -526,15 +525,12 @@ def lindblad_cmd(n_atoms, init, kappa, gamma_phi, dt, t_end, stride, out):
     from . import lindblad
 
     dist = _parse_init(init)
-    try:
-        # evolve never reads n_max; it sizes the product basis of the reference.
-        config = lindblad.OpenSystemConfig(
-            n_atoms=n_atoms, n_max=dist.max_support + 1, kappa=kappa, gamma_phi=gamma_phi,
-            dt=dt, t_end=t_end, sample_stride=stride,
-        )
-        ts = lindblad.evolve(dist, config)
-    except (lindblad.LindbladError, ValueError) as err:
-        raise OpenSystemError(str(err)) from err
+    # evolve never reads n_max; it sizes the product basis of the reference.
+    config = lindblad.OpenSystemConfig(
+        n_atoms=n_atoms, n_max=dist.max_support + 1, kappa=kappa, gamma_phi=gamma_phi,
+        dt=dt, t_end=t_end, sample_stride=stride,
+    )
+    ts = lindblad.evolve(dist, config)
     _write_csv(out, ["t", "E", "P", "trace", "min_eig", "m_expect"],
                [ts.t, ts.energy, ts.power, ts.trace, ts.min_eig, ts.m_expect])
     click.echo(f"wrote {ts.t.size} samples -> {out}")

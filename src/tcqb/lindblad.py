@@ -43,6 +43,7 @@ __all__ = [
     "LindbladError",
     "DimensionMismatch",
     "StepUnstable",
+    "InvalidConfig",
     "OpenSystemConfig",
     "DensityMatrix",
     "build_operators",
@@ -70,6 +71,10 @@ class StepUnstable(LindbladError):
     """A sampled state failed its trace, finite-entry or min eig(rho) check; the step is too large."""
 
 
+class InvalidConfig(LindbladError, ValueError):
+    """OpenSystemConfig refused a count, rate, step, horizon or sample stride."""
+
+
 @dataclass(frozen=True)
 class OpenSystemConfig:
     """Rates, integrator controls and the product-basis truncation.
@@ -79,7 +84,8 @@ class OpenSystemConfig:
     it.  kappa (cavity decay) and gamma_phi (collective dephasing) are in
     units of g; time step dt and horizon t_end are in 1/g, and t_end
     must be a whole number of steps (to a relative 1e-9), at most
-    MAX_STEPS of them, so the run ends exactly at t_end.
+    MAX_STEPS of them, so the run ends exactly at t_end.  Any other
+    value raises InvalidConfig, which is a ValueError as well.
     """
 
     n_atoms: int
@@ -92,22 +98,22 @@ class OpenSystemConfig:
 
     def __post_init__(self):
         if self.n_atoms < 1:
-            raise ValueError("need at least one atom")
+            raise InvalidConfig("need at least one atom")
         if self.n_max < 1:
-            raise ValueError("need at least two Fock levels")
+            raise InvalidConfig("need at least two Fock levels")
         if not all(math.isfinite(x) for x in (self.kappa, self.gamma_phi, self.dt, self.t_end)):
-            raise ValueError("rates, dt and t_end must be finite")
+            raise InvalidConfig("rates, dt and t_end must be finite")
         if self.kappa < 0 or self.gamma_phi < 0:
-            raise ValueError("rates must be nonnegative")
+            raise InvalidConfig("rates must be nonnegative")
         if not 0 < self.dt <= self.t_end:
-            raise ValueError(f"need 0 < dt <= t_end, got dt = {self.dt:g}, t_end = {self.t_end:g}")
+            raise InvalidConfig(f"need 0 < dt <= t_end, got dt = {self.dt:g}, t_end = {self.t_end:g}")
         steps = self.t_end / self.dt
         if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, and inf too
-            raise ValueError(f"t_end / dt = {steps:.6g} steps exceeds the limit of {MAX_STEPS}")
+            raise InvalidConfig(f"t_end / dt = {steps:.6g} steps exceeds the limit of {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}")
+            raise InvalidConfig(f"t_end = {self.t_end:g} is not a whole number of steps dt = {self.dt:g}")
         if self.sample_stride < 1:
-            raise ValueError(f"sample stride must be at least 1, got {self.sample_stride}")
+            raise InvalidConfig(f"sample stride must be at least 1, got {self.sample_stride}")
 
     @property
     def dimension(self) -> int:

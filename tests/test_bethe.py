@@ -51,6 +51,10 @@ class TestResidual:
         with pytest.raises(CoincidentRoots):
             bae_residual([1.0, 1.0 + 1e-15], 5.0)
 
+    def test_two_dimensional_roots_rejected(self):
+        with pytest.raises(ValueError, match="^roots must be one-dimensional$"):
+            bae_residual([[1.0, 2.0]], 5.0)
+
 
 def _jacobian(roots, J):
     """The kernel's Jacobian of one root set."""
@@ -94,6 +98,11 @@ class TestCanonicalize:
     def test_unpaired_complex_root(self):
         with pytest.raises(UnpairedComplexRoot):
             canonicalize([1.0 + 0.5j])
+
+    def test_lone_lower_half_plane_root(self):
+        # No upper member claims it, so it is left over after the pairing.
+        with pytest.raises(UnpairedComplexRoot, match=r"^roots \[.*\] have no conjugate partners within 1e-06$"):
+            canonicalize([1 - 1j])
 
     def test_snaps_tiny_imaginary_parts(self):
         out = canonicalize([2.0 + 1e-9j])
@@ -300,6 +309,26 @@ class TestNewtonKernel:
         assert got[1] == (SingularJacobian, "the Jacobian is singular")
         assert [isinstance(got[i][0], list) for i in (0, 2, 4)] == [True] * 3
         assert [r for r, _ in bethe._newton_rows(np.array(trials), 0.5)][:2] == [3, 1]
+
+    def test_two_singular_rows_among_converging_ones(self):
+        # J = 1/2, x = +-i: both 1 x 1 Jacobians -J/x^2 - 1/2 are exactly zero.
+        trials = [[0.9], [1j], [1.3 + 0.2j], [-1j], [-2.0]]
+        got = _stacked(trials, 0.5)
+        assert got == [_alone(_reference_newton, t, 0.5) for t in trials]
+        assert [got[i] for i in (1, 3)] == [(SingularJacobian, "the Jacobian is singular")] * 2
+        assert [isinstance(got[i][0], list) for i in (0, 2, 4)] == [True] * 3
+
+    def test_a_singular_row_costs_one_slogdet_and_one_more_solve(self, monkeypatch):
+        # The stacked solve meets x = i's zero pivot; slogdet names that row
+        # and one stacked solve takes the other two, with no row solved alone.
+        calls = []
+        solve, slogdet = np.linalg.solve, np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(("solve", len(a))) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(("slogdet", len(a))) or slogdet(a))
+        rows = bethe._newton_rows(np.array([[0.9], [1j], [-2.0]]), 0.5)
+        r, result = next(rows)  # handed out at the top of the second iteration
+        assert (r, _bits(result)) == (1, (SingularJacobian, "the Jacobian is singular"))
+        assert calls == [("solve", 3), ("slogdet", 3), ("solve", 2)]
 
     @pytest.mark.parametrize("n_atoms", [2, 6])
     def test_matches_reference_loop(self, n_atoms):

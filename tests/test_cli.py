@@ -415,6 +415,17 @@ class TestLindbladCommand:
         assert lines == [f"lindblad failed: t_end / dt = {steps} steps exceeds the limit of 2000000"]
         assert not out.exists()
 
+    def test_an_untyped_error_of_the_run_is_not_an_open_system_failure(self, runner, tmp_path, monkeypatch):
+        # Only lindblad's own errors exit 5; a bare ValueError is a fault of the program.
+        def broken(dist, config):
+            raise ValueError("not an open-system error")
+
+        monkeypatch.setattr(lindblad, "evolve", broken)
+        result = runner.invoke(main, ["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0",
+                                      "--gamma-phi", "0", "--t-end", "0.01", "--out", str(tmp_path / "l.csv")])
+        assert result.exit_code == 1 and type(result.exception) is ValueError
+        assert "lindblad failed" not in result.output
+
     def test_run_builds_no_dense_state(self, runner, tmp_path, monkeypatch):
         class Refuse:
             def __init__(self, *args, **kwargs):
@@ -980,27 +991,38 @@ STARTUP_PROBE = """
 import json, sys
 import tcqb.cli
 
-tcqb.cli.main(sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(name for name in sys.modules if name.startswith(("scipy", "tcqb.")))))
+code = 0
+try:
+    tcqb.cli.main(sys.argv[1:], standalone_mode=False)
+except SystemExit as err:  # a failing command exits through its EXIT_TABLE row
+    code = err.code
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith(("scipy", "tcqb.")))]))
 """
 
 _SOLVER = ("tcqb.bethe", "tcqb.spectral")
 
 
-@pytest.mark.parametrize("args, loads, skips", [
+@pytest.mark.parametrize("args, code, loads, skips", [
     (["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--out", "{out}/e.csv"],
-     ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
+     0, ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
     (["split-check", "--dist", "coherent:2:8", "--n-atoms", "4"],
-     ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
+     0, ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
     (["inequality", "--which", "29", "--n-atoms", "4", "--max-m", "4"],
-     ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
-    (["optimal", "--mean", "2.5"], [], [*_SOLVER, "tcqb.lindblad"]),
-    (["estimate", "--e-known", "1", "--m", "2", "--e-observed", "3"], [], [*_SOLVER, "tcqb.lindblad"]),
-    (["verify", "--n-atoms", "2", "--m-max", "4"], list(_SOLVER), ["tcqb.lindblad"]),
+     0, ["tcqb.spectral"], ["tcqb.bethe", "tcqb.lindblad"]),
+    (["optimal", "--mean", "2.5"], 0, [], [*_SOLVER, "tcqb.lindblad"]),
+    (["estimate", "--e-known", "1", "--m", "2", "--e-observed", "3"], 0, [], [*_SOLVER, "tcqb.lindblad"]),
+    (["verify", "--n-atoms", "2", "--m-max", "4"], 0, list(_SOLVER), ["tcqb.lindblad"]),
     (["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0.2", "--gamma-phi", "0.1",
-      "--t-end", "0.01", "--out", "{out}/l.csv"], ["tcqb.lindblad"], list(_SOLVER)),
-], ids=["energy", "split-check", "inequality", "optimal", "estimate", "verify", "lindblad"])
-def test_each_command_loads_only_what_it_runs(tmp_path, args, loads, skips):
+      "--t-end", "0.01", "--out", "{out}/l.csv"], 0, ["tcqb.lindblad"], list(_SOLVER)),
+    # A failing command loads no more than it ran: its exit code comes from loaded modules only.
+    (["energy", "--init", "bogus:1", "--n-atoms", "4", "--out", "{out}/e.csv"],
+     3, [], [*_SOLVER, "tcqb.lindblad"]),
+    (["optimal", "--mean", "-1"], 3, [], [*_SOLVER, "tcqb.lindblad"]),
+    (["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0", "--gamma-phi", "0",
+      "--dt", "2", "--t-end", "1", "--out", "{out}/l.csv"], 5, ["tcqb.lindblad"], list(_SOLVER)),
+], ids=["energy", "split-check", "inequality", "optimal", "estimate", "verify", "lindblad",
+        "energy-fails", "optimal-fails", "lindblad-fails"])
+def test_each_command_loads_only_what_it_runs(tmp_path, args, code, loads, skips):
     # One child per command: the modules it loads are those it runs, and none is scipy.
     src = str(Path(tcqb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1008,6 +1030,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, args, loads, skips):
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    exit_code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert exit_code == code, proc.stderr
     assert not [name for name in loaded if name.startswith("scipy")]
     assert set(loads) <= set(loaded) and not set(skips) & set(loaded), loaded

@@ -14,6 +14,8 @@ from tcqb.bethe import SectorSpec
 from tcqb.lindblad import (
     DensityMatrix,
     DimensionMismatch,
+    InvalidConfig,
+    LindbladError,
     OpenSystemConfig,
     StepUnstable,
     build_operators,
@@ -419,6 +421,14 @@ class TestConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             small_config(kappa=-0.1)
+
+    @pytest.mark.parametrize("field, message", [("n_atoms", "^need at least one atom$"),
+                                                ("n_max", "^need at least two Fock levels$")])
+    def test_zero_counts_rejected(self, field, message):
+        # An open-system error that is a ValueError too, as every refusal of the config is.
+        with pytest.raises(InvalidConfig, match=message) as err:
+            small_config(**{field: 0})
+        assert isinstance(err.value, LindbladError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_stride_below_one_rejected(self, stride):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from tcqb.spectral import (
     AMP_PRUNE_TOL,
     FREQ_MERGE_TOL,
     CosineSeries,
+    EigenResidualTooLarge,
     IncompleteBranchSet,
     NoMaximumFound,
     elementary_symmetric,
@@ -152,6 +154,13 @@ class TestSectorSpectrum:
     def test_incomplete_branch_sets_are_refused(self, chains, pick, message):
         with pytest.raises(IncompleteBranchSet, match=message):
             sector_spectrum(SectorSpec(10, 3), pick(chains[3]))
+
+    def test_a_branch_energy_off_by_1e6_fails_the_eigen_residual(self, chains):
+        # The shifted row leaves |Hv - Ev| = 1e-6 |v_k| there, far above the 1e-8 gate.
+        branches = sorted(chains[3], key=lambda b: b.energy)
+        branches[1] = dataclasses.replace(branches[1], energy=branches[1].energy + 1e-6)
+        with pytest.raises(EigenResidualTooLarge, match=r"^max \|Hv - Ev\| = [0-9.]+e-07$"):
+            sector_spectrum(SectorSpec(10, 3), branches)
 
     def test_energies_match_generating_branches(self, chains, spectra):
         for m in (3, 8, 14):
