@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .oracle import SectorSpec
+from .oracle import SectorSpec, is_integer
 
 if TYPE_CHECKING:  # spectral is imported where a table is built or scanned
     from .spectral import CosineSeries
@@ -148,9 +148,9 @@ class PhotonDistribution:
 
 
 def fock_distribution(m: int) -> PhotonDistribution:
-    """Point mass at photon number m."""
-    if m < 0:
-        raise ValueError("photon number must be >= 0")
+    """Point mass at photon number m, an integer >= 0 (a bool or a float is refused)."""
+    if not is_integer(m) or m < 0:
+        raise ValueError(f"photon number must be an integer >= 0, got {m!r}")
     return PhotonDistribution({int(m): 1.0})
 
 
@@ -287,43 +287,39 @@ def optimal_distribution(nbar: float) -> PhotonDistribution:
 
 
 @dataclass(frozen=True)
-class SplitPart:
-    """Group j of the splitting: matched probability and matched mean."""
-
-    j: int
-    probs_below: dict[int, float]  # p_j(i) for i <= [nbar]
-    frac_part: float  # (nbar - [nbar])_j
-    one_minus_frac_part: float  # [1 - (nbar - [nbar])]_j
-
-
-@dataclass(frozen=True)
 class SplitTableau:
     """Equal-probability / equal-expected-value decomposition of a pmf.
 
-    Part j pairs the mass at [nbar]+j with a proportional share of the
-    mass at and below [nbar]; within every part the total probability
+    Group j = 1..d pairs the mass at [nbar]+j with the share w_j of
+    every probability at and below [nbar] and of the optimal
+    distribution's weights; within every group the total probability
     and the photon-number expectation match those of the same share of
-    the optimal two-point distribution.
+    the optimal two-point distribution.  The weights w_j fix the whole
+    split, so they are all it stores: d is len(weights).
     """
 
     floor: int
     frac: float
-    d: int
-    parts: tuple[SplitPart, ...]
+    weights: tuple[float, ...]  # w_j for j = 1..d
+
+    @property
+    def d(self) -> int:
+        return len(self.weights)
 
     def identity_errors(self, dist: PhotonDistribution) -> tuple[float, float]:
-        """Max deviations of the group-probability and group-mean identities."""
+        """Max deviations of the group-probability and group-mean identities, from each w_j."""
+        below = {i: p for i, p in dist.probs.items() if i <= self.floor}
+        below_total = math.fsum(below.values())
         err_p = 0.0
         err_m = 0.0
-        for part in self.parts:
-            pj = dist.prob(self.floor + part.j)
-            lhs_p = math.fsum(part.probs_below.values()) + pj
-            rhs_p = part.one_minus_frac_part + part.frac_part
-            err_p = max(err_p, abs(lhs_p - rhs_p))
-            lhs_m = math.fsum(i * q for i, q in part.probs_below.items()) + pj * (
-                self.floor + part.j
-            )
-            rhs_m = self.floor * part.one_minus_frac_part + (self.floor + 1) * part.frac_part
+        for j, w in enumerate(self.weights, start=1):
+            pj = dist.prob(self.floor + j)
+            frac_j = w * self.frac
+            one_minus_frac_j = w * (below_total - self.frac) + pj
+            lhs_p = math.fsum(w * p for p in below.values()) + pj
+            err_p = max(err_p, abs(lhs_p - (one_minus_frac_j + frac_j)))
+            lhs_m = math.fsum(i * (w * p) for i, p in below.items()) + pj * (self.floor + j)
+            rhs_m = self.floor * one_minus_frac_j + (self.floor + 1) * frac_j
             err_m = max(err_m, abs(lhs_m - rhs_m))
         return err_p, err_m
 
@@ -332,42 +328,33 @@ def split(dist: PhotonDistribution) -> SplitTableau:
     """Decompose a distribution against the optimal one with equal mean.
 
     Mass at [nbar]+j (j = 1..d) defines the j-th group weight
-    w_j = j p([nbar]+j) / sum_k k p([nbar]+k); the below-mean
+    w_j = j p([nbar]+j) / sum_k k p([nbar]+k), by which the below-mean
     probabilities and the fractional weights of the optimal distribution
-    are split proportionally to w_j.  A distribution whose support stops
-    at [nbar] yields the empty tableau (d = 0).  Otherwise the weights'
-    denominator is at least d p([nbar]+d) > 0, since a distribution keeps
-    only positive probabilities, so every tableau is well defined.
+    are shared out.  A distribution whose support stops at [nbar] yields
+    the empty tableau (d = 0).  Otherwise the weights' denominator is at
+    least d p([nbar]+d) > 0, since a distribution keeps only positive
+    probabilities, so every tableau is well defined.
     """
     fl, frac = _mean_parts(dist.mean)
-    d = dist.max_support - fl
-    if d <= 0:
-        return SplitTableau(floor=fl, frac=frac, d=0, parts=())
+    d = max(dist.max_support - fl, 0)
     balance = math.fsum(k * dist.prob(fl + k) for k in range(1, d + 1))
-    below = {i: p for i, p in dist.probs.items() if i <= fl}
-    below_total = math.fsum(below.values())
-    parts = []
-    for j in range(1, d + 1):
-        w = j * dist.prob(fl + j) / balance
-        parts.append(
-            SplitPart(
-                j=j,
-                probs_below={i: w * p for i, p in below.items()},
-                frac_part=w * frac,
-                one_minus_frac_part=w * (below_total - frac) + dist.prob(fl + j),
-            )
-        )
-    return SplitTableau(floor=fl, frac=frac, d=d, parts=tuple(parts))
+    weights = tuple(j * dist.prob(fl + j) / balance for j in range(1, d + 1))
+    return SplitTableau(floor=fl, frac=frac, weights=weights)
 
 
 def delta_F(dist: PhotonDistribution, table: EnergyTable, t):
     """Gap between the optimal-state and actual expectations of F.
 
     Computed both directly (optimal-minus-actual expectation) and
-    through the split decomposition; the two must agree within 1e-10 and
-    the direct value is returned.  Accepts scalar or array t.
+    through the split, as sum_j w_j [B - L g_j + frac (Delta - g_j)]
+    with g_j = (F([nbar]+j) - F([nbar]))/j, Delta = F([nbar]+1) -
+    F([nbar]), B = sum p(i) (F([nbar]) - F(i)) and L = sum p(i)
+    ([nbar] - i) over i < [nbar]: each group's two Jensen gaps.  The
+    two routes must agree within 1e-10 and the direct value is
+    returned.  Accepts scalar or array t.
     """
-    fl, frac = _mean_parts(dist.mean)
+    tableau = split(dist)
+    fl, frac = tableau.floor, tableau.frac
     needed = max(dist.max_support, fl + 1)
     if needed > table.m_max:
         raise SupportExceedsTable(
@@ -376,21 +363,19 @@ def delta_F(dist: PhotonDistribution, table: EnergyTable, t):
     t_arr = np.asarray(t, dtype=float)
     f_at = {m: table.series[m].value(t_arr) for m in range(0, needed + 1)}
     f_floor = f_at[fl]
-    f_next = f_at[fl + 1]
+    step = f_at[fl + 1] - f_floor
     direct = (
         f_floor
-        + frac * (f_next - f_floor)
+        + frac * step
         - sum(p * f_at[m] for m, p in dist.probs.items())
     )
-    tableau = split(dist)
-    via_split = np.zeros_like(t_arr, dtype=float)
-    for part in tableau.parts:
-        gap_j = (f_at[fl + part.j] - f_floor) / part.j
-        for i, pj in part.probs_below.items():
-            if i == fl:
-                continue
-            via_split = via_split + pj * (fl - i) * ((f_floor - f_at[i]) / (fl - i) - gap_j)
-        via_split = via_split + part.frac_part * ((f_next - f_floor) - gap_j)
+    below = [(i, p) for i, p in dist.probs.items() if i < fl]
+    base = sum((p * (f_floor - f_at[i]) for i, p in below), np.zeros_like(t_arr))
+    lever = math.fsum(p * (fl - i) for i, p in below)
+    via_split = np.zeros_like(t_arr)
+    for j, w in enumerate(tableau.weights, start=1):
+        g = (f_at[fl + j] - f_floor) / j
+        via_split = via_split + w * (base - lever * g + frac * (step - g))
     gap = np.max(np.abs(direct - via_split)) if t_arr.size else 0.0
     if gap >= 1e-10:
         raise DeltaFMismatch(f"direct and split routes differ by {gap:.3e}")

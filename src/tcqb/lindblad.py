@@ -84,8 +84,10 @@ class OpenSystemConfig:
     it.  kappa (cavity decay) and gamma_phi (collective dephasing) are in
     units of g; time step dt and horizon t_end are in 1/g, and t_end
     must be a whole number of steps (to a relative 1e-9), at most
-    MAX_STEPS of them, so the run ends exactly at t_end.  Any other
-    value raises InvalidConfig, which is a ValueError as well.
+    MAX_STEPS of them, so the run ends exactly at t_end.  n_atoms, n_max
+    and sample_stride are ints or numpy integers, never a bool or a
+    float.  Any other value raises InvalidConfig, which is a ValueError
+    as well.
     """
 
     n_atoms: int
@@ -97,6 +99,9 @@ class OpenSystemConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
+        for name in ("n_atoms", "n_max", "sample_stride"):
+            if not oracle.is_integer(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_atoms < 1:
             raise InvalidConfig("need at least one atom")
         if self.n_max < 1:

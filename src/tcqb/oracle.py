@@ -9,11 +9,13 @@ Bethe-side results (the two computational paths stay independent).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "is_integer",
     "SectorSpec",
     "ConvergenceFailure",
     "SectorMatrix",
@@ -21,6 +23,11 @@ __all__ = [
     "diagonalize",
     "oracle_F",
 ]
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool, and a float even when integral, is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -36,10 +43,10 @@ class SectorSpec:
     excitations: int
 
     def __post_init__(self):
-        if self.n_atoms < 1 or self.n_atoms != int(self.n_atoms):
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        if self.excitations < 0 or self.excitations != int(self.excitations):
-            raise ValueError(f"excitations must be >= 0, got {self.excitations}")
+        if not is_integer(self.n_atoms) or self.n_atoms < 1:
+            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
+        if not is_integer(self.excitations) or self.excitations < 0:
+            raise ValueError(f"excitations must be an integer >= 0, got {self.excitations!r}")
 
     @property
     def total_spin(self) -> float:

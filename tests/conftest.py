@@ -1,5 +1,6 @@
 """Shared fixtures: one solved N = 10 chain reused across the suite."""
 
+import dataclasses
 import math
 
 import pytest
@@ -29,6 +30,18 @@ def table(spectra):
     """Energy table F(M, t) for N = 10 up to M = 20."""
     series = {m: spectral.number_state_energy(s) for m, s in spectra.items()}
     return battery.EnergyTable(n_atoms=N_ATOMS, series=series)
+
+
+@pytest.fixture()
+def skewed_split(monkeypatch):
+    """battery.split with every group weight scaled by 1.01: delta_F's routes then disagree."""
+    true_split = battery.split
+
+    def skewed(dist):
+        tableau = true_split(dist)
+        return dataclasses.replace(tableau, weights=tuple(1.01 * w for w in tableau.weights))
+
+    monkeypatch.setattr(battery, "split", skewed)
 
 
 def random_distribution(rng, mean, max_support=20, max_extra=4):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_distribution
 from tcqb import battery, cli, spectral
 from tcqb.battery import (
+    DeltaFMismatch,
     EnergyTable,
     InequalityReport,
     PhotonDistribution,
@@ -92,6 +93,14 @@ class TestFockAndCoherent:
 
     def test_fock_vacuum(self):
         assert fock_distribution(0).probs == {0: 1.0}
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True])
+    def test_fock_refuses_a_count_that_is_not_an_integer(self, m):
+        with pytest.raises(ValueError, match="photon number must be an integer >= 0"):
+            fock_distribution(m)
+
+    def test_fock_accepts_a_numpy_integer(self):
+        assert fock_distribution(np.int64(3)).probs == {3: 1.0}
 
     def test_fock_equals_number_state_energy(self, table):
         t = np.linspace(0.0, 2.0, 50)
@@ -204,15 +213,16 @@ class TestSplit:
         err_p, err_m = tableau.identity_errors(dist)
         assert err_p < 1e-12
         assert err_m < 1e-12
+        assert sum(tableau.weights) == pytest.approx(1.0, abs=1e-15)
         # group shares of each below-mean probability rebuild it
         for i in (0, 8, 9, 10):
-            total = sum(part.probs_below.get(i, 0.0) for part in tableau.parts)
+            total = sum(w * dist.prob(i) for w in tableau.weights)
             assert total == pytest.approx(dist.prob(i), abs=1e-12)
 
     def test_point_mass_gives_empty_tableau(self):
         tableau = split(fock_distribution(6))
         assert tableau.d == 0
-        assert tableau.parts == ()
+        assert tableau.weights == ()
 
     def test_identities_on_random_integer_means(self):
         rng = np.random.default_rng(5)
@@ -282,6 +292,11 @@ class TestDeltaF:
         for _ in range(50):
             dist = random_distribution(rng, int(rng.integers(2, 14)))
             delta_F(dist, table, 0.3)  # raises DeltaFMismatch on divergence
+
+    @pytest.mark.usefixtures("skewed_split")
+    def test_weights_off_by_one_percent_are_a_route_mismatch(self, table):
+        with pytest.raises(DeltaFMismatch, match="^direct and split routes differ by "):
+            delta_F(PhotonDistribution(EXAMPLE_PROBS), table, 0.3)
 
 
 class TestAvgSlopeMonotone:

@@ -590,6 +590,19 @@ class TestSectorSpec:
         with pytest.raises(ValueError):
             SectorSpec(10, -1)
 
+    @pytest.mark.parametrize("n_atoms, excitations, message", [
+        (2.0, 3, "n_atoms must be a positive integer"),
+        (True, 3, "n_atoms must be a positive integer"),
+        (2, 3.0, "excitations must be an integer >= 0"),
+        (2, False, "excitations must be an integer >= 0"),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, n_atoms, excitations, message):
+        with pytest.raises(ValueError, match=message):
+            SectorSpec(n_atoms, excitations)
+
+    def test_accepts_numpy_integers(self):
+        assert SectorSpec(np.int64(10), np.int32(4)).branch_count == 5
+
     def test_branch_count(self):
         assert SectorSpec(10, 4).branch_count == 5
         assert SectorSpec(10, 15).branch_count == 11

@@ -430,6 +430,16 @@ class TestConfig:
             small_config(**{field: 0})
         assert isinstance(err.value, LindbladError) and isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("field, value", [("n_atoms", 2.5), ("n_atoms", True), ("n_max", 2.5),
+                                              ("n_max", 7.0), ("sample_stride", 2.0)])
+    def test_counts_that_are_not_integers_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"^{field} must be an integer, got {value!r}$"):
+            small_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = small_config(n_atoms=np.int64(2), n_max=np.int32(7), sample_stride=np.int64(5))
+        assert config.dimension == 24
+
     @pytest.mark.parametrize("stride", [0, -3])
     def test_stride_below_one_rejected(self, stride):
         with pytest.raises(ValueError, match="stride"):
