@@ -159,12 +159,17 @@ def coherent_distribution(alpha_sq: float, truncation: int | None = None) -> Pho
 
     p(M) = exp(-|a|^2) |a|^(2M) / M! renormalized over 0..truncation.
     Without an explicit truncation the support is grown until the
-    dropped tail is below COHERENT_TAIL_TOL.  A negative truncation
-    raises ValueError; an explicit truncation dropping more than 1e-3 of
-    the mass raises TruncationTooSmall.
+    dropped tail is below COHERENT_TAIL_TOL.  A mean that is not finite,
+    or a truncation that is negative or not an integer (a bool or a
+    float is refused), raises ValueError; an explicit truncation
+    dropping more than 1e-3 of the mass raises TruncationTooSmall.
     """
+    if not math.isfinite(alpha_sq):
+        raise ValueError(f"mean photon number {alpha_sq!r} is not finite")
     if alpha_sq < 0:
         raise ValueError("mean photon number |alpha|^2 must be >= 0")
+    if truncation is not None and not is_integer(truncation):
+        raise ValueError(f"truncation {truncation!r} is not an integer")
     if truncation is not None and truncation < 0:
         raise ValueError(f"truncation {truncation} is negative; it must be >= 0")
     if alpha_sq == 0:
@@ -197,33 +202,27 @@ def _poisson_tail(mu: float, cutoff: int) -> float:
 
 @dataclass
 class EnergyTable:
-    """Stored-energy series F(M, t) for every sector M = 0..m_max.
+    """The tuple F(0..m_max, t) of stored-energy series, indexed by M.
 
-    The inequality scans read each sector's grid values from one cache.
+    The scans read each sector's (t_max, F, dF/dt) from one cache.
     """
 
-    n_atoms: int
-    series: dict[int, CosineSeries]
+    series: tuple[CosineSeries, ...]
     _scans: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        ms = sorted(self.series)
-        if ms != list(range(len(ms))):
-            raise ValueError("energy table support must be contiguous from 0")
 
     @property
     def m_max(self) -> int:
         return len(self.series) - 1
 
-    def _scan(self, m: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """(t_max, t, F, dF/dt) of sector m on _default_grid(t_max), cached."""
+    def _scan(self, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """(t_max, F, dF/dt) of sector m on _default_grid(t_max), cached."""
         if m not in self._scans:
             from .spectral import first_max_time, series_derivative
 
             series = self.series[m]
             t_max = first_max_time(series)
             t = _default_grid(t_max)
-            self._scans[m] = (t_max, t, series.value(t), series_derivative(series).value(t))
+            self._scans[m] = (t_max, series.value(t), series_derivative(series).value(t))
         return self._scans[m]
 
     def t_max(self, m: int) -> float:
@@ -232,14 +231,13 @@ class EnergyTable:
 
 
 def energy_table(n_atoms: int, m_max: int) -> EnergyTable:
-    """Energy series of all sectors up to m_max from their tridiagonal spectra."""
+    """F(0..m_max, t) from tridiagonal spectra; SectorSpec(n_atoms, m_max) checks the counts."""
     from .spectral import number_state_energy, tridiagonal_spectrum
 
-    series = {
-        m: number_state_energy(tridiagonal_spectrum(SectorSpec(n_atoms, m)))
-        for m in range(0, m_max + 1)
-    }
-    return EnergyTable(n_atoms=n_atoms, series=series)
+    SectorSpec(n_atoms, m_max)
+    return EnergyTable(tuple(
+        number_state_energy(tridiagonal_spectrum(SectorSpec(n_atoms, m))) for m in range(m_max + 1)
+    ))
 
 
 def stored_energy(dist: PhotonDistribution, table: EnergyTable, t):
@@ -276,8 +274,11 @@ def optimal_distribution(nbar: float) -> PhotonDistribution:
 
     Weight 1-frac on [nbar] and frac on [nbar]+1 (a point mass when the
     mean is an integer); these are the squared amplitudes of the optimal
-    superposition of the two neighboring number states.
+    superposition of the two neighboring number states.  A mean that is
+    not finite raises ValueError.
     """
+    if not math.isfinite(nbar):
+        raise ValueError(f"mean photon number {nbar!r} is not finite")
     if nbar < 0:
         raise NegativeMean(f"mean photon number {nbar!r} is negative")
     fl, frac = _mean_parts(nbar)
@@ -417,13 +418,13 @@ def _default_grid(end: float) -> np.ndarray:
 def _shared_scan(table: EnergyTable, *ms: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """t, F and dF/dt of the sectors ms on _default_grid(min of their t_max).
 
-    Every cached grid is arange(1, n + 1) * GRID_STEP, so the shortest
-    one is that grid and a prefix of the others: slicing gives the same
+    Each scan is cached on arange(1, n + 1) * GRID_STEP for its own n, so
+    slicing all to the shortest n and rebuilding that grid gives the same
     numbers as evaluating each series on it afresh.
     """
     scans = [table._scan(m) for m in ms]
     n = min(s[1].size for s in scans)
-    return scans[0][1][:n], [s[2][:n] for s in scans], [s[3][:n] for s in scans]
+    return np.arange(1, n + 1) * GRID_STEP, [s[1][:n] for s in scans], [s[2][:n] for s in scans]
 
 
 def _report(which: int, indices: tuple[int, ...], grid: np.ndarray, t: np.ndarray,
@@ -453,7 +454,7 @@ def check_ratio_inequality(table: EnergyTable, M: int, m: int) -> InequalityRepo
     bound empirically fails, so the scan stays inside the joint charging
     window.  Reports the worst excess beyond M/m + 1e-9.
     """
-    if not (M >= m >= 1):
+    if not (all(map(is_integer, (M, m))) and M >= m >= 1):
         raise ValueError("need M >= m >= 1")
     t, (f_M, f_m), _ = _shared_scan(table, M, m)
     return _report(28, (M, m), t, t, f_M / f_m - M / m)
@@ -466,7 +467,7 @@ def check_derivative_inequality(table: EnergyTable, M: int, m: int, m0: int) -> 
     F(m0, t) < 1e-8 are excluded (the quotient is singular there).  The
     grid covers (0, min of the three first-maximum times].
     """
-    if not (M >= m >= m0 >= 1):
+    if not (all(map(is_integer, (M, m, m0))) and M >= m >= m0 >= 1):
         raise ValueError("need M >= m >= m0 >= 1")
     t, (f_M, f_m, f_0), (d_M, d_m, d_0) = _shared_scan(table, M, m, m0)
     ok = f_0 >= 1e-8

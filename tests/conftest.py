@@ -28,8 +28,7 @@ def spectra(chains):
 @pytest.fixture(scope="session")
 def table(spectra):
     """Energy table F(M, t) for N = 10 up to M = 20."""
-    series = {m: spectral.number_state_energy(s) for m, s in spectra.items()}
-    return battery.EnergyTable(n_atoms=N_ATOMS, series=series)
+    return battery.EnergyTable(tuple(spectral.number_state_energy(spectra[m]) for m in range(M_MAX + 1)))
 
 
 @pytest.fixture()

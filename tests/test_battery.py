@@ -29,7 +29,13 @@ from tcqb.battery import (
 )
 from tcqb.bethe import SectorSpec
 from tcqb.oracle import oracle_F
-from tcqb.spectral import CosineSeries, first_max_time, series_derivative
+from tcqb.spectral import (
+    CosineSeries,
+    first_max_time,
+    number_state_energy,
+    series_derivative,
+    tridiagonal_spectrum,
+)
 
 SQRT10 = math.sqrt(10.0)
 
@@ -39,10 +45,7 @@ EXAMPLE_PROBS = {0: 4 / 45, 8: 1 / 4, 9: 1 / 9, 10: 1 / 10, 12: 1 / 4, 15: 1 / 5
 
 def synthetic_table(values):
     """Table of constant (time-independent) synthetic F values."""
-    return EnergyTable(
-        n_atoms=99,
-        series={m: CosineSeries(offset=float(v), terms=()) for m, v in enumerate(values)},
-    )
+    return EnergyTable(tuple(CosineSeries(offset=float(v), terms=()) for v in values))
 
 
 class TestPhotonDistribution:
@@ -132,6 +135,21 @@ class TestFockAndCoherent:
         assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert abs(dist.mean - 4.0) < 1e-4
 
+    @pytest.mark.parametrize("truncation", [3.5, 16.0, True])
+    def test_coherent_refuses_a_truncation_that_is_not_an_integer(self, truncation):
+        with pytest.raises(ValueError, match=f"^truncation {truncation!r} is not an integer$"):
+            coherent_distribution(2.0, truncation)
+
+    def test_coherent_accepts_a_numpy_integer_truncation(self):
+        assert coherent_distribution(6.0, np.int64(16)) == coherent_distribution(6.0, 16)
+
+    @pytest.mark.parametrize("alpha_sq, truncation", [
+        (math.inf, None), (math.nan, None), (-math.inf, None), (math.inf, 5),
+    ])
+    def test_coherent_refuses_a_mean_that_is_not_finite(self, alpha_sq, truncation):
+        with pytest.raises(ValueError, match=f"^mean photon number {alpha_sq!r} is not finite$"):
+            coherent_distribution(alpha_sq, truncation)
+
 
 class TestStoredEnergy:
     def test_peak_of_single_photon(self, table):
@@ -164,6 +182,24 @@ class TestStoredEnergy:
 
 
 class TestEnergyTable:
+    def test_series_is_the_tuple_of_number_state_series(self):
+        table = energy_table(10, 14)
+        assert isinstance(table.series, tuple) and len(table.series) == 15
+        for m, series in enumerate(table.series):
+            want = number_state_energy(tridiagonal_spectrum(SectorSpec(10, m)))
+            assert isinstance(series, CosineSeries)
+            assert series.offset.hex() == want.offset.hex()
+            assert [(a.hex(), w.hex()) for a, w in series.terms] == [
+                (a.hex(), w.hex()) for a, w in want.terms
+            ]
+
+    @pytest.mark.parametrize("m_max, message", [
+        (2.5, "got 2.5"), (True, "got True"), (-1, "got -1"),
+    ])
+    def test_counts_are_checked_as_a_sector_spec(self, m_max, message):
+        with pytest.raises(ValueError, match=f"^excitations must be an integer >= 0, {message}$"):
+            energy_table(10, m_max)
+
     @pytest.mark.parametrize("n_atoms", [1, 2, 10])
     def test_matches_direct_evolution(self, n_atoms):
         table = energy_table(n_atoms, 20)
@@ -201,6 +237,11 @@ class TestOptimalDistribution:
     def test_near_integer_mean_snaps(self):
         dist = optimal_distribution(math.nextafter(3.0, 0))
         assert dist.probs == {3: 1.0}
+
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan, -math.inf])
+    def test_refuses_a_mean_that_is_not_finite(self, nbar):
+        with pytest.raises(ValueError, match=f"^mean photon number {nbar!r} is not finite$"):
+            optimal_distribution(nbar)
 
 
 class TestSplit:
@@ -367,7 +408,7 @@ class TestDerivativeInequality:
         # With every first maximum read as 0.2 the scan covers t <= 0.2,
         # well inside the charging window.
         monkeypatch.setattr(spectral, "first_max_time", lambda series: 0.2)
-        short = EnergyTable(n_atoms=table.n_atoms, series=table.series)
+        short = EnergyTable(table.series)
         for M, m, m0 in ((6, 4, 2), (10, 5, 1), (14, 9, 4)):
             report = check_derivative_inequality(short, M, m, m0)
             assert report.region_end == pytest.approx(0.2)
@@ -423,18 +464,15 @@ def test_delta_F_refuses_a_distribution_beyond_the_table(probs):
         delta_F(PhotonDistribution(probs), synthetic_table(range(11)), 0.1)
 
 
-@pytest.mark.parametrize("ms", [(1, 2), (0, 2), (0, 1, 3)])
-def test_energy_table_support_must_be_contiguous_from_0(ms):
-    with pytest.raises(ValueError, match="contiguous from 0"):
-        EnergyTable(n_atoms=99, series={m: CosineSeries(offset=0.0) for m in ms})
-
-
 @pytest.mark.parametrize("check, indices", [
     (check_ratio_inequality, (1, 2)),
     (check_ratio_inequality, (2, 0)),
     (check_derivative_inequality, (1, 2, 1)),
     (check_derivative_inequality, (3, 1, 2)),
     (check_derivative_inequality, (3, 2, 0)),
+    (check_ratio_inequality, (2.0, 1)),
+    (check_ratio_inequality, (True, 1)),
+    (check_derivative_inequality, (3, 2.0, 1)),
 ])
 def test_inequality_indices_must_be_ordered(check, indices):
     with pytest.raises(ValueError, match="need M >= m"):

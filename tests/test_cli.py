@@ -643,6 +643,7 @@ BAD_DISTRIBUTIONS = {
     "coherent-extra-field": lambda path: "coherent:6:16:junk",
     "coherent-negative": lambda path: "coherent:-1",
     "coherent-negative-truncation": lambda path: "coherent:3:-1",
+    "coherent-nan": lambda path: "coherent:nan",
     "fock-abc": lambda path: "fock:abc",
     "nan-probability": _nan_probability_json,
     "negative-photon-number": _probs_json({"-1": 1.0}),
@@ -659,6 +660,7 @@ BAD_DISTRIBUTIONS = {
 BAD_DISTRIBUTION_MESSAGES = {
     "boolean-probability": "p(1) = True is a boolean",
     "coherent-negative-truncation": "truncation -1 is negative",
+    "coherent-nan": "mean photon number nan is not finite",
     "string-probability": "p(1) = '1' is not a number",
     "underscore-photon-number": "photon number '1_0' is not an integer",
     "padded-photon-number": "photon number ' 2 ' is not an integer",

@@ -204,7 +204,7 @@ class TestNumberStateEnergy:
         assert amps[12.33] == pytest.approx(-0.01, abs=0.02)
 
     def test_value_at_zero_vanishes(self, table):
-        for m, series in table.series.items():
+        for series in table.series:
             assert abs(series.value(0.0)) < 1e-9
 
     def test_bounded_by_capacity(self, table):
