@@ -14,6 +14,8 @@ energy tables from the exact-diagonalization sector spectra; `solve`,
 bethe, spectral and lindblad are imported by the commands that run them,
 so no command, failing or not, loads code it does not run.  No command
 uses a seed: those six accept --seed only to echo it in the manifest.
+A `tcqb` process starts through `run`, which keeps the garbage collector
+off the objects that numpy, click and tcqb create at import.
 
 Exit codes: 2 solver or spectrum failures, click usage errors (a nan
 or inf number, or a --config section, key or value that names no
@@ -29,6 +31,11 @@ root-free branch where every state has roots), 5 open-system errors
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":  # python -m tcqb.cli: nothing to collect while the imports load
+    gc.disable()
 
 import json
 import math
@@ -598,5 +605,20 @@ def verify(n_atoms, m_max, seed, branch_dir):
     click.echo("all invariants pass")
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry: `tcqb` and `python -m tcqb.cli` start here.
+
+    What the imports left alive (numpy, click, tcqb and their tables) is
+    kept until exit, so it moves to the collector's permanent generation;
+    the command body then runs with the collector on for what it creates.
+    """
+    gc.freeze()
+    gc.enable()
     main()
+
+
+if __name__ == "__main__":
+    # The import-time heap is never garbage, yet each collection would walk
+    # it again, as would the one at interpreter teardown (about 17 ms for
+    # numpy and click, against a 3-56 ms command body): frozen, none does.
+    run()

@@ -150,6 +150,28 @@ class TestFockAndCoherent:
         with pytest.raises(ValueError, match=f"^mean photon number {alpha_sq!r} is not finite$"):
             coherent_distribution(alpha_sq, truncation)
 
+    @pytest.mark.parametrize("alpha_sq", [0.01, 0.5, 6, 6.5, 40, 64, 1000, 4000])
+    def test_automatic_cut_is_the_one_step_search_cut(self, alpha_sq):
+        cut = max(1, math.ceil(alpha_sq))
+        while battery._poisson_tail(alpha_sq, cut) > battery.COHERENT_TAIL_TOL:
+            cut += 1
+        reference = coherent_distribution(alpha_sq, cut)
+        got = coherent_distribution(alpha_sq)
+        assert {m: p.hex() for m, p in got.probs.items()} == {
+            m: p.hex() for m, p in reference.probs.items()}
+
+    def test_automatic_cut_takes_few_tail_sums(self, monkeypatch):
+        calls = []
+        tail = battery._poisson_tail
+
+        def counted(mu, cutoff):
+            calls.append(cutoff)
+            return tail(mu, cutoff)
+
+        monkeypatch.setattr(battery, "_poisson_tail", counted)
+        assert coherent_distribution(4000).max_support == 4304
+        assert len(calls) <= 30  # a search one photon at a time takes 306
+
 
 class TestStoredEnergy:
     def test_peak_of_single_photon(self, table):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -997,6 +998,14 @@ def test_every_command_runs_through_the_runner():
     assert all(isinstance(command, cli.Runner) for command in main.commands.values())
 
 
+def _child(argv, cwd=None):
+    """Run `python *argv` with this checkout's tcqb importable."""
+    src = str(Path(tcqb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
+
+
 STARTUP_PROBE = """
 import json, sys
 import tcqb.cli
@@ -1034,13 +1043,59 @@ _SOLVER = ("tcqb.bethe", "tcqb.spectral")
         "energy-fails", "optimal-fails", "lindblad-fails"])
 def test_each_command_loads_only_what_it_runs(tmp_path, args, code, loads, skips):
     # One child per command: the modules it loads are those it runs, and none is scipy.
-    src = str(Path(tcqb.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [a.format(out=tmp_path) for a in args]
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _child(["-c", STARTUP_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     exit_code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert exit_code == code, proc.stderr
     assert not [name for name in loaded if name.startswith("scipy")]
     assert set(loads) <= set(loaded) and not set(skips) & set(loaded), loaded
+
+
+ENTRY = "python -m tcqb.cli"
+
+
+def test_process_entry_writes_what_the_in_process_run_writes(runner, tmp_path, monkeypatch):
+    args = ["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--out", "e.csv"]
+    (tmp_path / "child").mkdir()
+    (tmp_path / "runner").mkdir()
+    proc = _child(["-m", "tcqb.cli", *args], cwd=tmp_path / "child")
+    monkeypatch.chdir(tmp_path / "runner")
+    result = runner.invoke(main, args, prog_name=ENTRY)
+    assert proc.returncode == result.exit_code == 0, proc.stderr
+    assert proc.stdout == result.stdout and proc.stderr == result.stderr == ""
+    assert (tmp_path / "child" / "e.csv").read_bytes() == (tmp_path / "runner" / "e.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["energy", "--init", "bogus:1", "--n-atoms", "4", "--out", "e.csv"], 3),
+    (["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0", "--gamma-phi", "0",
+      "--dt", "2", "--t-end", "1", "--out", "l.csv"], 5),
+    (["energy", "--bogus"], 2),
+], ids=["bad-distribution", "lindblad-step", "unknown-option"])
+def test_process_entry_keeps_exit_codes_and_stderr(runner, tmp_path, monkeypatch, args, code):
+    monkeypatch.chdir(tmp_path)
+    proc = _child(["-m", "tcqb.cli", *args])
+    result = runner.invoke(main, args, prog_name=ENTRY)
+    assert proc.returncode == result.exit_code == code
+    assert proc.stdout == result.stdout == ""
+    assert proc.stderr == result.stderr
+    assert code == 2 or len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_entry_runs_the_command_with_the_import_heap_frozen(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append((gc.isenabled(), gc.get_freeze_count())))
+    try:
+        cli.run()
+    finally:
+        gc.unfreeze()
+    assert len(seen) == 1
+    enabled, frozen = seen[0]
+    assert enabled and frozen > 0
+
+
+def test_installed_script_starts_through_the_entry():
+    pyproject = Path(tcqb.__file__).resolve().parents[2] / "pyproject.toml"
+    assert 'tcqb = "tcqb.cli:run"' in pyproject.read_text().splitlines()
