@@ -1,7 +1,7 @@
 """Root solver for the resonant Tavis-Cummings excitation sectors.
 
-Each (J, M) sector is parametrized by M complex rapidities solving the
-coupled rational equations
+Each (J, M) sector with M <= 2J is parametrized by M complex
+rapidities solving the coupled rational equations
 
     J/x_j - x_j/2 - sum_{k != j} 1/(x_j - x_k) = 0,   j = 1..M,
 
@@ -23,9 +23,13 @@ one without the rows whose Jacobian is singular), which hands out each
 row as soon as it stops; each row iterates exactly as it would alone
 and stops at the first failure newton_refine names.
 
-In the sectors has_rootless_state names, the zero-energy state has no
-regular root set: the continuation stops at K - 1 regular branches and,
-if their energies sum to zero, adds it as a root-free branch.
+A sector with M > N = 2J is solved as its dual, root_spec: M atoms
+holding N excitations, N roots at J' = M/2.  The two sectors share one
+tridiagonal matrix, and in the dual every state has a regular root set.
+Its branches continue in atom number: each lower-half branch of the
+(M - 1)-atom dual, the self-dual (N, N) sector at first, is one trial
+at J' = M/2, and the negations give the upper half; no other trial is
+drawn, so a failed or duplicate row leaves the sector short.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "MissingBranches",
     "SectorSpec",
     "BetheBranch",
-    "has_rootless_state",
     "bae_residual",
     "newton_refine",
     "canonicalize",
@@ -122,25 +125,12 @@ class BetheBranch:
     energy = -sum(roots) in units of g; residual is the sup norm of the
     defining equations at the roots; provenance records which step of
     the solver produced the branch.
-
-    One eigenstate per sector can be non-representable by regular roots:
-    when K is odd and M > 2J is odd, the zero-energy state would need an
-    odd root multiset closed under negation with no member at the
-    origin, which cannot exist (the root equations are odd under
-    x -> -x and x = 0 is a pole).  has_rootless_state names those
-    sectors.  There the state is a root-free branch with provenance
-    "completeness"; its eigenvector is fixed exactly by orthogonality to
-    the regular branches.
     """
 
     roots: tuple[complex, ...]
     energy: float
     residual: float
     provenance: str = "continuation"
-
-    @property
-    def is_completeness(self) -> bool:
-        return self.provenance == "completeness"
 
     def negated(self) -> np.ndarray:
         """Roots of the mirror branch: the root equations are odd under x -> -x."""
@@ -367,8 +357,7 @@ def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> Iterator[np.
     signs.  Each trial is built only when it is drawn.
     """
     shift = DUP_PERTURB * (1.0 + 1.0j)
-    # Root-free completeness branches carry no seed material.
-    bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches if len(b.roots) == target_M - 1]
+    bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches]
     return (
         np.append(base, (-base[i] if negate else base[i]) + shift)
         for i in range(target_M - 1)
@@ -377,54 +366,38 @@ def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> Iterator[np.
     )
 
 
-def has_rootless_state(spec: SectorSpec) -> bool:
-    """Does the sector hold an eigenstate that no regular root set generates?
-
-    True exactly when K is odd, so the symmetric spectrum holds a zero,
-    and M > 2J is odd: a zero-energy root set closed under negation
-    would then need an odd number of nonzero members (see BetheBranch).
-    """
-    return spec.branch_count % 2 == 1 and spec.excitations > spec.n_atoms and spec.excitations % 2 == 1
-
-
 def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = None) -> list[BetheBranch]:
     """All K branches of one sector, sorted by energy ascending.
 
-    Sectors are solved in increasing M: M = 0 is the trivial empty
-    branch, M = 1 has the exact seeds +-sqrt(2J), and higher sectors
-    refine seed_trials(prev_branches, M), built from the solved M - 1
-    sector, which M >= 2 requires (ValueError without it).  Trials are
-    drawn and refined NEWTON_CHUNK at a time and each result is taken as
-    its row stops, so the sector is done as soon as it holds its
-    K - has_rootless_state(spec) regular branches, without waiting for
-    rows still iterating or building trials it does not refine.  A
-    result is kept when its energy is new (the sector spectrum is
-    simple), and the negation of a kept branch, exactly a branch since
-    the root equations are odd, is kept with it.  The root-free
-    zero-energy branch of a has_rootless_state sector is appended only
-    if the regular energies sum to zero within 1e-8 (the trace rule).
-    Raises MissingBranches if branches are still missing after the last
-    trial or the trace rule fails.  Deterministic.
+    Each branch holds roots of spec.root_spec.  Sectors are solved in
+    increasing M: M = 0 is the trivial empty branch, M = 1 has the exact
+    seeds +-sqrt(2J), and every higher sector starts from prev_branches,
+    the solved M - 1 sector (ValueError without it).  Up to M = N the
+    trials are seed_trials(prev_branches, M); beyond it they are the
+    lower half of prev_branches (sorted by energy, as returned here),
+    which hold roots of the (M - 1)-atom dual, and nothing else.
+    Trials are drawn and refined NEWTON_CHUNK at a time and each result
+    is taken as its row stops, so the sector is done as soon as it holds
+    its K branches, without waiting for rows still iterating or building
+    trials it does not refine.  A result is kept when its energy is new
+    (the sector spectrum is simple), and the negation of a kept branch,
+    exactly a branch since the root equations are odd, is kept with it.
+    Raises MissingBranches, naming spec, if branches are still missing
+    after the last trial.  Deterministic.
     """
-    J = spec.total_spin
+    root = spec.root_spec
+    J = root.total_spin
     M = spec.excitations
     if M == 0:
         return [BetheBranch(roots=(), energy=0.0, residual=0.0)]
-    if M == 1:
-        trials = (np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0))
-    else:
-        if prev_branches is None:
-            raise ValueError(f"sector M = {M} needs prev_branches, the solved M - 1 sector")
-        trials = seed_trials(prev_branches, M)
+    if M > 1 and prev_branches is None:
+        raise ValueError(f"sector M = {M} needs prev_branches, the solved M - 1 sector")
     K = spec.branch_count
-    regular = K - has_rootless_state(spec)
     branches: list[BetheBranch] = []
 
     def keep(result: BetheBranch | BetheError) -> bool:
-        # Keyed on the energy, not the roots: beyond M = 2J different root
-        # multisets can generate the same eigenstate (only the first 2J+1
-        # symmetric functions of -1/x enter it), and the sector spectrum
-        # is simple, so equal energy means equal state.
+        # Keyed on the energy, so a row that reaches a branch already held,
+        # the mirror of a kept one among them, is not kept twice.
         if isinstance(result, BetheError) or any(
             abs(result.energy - b.energy) < ENERGY_DEDUP_TOL for b in branches
         ):
@@ -432,14 +405,18 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
         branches.append(result)
         return True
 
-    while len(branches) < regular and (chunk := list(islice(trials, NEWTON_CHUNK))):
+    if root != spec:  # continuation in atom number; the mirrors give the upper half
+        trials = (b.roots for b in prev_branches[: (K + 1) // 2])
+    elif M > 1:
+        trials = seed_trials(prev_branches, M)
+    else:
+        trials = (np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0))
+    while len(branches) < K and (chunk := list(islice(trials, NEWTON_CHUNK))):
         for _, result in _newton_rows(chunk, J):
-            if keep(result) and len(branches) < regular:
+            if keep(result) and len(branches) < K:
                 keep(_finish(result.negated(), J))
-            if len(branches) == regular:
+            if len(branches) == K:
                 break
-    if len(branches) == regular < K and abs(sum(b.energy for b in branches)) < 1e-8:
-        branches.append(BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness"))
     if len(branches) < K:
         raise MissingBranches(len(branches), K, spec.n_atoms, M)
     return sorted(branches, key=lambda b: b.energy)

@@ -4,7 +4,7 @@ This module formats, writes and reads every data file (numbers to 12
 significant digits, photon probabilities to 15); the library modules
 hold no file code.  Every command runs through `Runner`, which maps
 typed errors to exit codes through EXIT_TABLE and writes the manifest
-(parameter echo, seed, version, wall time, warnings) next to --out;
+(parameter echo, seed, version, wall time) next to --out;
 it checks --out before the command body runs.  Data files are written
 atomically, never hold nan or inf, never replace a symbolic link or a
 path that is not a regular file, and are byte-identical across reruns
@@ -25,8 +25,8 @@ symbolic link or exists but is not a regular file, "" (the current
 directory) among them (one stderr line naming the path, before any
 work), 3 distribution/table errors (any distribution beyond MAX_SECTOR,
 optimal's included) and results that are not finite, 4 verification
-failure (a --dir sector file recording another n_atoms or m, or a
-root-free branch where every state has roots), 5 open-system errors
+failure (a --dir sector file that is malformed or records another
+n_atoms or m), 5 open-system errors
 (lindblad.LindbladError: a refused configuration or an unstable step).
 """
 
@@ -190,34 +190,39 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 def _sector_doc(n_atoms: int, m: int, branches: list[BetheBranch]) -> dict:
-    """The document of a solved sector file, sector_MNN.json."""
+    """The document of a solved sector file, sector_MNN.json; each branch holds the roots of
+    SectorSpec(n_atoms, m).root_spec, so n_atoms and m fix the equations they solve."""
     return {"n_atoms": n_atoms, "m": m, "branches": [
         {"roots": [[_r12(z.real), _r12(z.imag)] for z in b.roots], "energy": _r12(b.energy),
          "residual": _r12(b.residual), "provenance": b.provenance} for b in branches]}
 
 
 def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
-    """Sector (n_atoms, m)'s branches from path; unreadable, malformed or mismatched content is an InputError,
-    and so is a root-free branch in a sector where bethe.has_rootless_state is false."""
+    """Sector (n_atoms, m)'s branches from path, as _sector_doc writes them; unreadable, malformed
+    or mismatched content is an InputError."""
     from . import bethe
 
+    n_roots = oracle.SectorSpec(n_atoms, m).root_spec.excitations
     try:
         sector = json.loads(path.read_text())
         for key, want in (("n_atoms", n_atoms), ("m", m)):
-            if sector[key] != want:
+            if not oracle.is_integer(sector[key]) or sector[key] != want:
                 raise InputError(f"{path.name}: file records {key} = {sector[key]!r}, expected {want}")
         branches = []
         for i, doc in enumerate(sector["branches"]):
-            b = bethe.BetheBranch(roots=tuple(complex(re, im) for re, im in doc["roots"]),
-                                  energy=float(doc["energy"]), residual=float(doc["residual"]),
-                                  provenance=str(doc.get("provenance", "continuation")))
-            bethe.bae_residual(b.roots, 0.0)  # raises ZeroRoot or CoincidentRoots
-            if b.is_completeness and not bethe.has_rootless_state(oracle.SectorSpec(n_atoms, m)):
-                raise InputError(f"{path.name}: branch {i} is root-free, but every state of sector "
-                                 f"(N={n_atoms}, M={m}) has a regular root set")
-            if not b.is_completeness and len(b.roots) != m:
-                raise InputError(f"{path.name}: branch {i} has {len(b.roots)} roots, sector M={m} needs {m}")
-            branches.append(b)
+            roots = tuple(complex(re, im) for re, im in doc["roots"])
+            fields = {"energy": doc["energy"], "residual": doc["residual"],
+                      "provenance": doc.get("provenance", "continuation")}
+            for key, value in fields.items():
+                kind = str if key == "provenance" else (int, float)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise InputError(f"{path.name}: branch {i} records {key} = {value!r}, "
+                                     f"not a JSON {'string' if kind is str else 'number'}")
+            if len(roots) != n_roots:
+                raise InputError(f"{path.name}: branch {i} has {len(roots)} roots, "
+                                 f"sector (N={n_atoms}, M={m}) needs {n_roots}")
+            bethe.bae_residual(roots, 0.0)  # raises ZeroRoot or CoincidentRoots
+            branches.append(bethe.BetheBranch(roots=roots, **fields))
     except (OSError, ValueError, KeyError, TypeError, bethe.BetheError) as err:
         raise InputError(f"{path.name}: {type(err).__name__}: {err}") from err
     return branches
@@ -239,7 +244,7 @@ def _error_type(entry: type | str) -> type | tuple[()]:
 
 
 class Runner(click.Command):
-    """Runs a command body, which returns its manifest warnings or None.
+    """Runs a command body.
 
     Before the body it creates a directory --out (solve, spectrum), or the
     directory of a file --out, which _refuse_non_regular checks; a failure
@@ -260,7 +265,7 @@ class Runner(click.Command):
                     out.mkdir(parents=True, exist_ok=True)
         try:
             with np.errstate(all="ignore"):
-                warnings = super().invoke(ctx)
+                super().invoke(ctx)
         except Exception as err:
             for types, code, lead in EXIT_TABLE:
                 if isinstance(err, tuple(map(_error_type, types))):
@@ -274,13 +279,7 @@ class Runner(click.Command):
             path = out / "manifest.json" if out.is_dir() else out.with_name(out.name + ".manifest.json")
             wall_time = round(time.perf_counter() - start, 3)
             _write_json(path, {"command": self.name, "config": config, "seed": seed, "version": __version__,
-                               "wall_time_s": wall_time, "warnings": warnings or []})
-
-
-def _completeness_warnings(n_atoms: int, chains: dict[int, list[BetheBranch]]) -> list[str]:
-    return [f"sector (N={n_atoms}, M={m}): zero-energy state has no regular root "
-            f"set (odd M > 2J); eigenvector fixed by completeness"
-            for m, branches in sorted(chains.items()) for b in branches if b.is_completeness]
+                               "wall_time_s": wall_time})
 
 
 def _parse_init(text: str) -> battery.PhotonDistribution:
@@ -388,7 +387,6 @@ def solve(n_atoms, m_max, seed, out):
     for m in range(1, m_max + 1):
         _write_json(out / f"sector_M{m:02d}.json", _sector_doc(n_atoms, m, chains[m]))
     click.echo(f"solved {m_max} sectors for N={n_atoms} -> {out}")
-    return _completeness_warnings(n_atoms, chains)
 
 
 @main.command()
@@ -414,7 +412,6 @@ def spectrum(n_atoms, m_max, seed, out):
             "series": {"m": m, "offset": _r12(f.offset), "terms": [[_r12(a), _r12(w)] for a, w in f.terms]},
         })
     click.echo(f"wrote {m_max + 1} sector spectra -> {out}")
-    return _completeness_warnings(n_atoms, chains)
 
 
 @main.command()
@@ -580,7 +577,7 @@ def verify(n_atoms, m_max, seed, branch_dir):
               f"{len(branches)}/{spec.branch_count}")
         res = max((b.residual for b in branches), default=0.0)
         check("residuals < 1e-10", res < 1e-10, f"max {res:.2e}")
-        recheck = max((float(np.max(np.abs(bethe.bae_residual(b.roots, spec.total_spin))))
+        recheck = max((float(np.max(np.abs(bethe.bae_residual(b.roots, spec.root_spec.total_spin))))
                        for b in branches if b.roots), default=0.0)
         check("recomputed root equations < 1e-10", recheck < 1e-10, f"max {recheck:.2e}")
         energies = np.sort([b.energy for b in branches])

@@ -57,6 +57,17 @@ class SectorSpec:
         """Sector dimension K = min(2J, M) + 1, one root solution set per eigenstate."""
         return min(self.n_atoms, self.excitations) + 1
 
+    @property
+    def root_spec(self) -> SectorSpec:
+        """The sector whose root equations this sector's branches solve.
+
+        The sector itself when M <= N, else its dual: M atoms holding N
+        excitations.  The k -> k+1 coupling sqrt((M-k)(N-k)(k+1)) is
+        symmetric in N <-> M, so the two share one matrix, eigenbasis and
+        F(M, t), and the dual's branches hold min(N, M) roots.
+        """
+        return self if self.excitations <= self.n_atoms else SectorSpec(self.excitations, self.n_atoms)
+
 
 class ConvergenceFailure(Exception):
     """Eigensolver residual above tolerance."""
@@ -82,7 +93,8 @@ def sector_hamiltonian(spec: SectorSpec) -> SectorMatrix:
     """Matrix of a'J- + J+a on the sector basis.
 
     The k -> k+1 coupling is sqrt((M-k)(2J-k)(k+1)): one photon absorbed,
-    one collective excitation raised.
+    one collective excitation raised.  The integer product is exact, so a
+    sector and its dual (root_spec) get bit-identical couplings.
     """
     J2 = spec.n_atoms  # 2J
     M = spec.excitations

@@ -6,7 +6,9 @@ A solved branch with roots {x_j} generates the (unnormalized) eigenstate
 
 whose component on |M-k> (x) |J,-J+k> is the elementary symmetric
 polynomial e_k(-1/x_1, .., -1/x_M) times the ladder factors
-sqrt((M-k)!) * prod_{l<k} sqrt((2J-l)(l+1)).  The normalized
+sqrt((M-k)!) * prod_{l<k} sqrt((2J-l)(l+1)).  A sector with M > 2J
+holds the roots of its dual, M atoms and 2J excitations, whose
+components are the same: the two share one matrix.  The normalized
 eigenbasis is real, so the photon number evolves as a real cosine
 series in the eigenvalue gaps, assembled in float64 arithmetic: the
 exact series of the number-state stored energy F(M, t).
@@ -81,7 +83,7 @@ def elementary_symmetric(values: np.ndarray) -> np.ndarray:
     The values enter in Leja order (Reichel, BIT 30 (1990) 332): the
     largest |value| first, then each time the value that maximises the
     product of distances to those already taken.  In the input order
-    the float64 recurrence loses the large sectors (N = 28, M = 36).
+    the float64 recurrence loses the large sectors (N = M = 28).
     """
     values = np.array(values, dtype=complex)  # a copy, reordered in place
     log_dist = np.zeros(values.size)  # log product of distances to the values taken
@@ -104,7 +106,11 @@ def expand_eigenstate(branch: BetheBranch, spec: SectorSpec) -> np.ndarray:
 
     Component k (k = 0..K-1) multiplies |M-k> (x) |J,-J+k>; components
     beyond k = min(M, 2J) vanish identically and are not represented.
+    The branch holds roots of spec.root_spec, and the vector is built in
+    that sector's basis: a dual sector has the same matrix, so the same
+    components k.
     """
+    spec = spec.root_spec
     M = spec.excitations
     K = spec.branch_count
     roots = np.asarray(branch.roots, dtype=complex)
@@ -127,9 +133,9 @@ class SectorSpectrum:
 
     vectors[i] is the i-th (real, normalized) eigenvector with energy
     energies[i]; norms[i] is the pre-normalization norm of the generating
-    product state (1 when no product state generated the vector).  Rows
-    are sorted by energy ascending and the k = 0 component of every vector
-    is nonnegative.
+    product state, the dual sector's for M > N (1 in tridiagonal_spectrum).
+    Rows are sorted by energy ascending and the k = 0 component of every
+    vector is nonnegative.
     """
 
     spec: SectorSpec
@@ -143,27 +149,16 @@ class SectorSpectrum:
 
 
 def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpectrum:
-    """Build the normalized sector eigenbasis from a complete branch set.
-
-    A root-free completeness branch (the non-representable zero-energy
-    state of odd M > 2J sectors) gets the unique unit vector orthogonal
-    to all regular eigenvectors; the H-residual check below validates it
-    like any other member.
-    """
+    """Build the normalized sector eigenbasis from a complete branch set."""
     K = spec.branch_count
     if len(branches) != K:
         raise IncompleteBranchSet(f"got {len(branches)} branches, sector needs {K}")
     ordered = sorted(branches, key=lambda b: b.energy)
-    synth = [i for i, b in enumerate(ordered) if b.is_completeness and spec.excitations > 0]
-    if len(synth) > 1:
-        raise IncompleteBranchSet("at most one completeness branch is possible per sector")
     energies = np.empty(K)
     vectors = np.zeros((K, K))
     norms = np.ones(K)
     for i, branch in enumerate(ordered):
         energies[i] = branch.energy
-        if i in synth:
-            continue
         raw = expand_eigenstate(branch, spec)
         scale = float(np.linalg.norm(raw))
         leak = float(np.max(np.abs(raw.imag))) / scale
@@ -172,10 +167,6 @@ def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpec
         vec = raw.real
         norms[i] = np.linalg.norm(vec)
         vectors[i] = vec / norms[i]  # vec[0] = sqrt(M!) e_0 > 0
-    if synth:
-        others = np.delete(vectors, synth[0], axis=0)
-        _, _, vt = np.linalg.svd(others)
-        vectors[synth[0]] = vt[-1] if vt[-1, 0] >= 0 else -vt[-1]
     H = sector_hamiltonian(spec).dense()
     res = float(np.max(np.abs(vectors @ H - energies[:, None] * vectors)))
     if res >= 1e-8:

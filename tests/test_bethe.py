@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -332,12 +331,15 @@ class TestNewtonKernel:
 
     @pytest.mark.parametrize("n_atoms", [2, 6])
     def test_matches_reference_loop(self, n_atoms):
-        # Every continuation trial of M = 2..8, negated extensions included,
-        # each sector's trials in one stack.
+        # Every continuation trial of M = 2..8, each sector's trials in one
+        # stack: up to M = N the extensions, negated ones included, and
+        # beyond it every branch of the (M - 1)-atom dual at J' = M/2.
         chain = bethe.solve_sectors(n_atoms, 8)
-        J = n_atoms / 2
         for m in range(2, 9):
-            trials = list(seed_trials(chain[m - 1], m))
+            root = SectorSpec(n_atoms, m).root_spec
+            J = root.total_spin
+            trials = (list(seed_trials(chain[m - 1], m)) if root.excitations == m
+                      else [b.roots for b in chain[m - 1]])
             assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
 
     def test_rows_are_handed_out_as_they_stop(self):
@@ -354,12 +356,9 @@ class TestNewtonKernel:
 
     def test_large_chain_refines_few_rows(self, monkeypatch):
         # Round-robin trials and rows handed out as they stop: the N = 32
-        # chain to M = 38 needs 914 rows (8,146 with the trials of one
-        # previous branch all before the next's, handed out in row order).
-        # N = 2 to M = 64 needs 990: each even sector's zero-energy branch
-        # comes from a negated copy, which is drawn right after the plain
-        # copies of the same member (2,782 rows when every plain copy
-        # went first).
+        # chain to M = 38 needs 824 rows.  Beyond M = N a sector refines
+        # one row per lower-half branch of the previous one, so N = 2 to
+        # M = 64 needs 130.
         rows = []
         kernel = bethe._newton_rows
 
@@ -374,8 +373,8 @@ class TestNewtonKernel:
             assert sum(rows) <= 1000, n_atoms
 
     def test_trials_are_built_only_when_refined(self, monkeypatch):
-        # The N = 16 chain to M = 22 refines 322 rows; building every
-        # trial of each sector up front made 6,380 arrays.
+        # The N = 16 chain to M = 22 refines 280 rows; building every
+        # trial of each sector up to M = 16 up front makes 2,720 arrays.
         rows, built = [], []
         kernel, append = bethe._newton_rows, np.append
 
@@ -507,42 +506,33 @@ class TestSolveSector:
             out = bethe.solve_sectors(n_atoms, 20)
             for m, branches in out.items():
                 assert len(branches) == min(n_atoms, m) + 1, (n_atoms, m)
-                # the only non-representable state: zero energy at odd M
-                # beyond an even-N multiplet, exactly where the rule says
-                synthetic = [b for b in branches if b.is_completeness]
-                assert bethe.has_rootless_state(SectorSpec(n_atoms, m)) == bool(synthetic), (n_atoms, m)
+                # beyond M = N each branch holds the dual's N roots
+                assert {len(b.roots) for b in branches} == {min(n_atoms, m)}, (n_atoms, m)
                 evals, _ = diagonalize(sector_hamiltonian(SectorSpec(n_atoms, m)))
                 got = np.sort([b.energy for b in branches])
                 assert np.max(np.abs(got - evals)) < 1e-8, (n_atoms, m)
 
-    def test_completeness_branch_only_for_odd_m_beyond_2j(self, chains):
-        for m, branches in chains.items():
-            synthetic = [b for b in branches if b.is_completeness and m > 0]
-            if m > 10 and m % 2 == 1:
-                assert len(synthetic) == 1
-                assert synthetic[0].energy == pytest.approx(0.0, abs=1e-9)
-            else:
-                assert not synthetic
-
 
 class TestSectorAssembly:
-    def test_root_free_branch_needs_the_trace_rule(self, monkeypatch):
-        # N = 2, M = 3 holds two regular branches and the root-free zero-energy
-        # one, added only if the regular energies sum to zero.
-        prev = bethe.solve_sectors(2, 2)[2]
-        assert [b.provenance for b in solve_sector(SectorSpec(2, 3), prev)].count("completeness") == 1
+    @pytest.mark.parametrize("fault", ["failed", "duplicate"])
+    def test_a_short_dual_sector_names_the_sector_asked_for(self, monkeypatch, fault):
+        # N = 2, M = 5 is solved as 5 atoms holding 2 excitations, from two
+        # rows: the lowest and the zero-energy branch of the 4-atom dual.
+        # Neither a failed row nor one that repeats another is retried.
+        prev = bethe.solve_sectors(2, 4)[4]
+        assert [len(b.roots) for b in solve_sector(SectorSpec(2, 5), prev)] == [2, 2, 2]
         kernel = bethe._newton_rows
 
-        def shifted(trials, J):  # refined energies off by 1e-6; mirrors are rebuilt exactly
-            for r, result in kernel(trials, J):
-                if isinstance(result, BetheBranch):
-                    result = dataclasses.replace(result, energy=result.energy + 1e-6)
-                yield r, result
+        def faulty(trials, J):
+            rows = list(kernel(trials, J))
+            if fault == "failed":
+                return [(r, NoConvergence("refused") if r == 0 else result) for r, result in rows]
+            return [(r, rows[0][1]) for r, _ in rows]
 
-        monkeypatch.setattr(bethe, "_newton_rows", shifted)
-        with pytest.raises(MissingBranches) as err:
-            solve_sector(SectorSpec(2, 3), prev)
-        assert (err.value.found, err.value.expected) == (2, 3)
+        monkeypatch.setattr(bethe, "_newton_rows", faulty)
+        with pytest.raises(MissingBranches, match=r"^sector \(N=2, M=5\): found [12] of 3 branches$") as err:
+            solve_sector(SectorSpec(2, 5), prev)
+        assert (err.value.n_atoms, err.value.excitations, err.value.expected) == (2, 5, 3)
 
     @pytest.mark.parametrize("n_atoms", [2, 10])
     def test_no_branch_is_refined_alone(self, monkeypatch, n_atoms):

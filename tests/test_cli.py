@@ -486,7 +486,7 @@ class TestVerify:
             "verify failed: first failing invariant: recomputed root equations < 1e-10"]
 
     def test_solved_dir_passes_and_keeps_provenance(self, runner, tmp_path):
-        # N = 2, M = 3 is an odd M > 2J sector, so it holds a completeness branch.
+        # N = 2, M = 3 is beyond M = N, so its file holds the dual's two roots per branch.
         out = tmp_path / "solve"
         assert runner.invoke(main, ["solve", "--n-atoms", "2", "--m-max", "3", "--out", str(out)]).exit_code == 0
         result = runner.invoke(main, ["verify", "--n-atoms", "2", "--m-max", "3", "--dir", str(out)])
@@ -494,18 +494,22 @@ class TestVerify:
         assert "all invariants pass" in result.output
         path = out / "sector_M03.json"
         provenance = [b["provenance"] for b in json.loads(path.read_text())["branches"]]
-        assert provenance.count("completeness") == 1
         back = cli._read_branches(path, 2, 3)
         assert [b.provenance for b in back] == provenance
         solved = bethe.solve_sectors(2, 3)[3]
-        assert [b.is_completeness for b in back] == [b.is_completeness for b in solved]
+        assert [b.provenance for b in solved] == provenance
+        assert [len(b.roots) for b in back] == [2, 2, 2]
+        assert np.allclose([b.roots for b in back], [b.roots for b in solved], rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("solved_n, edit, line", [
-        ("10", {"n_atoms": 99, "m": 7}, "sector_M02.json: file records n_atoms = 99, expected 10"),
-        ("10", {"m": 7}, "sector_M02.json: file records m = 7, expected 2"),
-        ("2", {}, "sector_M01.json: file records n_atoms = 2, expected 10"),
-    ], ids=["edited-n-atoms-and-m", "edited-m", "solved-at-n-2"])
-    def test_sector_mismatch_exits_4_naming_both_values(self, runner, tmp_path, solved_n, edit, line):
+    @pytest.mark.parametrize("solved_n, verify_n, edit, line", [
+        ("10", "10", {"n_atoms": 99, "m": 7}, "sector_M02.json: file records n_atoms = 99, expected 10"),
+        ("10", "10", {"m": 7}, "sector_M02.json: file records m = 7, expected 2"),
+        ("2", "10", {}, "sector_M01.json: file records n_atoms = 2, expected 10"),
+        # Equal to the expected count, but not integers: True == 1 and 2.0 == 2 in Python.
+        ("1", "1", {"n_atoms": True, "m": 2.0}, "sector_M02.json: file records n_atoms = True, expected 1"),
+        ("1", "1", {"m": 2.0}, "sector_M02.json: file records m = 2.0, expected 2"),
+    ], ids=["edited-n-atoms-and-m", "edited-m", "solved-at-n-2", "n-atoms-a-bool", "m-a-float"])
+    def test_sector_mismatch_exits_4_naming_both_values(self, runner, tmp_path, solved_n, verify_n, edit, line):
         out = tmp_path / "solve"
         assert runner.invoke(
             main, ["solve", "--n-atoms", solved_n, "--m-max", "2", "--out", str(out)]
@@ -513,13 +517,14 @@ class TestVerify:
         path = out / "sector_M02.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         result = runner.invoke(
-            main, ["verify", "--n-atoms", "10", "--m-max", "2", "--dir", str(out)]
+            main, ["verify", "--n-atoms", verify_n, "--m-max", "2", "--dir", str(out)]
         )
         assert result.exit_code == 4, result.output
         assert result.stdout == ""
         assert result.stderr.strip().splitlines() == [f"verify could not obtain branches: {line}"]
 
-    @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count"])
+    @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count",
+                                      "energy-a-string", "residual-a-bool", "provenance-a-list"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
         out = tmp_path / "solve"
         assert runner.invoke(
@@ -527,7 +532,15 @@ class TestVerify:
         ).exit_code == 0
         path = out / "sector_M02.json"
         doc = json.loads(path.read_text())
-        if case == "roots-not-a-list":
+        branch = doc["branches"][0]
+        # Each of these three would read back as the value it spells.
+        if case == "energy-a-string":
+            branch["energy"] = str(branch["energy"])
+        elif case == "residual-a-bool":
+            branch["residual"] = False
+        elif case == "provenance-a-list":
+            branch["provenance"] = ["x"]
+        elif case == "roots-not-a-list":
             doc["branches"][0]["roots"] = 5
         elif case == "json-list":
             doc = [doc]
@@ -543,22 +556,34 @@ class TestVerify:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("verify could not obtain branches: sector_M02.json")
 
-    def test_root_free_branch_where_roots_exist_exits_4(self, runner, tmp_path):
-        # N = 2, M = 4 has a regular zero-energy root set; sector_spectrum
-        # would fill a root-free branch's vector by orthogonality and pass.
+    @pytest.mark.parametrize("drop, line", [
+        (None, "branch 0 has 3 roots, sector (N=2, M=3) needs 2"),
+        (0, "branch 0 has 0 roots, sector (N=2, M=3) needs 2"),
+    ], ids=["m-roots", "root-free"])
+    def test_sector_file_with_m_roots_beyond_n_exits_4(self, runner, tmp_path, drop, line):
+        # A file in the format that held M roots beyond M = N, and a root-free
+        # branch for the zero-energy state at odd M, is refused by its root count.
         out = tmp_path / "solve"
-        assert runner.invoke(main, ["solve", "--n-atoms", "2", "--m-max", "4", "--out", str(out)]).exit_code == 0
-        path = out / "sector_M04.json"
-        doc = json.loads(path.read_text())
-        zero = min(range(3), key=lambda i: abs(doc["branches"][i]["energy"]))
-        doc["branches"][zero].update(roots=[], provenance="completeness", residual=0)
-        path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["verify", "--n-atoms", "2", "--m-max", "4", "--dir", str(out)])
+        assert runner.invoke(main, ["solve", "--n-atoms", "2", "--m-max", "3", "--out", str(out)]).exit_code == 0
+        doc = json.loads(M_ROOTS_N2_M3)
+        if drop is not None:
+            del doc["branches"][drop]
+        (out / "sector_M03.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["verify", "--n-atoms", "2", "--m-max", "3", "--dir", str(out)])
         assert result.exit_code == 4, result.output
         assert result.stdout == ""
-        assert result.stderr.strip().splitlines() == [
-            f"verify could not obtain branches: sector_M04.json: branch {zero} is root-free, "
-            f"but every state of sector (N=2, M=4) has a regular root set"]
+        assert result.stderr.strip().splitlines() == [f"verify could not obtain branches: sector_M03.json: {line}"]
+
+
+# sector_M03.json for N = 2 as written when the branches of a sector beyond
+# M = N held M roots, with the zero-energy state as a root-free branch.
+M_ROOTS_N2_M3 = """{"branches": [
+ {"energy": -3.16227766017, "provenance": "continuation", "residual": 1.11022302463e-16,
+  "roots": [[0.98462429867, -1.29658944231], [0.98462429867, 1.29658944231], [1.19302906283, 0.0]]},
+ {"energy": 0.0, "provenance": "completeness", "residual": 0.0, "roots": []},
+ {"energy": 3.16227766017, "provenance": "continuation", "residual": 1.11022302463e-16,
+  "roots": [[-1.19302906283, 0.0], [-0.98462429867, -1.29658944231], [-0.98462429867, 1.29658944231]]}],
+ "m": 3, "n_atoms": 2}"""
 
 
 class TestConfigFile:
@@ -947,35 +972,29 @@ def test_non_finite_result_exits_3_with_one_line(runner, tmp_path, args, line):
     assert list(tmp_path.iterdir()) == []
 
 
-COMPLETENESS_N2_M3 = ["sector (N=2, M=3): zero-energy state has no regular root set (odd M > 2J); "
-                      "eigenvector fixed by completeness"]
-
-
-@pytest.mark.parametrize("args, manifest, config, seed, warnings", [
-    (["solve", "--n-atoms", "2", "--m-max", "3"], "out/manifest.json",
-     {"n_atoms": 2, "m_max": 3}, 0, COMPLETENESS_N2_M3),
+@pytest.mark.parametrize("args, manifest, config, seed", [
+    (["solve", "--n-atoms", "2", "--m-max", "3"], "out/manifest.json", {"n_atoms": 2, "m_max": 3}, 0),
     (["spectrum", "--n-atoms", "2", "--m-max", "3", "--seed", "4"], "out/manifest.json",
-     {"n_atoms": 2, "m_max": 3}, 4, COMPLETENESS_N2_M3),
+     {"n_atoms": 2, "m_max": 3}, 4),
     (["energy", "--init", "coherent:2:8", "--n-atoms", "4", "--steps", "50", "--seed", "7"],
-     "out.manifest.json", {"init": "coherent:2:8", "n_atoms": 4, "t_end": 3.0, "steps": 50}, 7, []),
-    (["optimal", "--mean", "2.5"], "out.manifest.json", {"mean": 2.5}, None, []),
+     "out.manifest.json", {"init": "coherent:2:8", "n_atoms": 4, "t_end": 3.0, "steps": 50}, 7),
+    (["optimal", "--mean", "2.5"], "out.manifest.json", {"mean": 2.5}, None),
     (["split-check", "--dist", "fock:3", "--n-atoms", "10", "--t", "0.7", "--seed", "3"],
-     "out.manifest.json", {"dist": "fock:3", "n_atoms": 10, "t": 0.7}, 3, []),
+     "out.manifest.json", {"dist": "fock:3", "n_atoms": 10, "t": 0.7}, 3),
     (["inequality", "--which", "28", "--n-atoms", "4", "--max-m", "5"], "out.manifest.json",
-     {"which": "28", "n_atoms": 4, "max_m": 5}, 0, []),
+     {"which": "28", "n_atoms": 4, "max_m": 5}, 0),
     (["lindblad", "--n-atoms", "2", "--init", "fock:2", "--kappa", "0.2", "--gamma-phi", "0.1",
       "--t-end", "0.4"], "out.manifest.json",
      {"n_atoms": 2, "init": "fock:2", "kappa": 0.2, "gamma_phi": 0.1, "dt": 0.001, "t_end": 0.4,
-      "stride": 10}, None, []),
+      "stride": 10}, None),
 ], ids=["solve", "spectrum", "energy", "optimal", "split-check", "inequality", "lindblad"])
-def test_manifest_echoes_parameters_seed_and_warnings(runner, tmp_path, args, manifest, config, seed,
-                                                       warnings):
+def test_manifest_echoes_parameters_seed_and_warnings(runner, tmp_path, args, manifest, config, seed):
+    # No command has a warning to record, so the manifest holds no warnings key.
     result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     doc = json.loads((tmp_path / manifest).read_text())
     assert doc.pop("wall_time_s") >= 0
-    assert doc == {"command": args[0], "config": config, "seed": seed, "version": tcqb.__version__,
-                   "warnings": warnings}
+    assert doc == {"command": args[0], "config": config, "seed": seed, "version": tcqb.__version__}
 
 
 @pytest.mark.parametrize("args", [

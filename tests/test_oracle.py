@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tcqb.bethe import SectorSpec
+from tcqb.bethe import SectorSpec, solve_sectors
 from tcqb.oracle import ConvergenceFailure, diagonalize, oracle_F, sector_hamiltonian
+from tcqb.spectral import number_state_energy, sector_spectrum, tridiagonal_spectrum
 
 
 class TestSectorHamiltonian:
@@ -74,6 +75,39 @@ class TestOracleF:
             assert np.all(f >= -1e-9)
             assert np.all(f <= min(m, 10) + 1e-6)
 
+
+class TestAtomPhotonDuality:
+    """Sector (N, M) and sector (M, N) share one matrix: the k -> k+1
+    coupling sqrt((M-k)(N-k)(k+1)) is symmetric in N <-> M.  The root
+    solver relies on it beyond M = N (SectorSpec.root_spec)."""
+
+    def test_root_spec_is_the_dual_beyond_m_equals_n(self):
+        assert [SectorSpec(10, m).root_spec for m in (0, 4, 10, 11)] == [
+            SectorSpec(10, 0), SectorSpec(10, 4), SectorSpec(10, 10), SectorSpec(11, 10)]
+        assert SectorSpec(2, 64).root_spec == SectorSpec(64, 2)
+
+    def test_couplings_are_bit_identical(self):
+        for n in range(1, 65):
+            for m in range(n + 1, 65):
+                assert sector_hamiltonian(SectorSpec(n, m)).offdiag == sector_hamiltonian(SectorSpec(m, n)).offdiag
+
+    def test_stored_energy_agrees(self):
+        t = np.linspace(0.0, 5.0, 51)
+        for n in range(1, 13):
+            for m in range(n + 1, 13):
+                gap = np.max(np.abs(oracle_F(SectorSpec(n, m), t) - oracle_F(SectorSpec(m, n), t)))
+                assert gap < 1e-12, (n, m)
+
+    @pytest.mark.parametrize("n_atoms, m", [(2, 64), (3, 40), (10, 14)])
+    def test_dual_built_series_is_the_tridiagonal_one(self, n_atoms, m):
+        spec = SectorSpec(n_atoms, m)
+        branches = solve_sectors(n_atoms, m)[m]
+        assert {len(b.roots) for b in branches} == {n_atoms}
+        got = number_state_energy(sector_spectrum(spec, branches))
+        want = number_state_energy(tridiagonal_spectrum(spec))
+        assert got.offset == pytest.approx(want.offset, abs=1e-12)
+        assert len(got.terms) == len(want.terms)
+        assert np.max(np.abs(np.subtract(got.terms, want.terms))) < 1e-12
 
 
 class TestAgainstTridiagonalSolver:

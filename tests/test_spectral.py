@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tcqb.bethe import BetheBranch, SectorSpec, solve_sectors
+from tcqb.bethe import SectorSpec, solve_sectors
 from tcqb.cli import main
 from tcqb.oracle import diagonalize, oracle_F, sector_hamiltonian
 from tcqb.spectral import (
@@ -27,7 +27,6 @@ from tcqb.spectral import (
 )
 
 SQRT10 = math.sqrt(10.0)
-_COMPLETENESS = BetheBranch(roots=(), energy=0.0, residual=0.0, provenance="completeness")
 
 
 def _reference_number_state_energy(spectrum):
@@ -124,7 +123,7 @@ class TestSectorSpectrum:
             sign = 1.0 if v @ w >= 0 else -1.0
             assert np.max(np.abs(v - sign * w)) < 1e-10
 
-    def test_orthonormal_including_completeness_sector(self, spectra):
+    def test_orthonormal_including_dual_sectors(self, spectra):
         for m in (4, 11, 15, 20):
             vec = spectra[m].vectors
             gram = vec @ vec.T
@@ -138,19 +137,27 @@ class TestSectorSpectrum:
             assert np.max(np.abs(direct.energies - root_built.energies)) < 1e-9
             assert np.max(np.abs(direct.vectors - root_built.vectors)) < 1e-9
 
-    def test_root_built_vectors_hold_far_below_the_gate_at_n16(self):
-        # Leja order keeps the elementary symmetric functions accurate:
-        # in input order the worst residual here is 9.2e-12.
-        for m, branches in solve_sectors(16, 24).items():
-            spectrum = sector_spectrum(SectorSpec(16, m), branches)
+    @staticmethod
+    def _worst_eigen_residual(n_atoms, m_max):
+        worst = 0.0
+        for m, branches in solve_sectors(n_atoms, m_max).items():
+            spectrum = sector_spectrum(SectorSpec(n_atoms, m), branches)
             H = sector_hamiltonian(spectrum.spec).dense()
-            res = np.max(np.abs(spectrum.vectors @ H - spectrum.energies[:, None] * spectrum.vectors))
-            assert res < 3e-12, m
+            worst = max(worst, np.max(np.abs(spectrum.vectors @ H - spectrum.energies[:, None] * spectrum.vectors)))
+        return worst
+
+    def test_root_built_vectors_hold_far_below_the_gate_at_n16(self):
+        # Through the dual sectors M = 17..24 too, built from 16 roots each.
+        assert self._worst_eigen_residual(16, 24) < 3e-12
+
+    def test_root_built_vectors_hold_far_below_the_gate_at_n28(self):
+        # Leja order keeps the elementary symmetric functions accurate: in
+        # input order the worst residual here is 2.4e-10 (M = 28).
+        assert self._worst_eigen_residual(28, 28) < 3e-12
 
     @pytest.mark.parametrize("pick, message", [
         (lambda branches: branches[:-1], "got 3 branches, sector needs 4"),
-        (lambda branches: [_COMPLETENESS] * 2 + branches[:2], "at most one completeness branch"),
-    ], ids=["too-few", "two-completeness"])
+    ], ids=["too-few"])
     def test_incomplete_branch_sets_are_refused(self, chains, pick, message):
         with pytest.raises(IncompleteBranchSet, match=message):
             sector_spectrum(SectorSpec(10, 3), pick(chains[3]))
