@@ -9,19 +9,19 @@ and a sector has exactly K = min(2J, M) + 1 distinct solution sets
 ("branches"), each giving one eigenstate with energy E = -sum_j x_j in
 units of g.  Branches are found by damped Newton iteration warm-started
 from the solved (M-1) sector: every previous branch is extended by one
-perturbed copy of one of its members, plain or negated (the negated
+perturbed copy of its first member, plain or negated (the negated
 copies reach the mixed-sign branches, at M = 2 the zero-energy pair
 +-sqrt(2J - 1)).  The equations are odd under x -> -x, so the negation
 of every accepted branch is taken as a branch too, without refinement.
 No step is random.
 
-The trials are a lazy stream: member i of every previous branch in
-turn, plain then negated, then member i + 1.  A sector draws them
-NEWTON_CHUNK at a time, as it needs them, and refines each chunk with
-one stacked kernel (one batched linear solve per iteration, a second
-one without the rows whose Jacobian is singular), which hands out each
-row as soon as it stops; each row iterates exactly as it would alone
-and stops at the first failure newton_refine names.
+A sector refines at most two stacks of trials, the plain extensions
+and then, only if branches are still missing, the negated ones.  Each
+stack goes through one stacked kernel (one batched linear solve per
+iteration, a second one without the rows whose Jacobian is singular),
+which hands out each row as soon as it stops; each row iterates
+exactly as it would alone and stops at the first failure newton_refine
+names.
 
 A sector with M > N = 2J is solved as its dual, root_spec: M atoms
 holding N excitations, N roots at J' = M/2.  The two sectors share one
@@ -35,9 +35,7 @@ drawn, so a failed or duplicate row leaves the sector short.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -67,12 +65,10 @@ RESIDUAL_ACCEPT = 1e-10
 ROOT_DISTINCT_TOL = 1e-8
 ENERGY_DEDUP_TOL = 1e-6  # sector spectra are simple with O(1) gaps
 IMAG_SNAP_TOL = 1e-8
-REAL_SNAP_TOL = 1e-12  # paired members of zero-energy branches sit on the imaginary axis
 CONJ_PAIR_TOL = 1e-6
 DUP_PERTURB = 1e-3  # duplicated trial entries are shifted by this * (1+1j)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-NEWTON_CHUNK = 16  # trials refined together by one stacked Newton kernel
 
 
 class BetheError(Exception):
@@ -203,9 +199,8 @@ def canonicalize(roots) -> np.ndarray:
 
     Members with |Im| < 1e-8 are snapped to the real axis; the remaining
     members must pair with a conjugate partner within 1e-6 and each pair
-    is replaced by its exact conjugate average, snapped to the imaginary
-    axis when |Re| < 1e-12 so that noise in Re cannot reorder it.
-    Sorting is by (Re, Im).  Idempotent.
+    is replaced by its exact conjugate average.  Sorting is by (Re, Im).
+    Idempotent.
     """
     x = _as_roots(roots)
     real_part = [complex(z.real, 0.0) for z in x if abs(z.imag) < IMAG_SNAP_TOL]
@@ -222,8 +217,6 @@ def canonicalize(roots) -> np.ndarray:
             raise UnpairedComplexRoot(f"root {z} has no conjugate partner within {CONJ_PAIR_TOL}")
         w = lower.pop(best)
         avg = (z + np.conj(w)) / 2.0
-        if abs(avg.real) < REAL_SNAP_TOL:
-            avg = complex(0.0, avg.imag)
         paired.extend([avg, np.conj(avg)])
     if lower:
         raise UnpairedComplexRoot(
@@ -345,45 +338,38 @@ def newton_refine(guess, J: float) -> BetheBranch:
     return result
 
 
-def seed_trials(prev_branches: list[BetheBranch], target_M: int) -> Iterator[np.ndarray]:
-    """Trial sets for the M-sector built from the solved (M-1)-sector, lazily.
+def seed_trials(prev_branches: list[BetheBranch]) -> tuple[np.ndarray, np.ndarray]:
+    """The two trial stacks for the M-sector, from the solved (M-1)-sector.
 
-    Every previous branch is extended by one copy of each of its
-    members, shifted by DUP_PERTURB*(1+1j) off the pairwise pole, and by
-    the same copy negated, for the mixed-sign branches that no plain
-    copy lies near.  The trials go round-robin: the plain copy of member
-    i of every branch in turn, then its negated copy of every branch,
-    then member i + 1, so the first trials cover every branch and both
-    signs.  Each trial is built only when it is drawn.
+    Row i of each stack is prev_branches[i] extended by a copy of its
+    first member, shifted by DUP_PERTURB*(1+1j) off the pairwise pole:
+    plain in the first stack, negated in the second, for the mixed-sign
+    branches that no plain copy lies near.  No parents, no rows.
     """
     shift = DUP_PERTURB * (1.0 + 1.0j)
     bases = [np.asarray(b.roots, dtype=complex) for b in prev_branches]
-    return (
-        np.append(base, (-base[i] if negate else base[i]) + shift)
-        for i in range(target_M - 1)
-        for negate in (False, True)
-        for base in bases
-    )
+    return (np.array([np.append(base, base[0] + shift) for base in bases]),
+            np.array([np.append(base, -base[0] + shift) for base in bases]))
 
 
 def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = None) -> list[BetheBranch]:
     """All K branches of one sector, sorted by energy ascending.
 
     Each branch holds roots of spec.root_spec.  Sectors are solved in
-    increasing M: M = 0 is the trivial empty branch, M = 1 has the exact
-    seeds +-sqrt(2J), and every higher sector starts from prev_branches,
-    the solved M - 1 sector (ValueError without it).  Up to M = N the
-    trials are seed_trials(prev_branches, M); beyond it they are the
-    lower half of prev_branches (sorted by energy, as returned here),
-    which hold roots of the (M - 1)-atom dual, and nothing else.
-    Trials are drawn and refined NEWTON_CHUNK at a time and each result
-    is taken as its row stops, so the sector is done as soon as it holds
-    its K branches, without waiting for rows still iterating or building
-    trials it does not refine.  A result is kept when its energy is new
-    (the sector spectrum is simple), and the negation of a kept branch,
-    exactly a branch since the root equations are odd, is kept with it.
-    Raises MissingBranches, naming spec, if branches are still missing
-    after the last trial.  Deterministic.
+    increasing M: M = 0 is the trivial empty branch, and every other
+    sector refines at most two stacks of trials in turn, stopping as
+    soon as it holds its K branches.  M = 1 has one stack, the exact
+    seeds +-sqrt(2J).  Every higher sector starts from prev_branches,
+    the solved M - 1 sector (ValueError without it): up to M = N its
+    stacks are seed_trials(prev_branches), the negated one refined only
+    if branches are still missing; beyond it the one stack is the lower
+    half of prev_branches (sorted by energy, as returned here), which
+    hold roots of the (M - 1)-atom dual.  Each result is taken as its
+    row stops, without waiting for rows still iterating.  A result is
+    kept when its energy is new (the sector spectrum is simple), and the
+    negation of a kept branch, exactly a branch since the root equations
+    are odd, is kept with it.  Raises MissingBranches, naming spec, if
+    branches are still missing after the last stack.  Deterministic.
     """
     root = spec.root_spec
     J = root.total_spin
@@ -406,13 +392,15 @@ def solve_sector(spec: SectorSpec, prev_branches: list[BetheBranch] | None = Non
         return True
 
     if root != spec:  # continuation in atom number; the mirrors give the upper half
-        trials = (b.roots for b in prev_branches[: (K + 1) // 2])
+        stacks = [[b.roots for b in prev_branches[: (K + 1) // 2]]]
     elif M > 1:
-        trials = seed_trials(prev_branches, M)
+        stacks = seed_trials(prev_branches)
     else:
-        trials = (np.array([s * math.sqrt(2 * J)], dtype=complex) for s in (+1.0, -1.0))
-    while len(branches) < K and (chunk := list(islice(trials, NEWTON_CHUNK))):
-        for _, result in _newton_rows(chunk, J):
+        stacks = [[[s * math.sqrt(2 * J)] for s in (+1.0, -1.0)]]
+    for stack in stacks:
+        if len(branches) == K or not len(stack):
+            break
+        for _, result in _newton_rows(stack, J):
             if keep(result) and len(branches) < K:
                 keep(_finish(result.negated(), J))
             if len(branches) == K:

@@ -213,7 +213,8 @@ def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
             roots = tuple(complex(re, im) for re, im in doc["roots"])
             fields = {"energy": doc["energy"], "residual": doc["residual"],
                       "provenance": doc.get("provenance", "continuation")}
-            for key, value in fields.items():
+            parts = [("root part", part) for pair in doc["roots"] for part in pair]
+            for key, value in [*fields.items(), *parts]:
                 kind = str if key == "provenance" else (int, float)
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise InputError(f"{path.name}: branch {i} records {key} = {value!r}, "

@@ -107,21 +107,6 @@ class TestCanonicalize:
         out = canonicalize([2.0 + 1e-9j])
         assert out[0].imag == 0.0
 
-    def test_order_ignores_real_noise_of_imaginary_pairs(self):
-        # Zero-energy branches (N = 2, even M > 2) hold conjugate pairs on
-        # the imaginary axis whose real parts are solver noise.
-        noise = np.array([1e-17, -3e-17, 2e-17])
-        imag = np.array([0.8, 1.9, 3.1])
-        pairs = lambda re: np.concatenate([re + 1j * imag, re - 1j * imag, [-1.5, 1.5]])
-        ref = canonicalize(pairs(noise))
-        assert np.all(ref[np.abs(ref.imag) > 0].real == 0.0)
-        rng = np.random.default_rng(0)
-        for signs in ([1, 1, 1], [-1, 1, -1], [-1, -1, -1]):
-            roots = pairs(np.array(signs) * noise)
-            out = canonicalize(roots[rng.permutation(roots.size)])
-            assert np.array_equal(out, ref)
-            assert np.array_equal(canonicalize(out), out)
-
     @settings(max_examples=25, deadline=None)
     @given(
         reals=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-5e-9, 5e-9)), max_size=4),
@@ -338,14 +323,18 @@ class TestNewtonKernel:
         for m in range(2, 9):
             root = SectorSpec(n_atoms, m).root_spec
             J = root.total_spin
-            trials = (list(seed_trials(chain[m - 1], m)) if root.excitations == m
+            trials = (np.concatenate(seed_trials(chain[m - 1])) if root.excitations == m
                       else [b.roots for b in chain[m - 1]])
             assert _stacked(trials, J) == [_alone(_reference_newton, t, J) for t in trials], m
 
     def test_rows_are_handed_out_as_they_stop(self):
-        # N = 4, M = 5: a few continuation trials run all NEWTON_MAX_ITER
-        # iterations; every row that stops sooner is handed out before them.
-        trials = list(seed_trials(bethe.solve_sectors(4, 4)[4], 5))
+        # N = 4, M = 5: extending each branch of M = 4 by a copy of each of
+        # its members, plain and negated, gives a few trials that run all
+        # NEWTON_MAX_ITER iterations; every row that stops sooner is handed
+        # out before them.
+        prev, eps = bethe.solve_sectors(4, 4)[4], bethe.DUP_PERTURB * (1 + 1j)
+        trials = [np.append(b.roots, (-b.roots[i] if negate else b.roots[i]) + eps)
+                  for i in range(4) for negate in (False, True) for b in prev]
         out = list(bethe._newton_rows(np.array(trials), 2.0))
         order = [r for r, _ in out]
         assert sorted(order) == list(range(len(trials)))
@@ -355,8 +344,8 @@ class TestNewtonKernel:
         assert order != sorted(order)
 
     def test_large_chain_refines_few_rows(self, monkeypatch):
-        # Round-robin trials and rows handed out as they stop: the N = 32
-        # chain to M = 38 needs 824 rows.  Beyond M = N a sector refines
+        # Two stacks per sector and rows handed out as they stop: the N = 32
+        # chain to M = 38 needs 633 rows.  Beyond M = N a sector refines
         # one row per lower-half branch of the previous one, so N = 2 to
         # M = 64 needs 130.
         rows = []
@@ -372,53 +361,31 @@ class TestNewtonKernel:
             bethe.solve_sectors(n_atoms, m_max)
             assert sum(rows) <= 1000, n_atoms
 
-    def test_trials_are_built_only_when_refined(self, monkeypatch):
-        # The N = 16 chain to M = 22 refines 280 rows; building every
-        # trial of each sector up to M = 16 up front makes 2,720 arrays.
-        rows, built = [], []
-        kernel, append = bethe._newton_rows, np.append
-
-        def counted(trials, J):
-            rows.append(len(trials))
-            return kernel(trials, J)
-
-        def counted_append(*args, **kwargs):
-            built.append(1)
-            return append(*args, **kwargs)
-
-        monkeypatch.setattr(bethe, "_newton_rows", counted)
-        monkeypatch.setattr(np, "append", counted_append)
-        bethe.solve_sectors(16, 22)
-        assert 0 < len(built) <= sum(rows)
-
 
 class TestSeedTrials:
-    def test_stage0_appends_each_distinct_member(self):
+    def test_first_member_is_appended_plain_then_negated(self):
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0)]
-        guesses = list(seed_trials(prev, 3))
-        # One perturbed copy of each member, each followed by its negation.
+        plain, negated = seed_trials(prev)
+        # One perturbed copy of the first member, then its negation.
         eps = 1e-3 * (1 + 1j)
-        expected = [[1.0, 2.0, r + eps] for r in (1.0, -1.0, 2.0, -2.0)]
-        assert [g.tolist() for g in guesses] == expected
-        for g in guesses:
+        assert plain.tolist() == [[1.0, 2.0, 1.0 + eps]]
+        assert negated.tolist() == [[1.0, 2.0, -1.0 + eps]]
+        for g in (*plain, *negated):
             dist = np.abs(g[:, None] - g[None, :])
             np.fill_diagonal(dist, np.inf)
             assert dist.min() > 1e-12
 
-    def test_parents_take_turns(self):
+    def test_one_row_per_parent_in_each_stack(self):
         prev = [BetheBranch(roots=(1.0 + 0j, 2.0 + 0j), energy=-3.0, residual=0.0),
                 BetheBranch(roots=(3.0 + 0j, 4.0 + 0j), energy=-7.0, residual=0.0)]
         eps = 1e-3 * (1 + 1j)
-        # Member i of every parent in turn, first the copies, then the
-        # negations, then member i + 1.
-        expected = [[1.0, 2.0, 1.0 + eps], [3.0, 4.0, 3.0 + eps],
-                    [1.0, 2.0, -1.0 + eps], [3.0, 4.0, -3.0 + eps],
-                    [1.0, 2.0, 2.0 + eps], [3.0, 4.0, 4.0 + eps],
-                    [1.0, 2.0, -2.0 + eps], [3.0, 4.0, -4.0 + eps]]
-        assert [g.tolist() for g in seed_trials(prev, 3)] == expected
+        # Row i of each stack extends parent i; no other member is copied.
+        plain, negated = seed_trials(prev)
+        assert plain.tolist() == [[1.0, 2.0, 1.0 + eps], [3.0, 4.0, 3.0 + eps]]
+        assert negated.tolist() == [[1.0, 2.0, -1.0 + eps], [3.0, 4.0, -3.0 + eps]]
 
     def test_empty_prev_is_empty(self):
-        assert list(seed_trials([], 4)) == []
+        assert [len(stack) for stack in seed_trials([])] == [0, 0]
 
 
 class TestSolveSector:
@@ -562,6 +529,11 @@ class TestSectorAssembly:
         assert isinstance(bethe._finish([3.0, -3.0], 5.0), BetheBranch)
         monkeypatch.setattr(bethe, "ROOT_DISTINCT_TOL", 10.0)
         assert isinstance(bethe._finish([3.0, -3.0], 5.0), CoincidentRoots)
+        # and a residual at or above RESIDUAL_ACCEPT after canonicalization
+        monkeypatch.undo()
+        monkeypatch.setattr(bethe, "RESIDUAL_ACCEPT", 0.0)
+        result = bethe._finish([3.0, -3.0], 5.0)
+        assert isinstance(result, NoConvergence) and "after canonicalization" in str(result)
 
 
 class TestOracleSeededRecovery:

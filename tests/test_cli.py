@@ -524,7 +524,8 @@ class TestVerify:
         assert result.stderr.strip().splitlines() == [f"verify could not obtain branches: {line}"]
 
     @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count",
-                                      "energy-a-string", "residual-a-bool", "provenance-a-list"])
+                                      "energy-a-string", "residual-a-bool", "provenance-a-list",
+                                      "root-a-bool"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
         out = tmp_path / "solve"
         assert runner.invoke(
@@ -533,13 +534,15 @@ class TestVerify:
         path = out / "sector_M02.json"
         doc = json.loads(path.read_text())
         branch = doc["branches"][0]
-        # Each of these three would read back as the value it spells.
+        # Each of these four would read back as the value it spells.
         if case == "energy-a-string":
             branch["energy"] = str(branch["energy"])
         elif case == "residual-a-bool":
             branch["residual"] = False
         elif case == "provenance-a-list":
             branch["provenance"] = ["x"]
+        elif case == "root-a-bool":
+            doc["branches"][1]["roots"][0][1] = False  # the zero-energy branch's -3 + 0j
         elif case == "roots-not-a-list":
             doc["branches"][0]["roots"] = 5
         elif case == "json-list":
