@@ -2,12 +2,14 @@
 
 The battery's energy intake depends on the initial field state only
 through its photon-number probabilities p(M): the stored energy is the
-expectation E(t) = sum_M p(M) F(M, t) over the per-sector series F, and
-the average charging power is E(t)/t.  On top of that expectation this
-module builds the provably optimal two-point distribution for a given
-mean, the equal-probability / equal-expected-value splitting of an
-arbitrary distribution against it, and grid checkers for the two
-hypersensitivity inequalities of the number-state stored energy.
+expectation E(t) = sum_M p(M) F(M, t) over the energy table, the tuple
+of per-sector series F(0..m_max, t), and the average charging power is
+E(t)/t.  On top of that expectation this module builds the provably
+optimal two-point distribution for a given mean, the equal-probability /
+equal-expected-value splitting of an arbitrary distribution against it,
+and grid checkers for the two hypersensitivity inequalities of the
+number-state stored energy, which read the table's scan: one matrix
+pair, F and dF/dt of every M as rows on one grid.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -36,8 +38,9 @@ __all__ = [
     "PhotonDistribution",
     "fock_distribution",
     "coherent_distribution",
-    "EnergyTable",
     "energy_table",
+    "Scan",
+    "scan",
     "stored_energy",
     "optimal_distribution",
     "SplitTableau",
@@ -98,7 +101,7 @@ def _photon_number(key) -> int:
 
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """Probability mass function over photon numbers with cached mean.
+    """Probability mass function over photon numbers, with its mean.
 
     Keys are integers (numpy integers too) or strings written exactly
     as str(int), as a JSON document stores them; each photon number is
@@ -220,56 +223,26 @@ def _poisson_tail(mu: float, cutoff: int) -> float:
     return max(0.0, 1.0 - cdf)
 
 
-@dataclass
-class EnergyTable:
-    """The tuple F(0..m_max, t) of stored-energy series, indexed by M.
-
-    The scans read each sector's (t_max, F, dF/dt) from one cache.
-    """
-
-    series: tuple[CosineSeries, ...]
-    _scans: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def m_max(self) -> int:
-        return len(self.series) - 1
-
-    def _scan(self, m: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """(t_max, F, dF/dt) of sector m on _default_grid(t_max), cached."""
-        if m not in self._scans:
-            from .spectral import first_max_time, series_derivative
-
-            series = self.series[m]
-            t_max = first_max_time(series)
-            t = _default_grid(t_max)
-            self._scans[m] = (t_max, series.value(t), series_derivative(series).value(t))
-        return self._scans[m]
-
-    def t_max(self, m: int) -> float:
-        """First-maximum time of F(m, t), cached."""
-        return self._scan(m)[0]
-
-
-def energy_table(n_atoms: int, m_max: int) -> EnergyTable:
+def energy_table(n_atoms: int, m_max: int) -> tuple[CosineSeries, ...]:
     """F(0..m_max, t) from tridiagonal spectra; SectorSpec(n_atoms, m_max) checks the counts."""
     from .spectral import number_state_energy, tridiagonal_spectrum
 
     SectorSpec(n_atoms, m_max)
-    return EnergyTable(tuple(
+    return tuple(
         number_state_energy(tridiagonal_spectrum(SectorSpec(n_atoms, m))) for m in range(m_max + 1)
-    ))
+    )
 
 
-def stored_energy(dist: PhotonDistribution, table: EnergyTable, t):
+def stored_energy(dist: PhotonDistribution, table: tuple[CosineSeries, ...], t):
     """E(t) = sum_M p(M) F(M, t); linear in the distribution."""
-    if dist.max_support > table.m_max:
+    if dist.max_support >= len(table):
         raise SupportExceedsTable(
-            f"distribution reaches M = {dist.max_support}, table stops at {table.m_max}"
+            f"distribution reaches M = {dist.max_support}, table stops at {len(table) - 1}"
         )
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr, dtype=float)
     for m, p in dist.probs.items():
-        out = out + p * table.series[m].value(t_arr)
+        out = out + p * table[m].value(t_arr)
     return out if np.ndim(t) else float(out)
 
 
@@ -363,7 +336,7 @@ def split(dist: PhotonDistribution) -> SplitTableau:
     return SplitTableau(floor=fl, frac=frac, weights=weights)
 
 
-def delta_F(dist: PhotonDistribution, table: EnergyTable, t):
+def delta_F(dist: PhotonDistribution, table: tuple[CosineSeries, ...], t):
     """Gap between the optimal-state and actual expectations of F.
 
     Computed both directly (optimal-minus-actual expectation) and
@@ -377,12 +350,12 @@ def delta_F(dist: PhotonDistribution, table: EnergyTable, t):
     tableau = split(dist)
     fl, frac = tableau.floor, tableau.frac
     needed = max(dist.max_support, fl + 1)
-    if needed > table.m_max:
+    if needed >= len(table):
         raise SupportExceedsTable(
-            f"need F up to M = {needed}, table stops at {table.m_max}"
+            f"need F up to M = {needed}, table stops at {len(table) - 1}"
         )
     t_arr = np.asarray(t, dtype=float)
-    f_at = {m: table.series[m].value(t_arr) for m in range(0, needed + 1)}
+    f_at = {m: table[m].value(t_arr) for m in range(0, needed + 1)}
     f_floor = f_at[fl]
     step = f_at[fl + 1] - f_floor
     direct = (
@@ -403,13 +376,13 @@ def delta_F(dist: PhotonDistribution, table: EnergyTable, t):
     return direct if np.ndim(t) else float(direct)
 
 
-def avg_slope_monotone(table: EnergyTable, t: float) -> tuple[bool, tuple[int, float] | None]:
+def avg_slope_monotone(table: tuple[CosineSeries, ...], t: float) -> tuple[bool, tuple[int, float] | None]:
     """Is F(M, t)/M non-increasing in M at this t?
 
     Returns (True, None) or (False, (M, excess)) for the first M whose
     average slope exceeds that of M-1 beyond 1e-9.
     """
-    slopes = np.array([table.series[m].value(t) / m for m in range(1, table.m_max + 1)])
+    slopes = np.array([table[m].value(t) / m for m in range(1, len(table))])
     bad = np.flatnonzero(slopes[1:] > slopes[:-1] + INEQ_TOL)
     if bad.size == 0:
         return True, None
@@ -435,16 +408,27 @@ def _default_grid(end: float) -> np.ndarray:
     return np.arange(1, n + 1) * GRID_STEP
 
 
-def _shared_scan(table: EnergyTable, *ms: int) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """t, F and dF/dt of the sectors ms on _default_grid(min of their t_max).
+class Scan(NamedTuple):
+    """A table's first-maximum times and its F, dF/dt rows on one grid."""
 
-    Each scan is cached on arange(1, n + 1) * GRID_STEP for its own n, so
-    slicing all to the shortest n and rebuilding that grid gives the same
-    numbers as evaluating each series on it afresh.
+    t_max: tuple[float, ...]  # first_max_time of each F(M, t), nan at M = 0
+    F: np.ndarray  # F(M, t) in row M, on _default_grid(max of t_max)
+    dF: np.ndarray  # dF/dt(M, t) in row M, on the same grid
+
+
+def scan(table: tuple[CosineSeries, ...]) -> Scan:
+    """F and dF/dt of every M as rows on _default_grid(latest first maximum).
+
+    Series are evaluated point by point, so a row's first n entries are
+    its values on the n-point grid of any earlier first maximum.
     """
-    scans = [table._scan(m) for m in ms]
-    n = min(s[1].size for s in scans)
-    return np.arange(1, n + 1) * GRID_STEP, [s[1][:n] for s in scans], [s[2][:n] for s in scans]
+    from .spectral import first_max_time, series_derivative
+
+    t_max = (math.nan, *(float(first_max_time(series)) for series in table[1:]))
+    t = _default_grid(max(t_max[1:], default=0.0))
+    F = np.array([series.value(t) for series in table])
+    dF = np.array([series_derivative(series).value(t) for series in table])
+    return Scan(t_max, F, dF)
 
 
 def _report(which: int, indices: tuple[int, ...], grid: np.ndarray, t: np.ndarray,
@@ -466,7 +450,7 @@ def _report(which: int, indices: tuple[int, ...], grid: np.ndarray, t: np.ndarra
     )
 
 
-def check_ratio_inequality(table: EnergyTable, M: int, m: int) -> InequalityReport:
+def check_ratio_inequality(scan: Scan, M: int, m: int) -> InequalityReport:
     """Grid check of F(M, t)/F(m, t) <= M/m for M >= m.
 
     The grid covers (0, min(t_max(M), t_max(m))] in steps of 1e-3: past
@@ -476,11 +460,11 @@ def check_ratio_inequality(table: EnergyTable, M: int, m: int) -> InequalityRepo
     """
     if not (all(map(is_integer, (M, m))) and M >= m >= 1):
         raise ValueError("need M >= m >= 1")
-    t, (f_M, f_m), _ = _shared_scan(table, M, m)
-    return _report(28, (M, m), t, t, f_M / f_m - M / m)
+    t = _default_grid(min(scan.t_max[M], scan.t_max[m]))
+    return _report(28, (M, m), t, t, scan.F[M, :t.size] / scan.F[m, :t.size] - M / m)
 
 
-def check_derivative_inequality(table: EnergyTable, M: int, m: int, m0: int) -> InequalityReport:
+def check_derivative_inequality(scan: Scan, M: int, m: int, m0: int) -> InequalityReport:
     """Grid check of d/dt[F(M,t)/F(m0,t)] <= d/dt[F(m,t)/F(m0,t)].
 
     Uses exact series derivatives for M >= m >= m0; grid points where
@@ -489,7 +473,9 @@ def check_derivative_inequality(table: EnergyTable, M: int, m: int, m0: int) -> 
     """
     if not (all(map(is_integer, (M, m, m0))) and M >= m >= m0 >= 1):
         raise ValueError("need M >= m >= m0 >= 1")
-    t, (f_M, f_m, f_0), (d_M, d_m, d_0) = _shared_scan(table, M, m, m0)
+    t = _default_grid(min(scan.t_max[M], scan.t_max[m], scan.t_max[m0]))
+    f_M, f_m, f_0 = (scan.F[k, :t.size] for k in (M, m, m0))  # views, not copies
+    d_M, d_m, d_0 = (scan.dF[k, :t.size] for k in (M, m, m0))
     ok = f_0 >= 1e-8
     lhs = (d_M * f_0 - f_M * d_0)[ok]
     rhs = (d_m * f_0 - f_m * d_0)[ok]

@@ -204,12 +204,16 @@ def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
 
     n_roots = oracle.SectorSpec(n_atoms, m).root_spec.excitations
     try:
-        sector = json.loads(path.read_text())
+        sector = _json_typed(json.loads(path.read_text()), dict, "the file")
         for key, want in (("n_atoms", n_atoms), ("m", m)):
             if not oracle.is_integer(sector[key]) or sector[key] != want:
                 raise InputError(f"{path.name}: file records {key} = {sector[key]!r}, expected {want}")
         branches = []
-        for i, doc in enumerate(sector["branches"]):
+        for i, doc in enumerate(_json_typed(sector.get("branches"), list, '"branches"')):
+            doc = _json_typed(doc, dict, f"branch {i}")
+            for pair in _json_typed(doc["roots"], list, f'branch {i} "roots"'):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(f"branch {i} records root {pair!r}, not a pair [re, im]")
             roots = tuple(complex(re, im) for re, im in doc["roots"])
             fields = {"energy": doc["energy"], "residual": doc["residual"],
                       "provenance": doc.get("provenance", "continuation")}
@@ -305,11 +309,19 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
                 )
             dist = battery.coherent_distribution(mean, trunc)
         else:
-            doc = json.loads(Path(rest).read_text(), object_pairs_hook=_unique_keys)
-            dist = battery.PhotonDistribution(doc["probs"])
+            doc = _json_typed(json.loads(Path(rest).read_text(), object_pairs_hook=_unique_keys),
+                              dict, "the document")
+            dist = battery.PhotonDistribution(_json_typed(doc.get("probs"), dict, '"probs"'))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
         raise InputError(f"bad distribution {text!r}: {type(err).__name__}: {err}") from err
     return _supported(dist)
+
+
+def _json_typed(value, kind: type, what: str):
+    """value, if it is a JSON object (kind dict) or array (kind list); else a ValueError naming what."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is not a JSON {'object' if kind is dict else 'array'}")
+    return value
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -476,12 +488,12 @@ def split_check(dist, n_atoms, t, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 def inequality(which, n_atoms, max_m, seed, out):
     """Exhaustive grid search for violations of a stored-energy inequality."""
-    table = battery.energy_table(n_atoms, max_m)
+    scan = battery.scan(battery.energy_table(n_atoms, max_m))
     check, arity = ((battery.check_ratio_inequality, 2) if which == "28"
                     else (battery.check_derivative_inequality, 3))
     # Every (M, m[, m0]) with M >= m (>= m0) >= 1, in lexicographic order.
     combos = sorted(c[::-1] for c in combinations_with_replacement(range(1, max_m + 1), arity))
-    reports = [check(table, *c) for c in combos]
+    reports = [check(scan, *c) for c in combos]
     bad = [r for r in reports if not r.holds]
     total_viol = sum(r.n_violations for r in bad)
     click.echo(f"{total_viol} violations over {len(reports)} index combinations")

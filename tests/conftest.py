@@ -28,7 +28,13 @@ def spectra(chains):
 @pytest.fixture(scope="session")
 def table(spectra):
     """Energy table F(M, t) for N = 10 up to M = 20."""
-    return battery.EnergyTable(tuple(spectral.number_state_energy(spectra[m]) for m in range(M_MAX + 1)))
+    return tuple(spectral.number_state_energy(spectra[m]) for m in range(M_MAX + 1))
+
+
+@pytest.fixture(scope="session")
+def scan(table):
+    """The table's first maxima and F, dF/dt rows on one grid."""
+    return battery.scan(table)
 
 
 @pytest.fixture()

@@ -121,7 +121,7 @@ def test_criterion_02_series_reproduction(table):
     """Every printed series coefficient within 0.02, frequency within 0.01."""
     worst_amp = worst_freq = worst_offset = 0.0
     for m, (offset, printed_terms) in REFERENCE_SERIES.items():
-        series = table.series[m]
+        series = table[m]
         worst_offset = max(worst_offset, abs(series.offset - offset))
         assert abs(series.offset - offset) <= 0.02, (m, series.offset, offset)
         for amp, freq in printed_terms:
@@ -168,7 +168,7 @@ def _full_state_energy(dist: battery.PhotonDistribution, t: np.ndarray) -> np.nd
     return (jz @ (np.abs(amps) ** 2)) + n_atoms / 2.0
 
 
-def test_criterion_04_coherent_state_consistency(table):
+def test_criterion_04_coherent_state_consistency(table, scan):
     """Coherent curves equal an independent full-state evolution."""
     c6 = battery.coherent_distribution(6.0, truncation=16)
     c4 = battery.coherent_distribution(4.0, truncation=16)
@@ -179,7 +179,7 @@ def test_criterion_04_coherent_state_consistency(table):
         worst = max(worst, float(np.max(np.abs(e_table - e_full))))
     assert worst < 1e-6, f"table vs full-state gap {worst:.3e}"
 
-    horizon = min(table.t_max(m) for m in range(1, 17))
+    horizon = min(scan.t_max[m] for m in range(1, 17))
     grid = np.arange(1, int(horizon / 1e-3) + 1) * 1e-3
     margin = float(np.min(
         battery.stored_energy(c6, table, grid) - battery.stored_energy(c4, table, grid)
@@ -189,7 +189,7 @@ def test_criterion_04_coherent_state_consistency(table):
           f"mean-6 dominates mean-4 by >= {margin:.2e} up to t={horizon:.3f}")
 
 
-def test_criterion_05_worked_optimality_example(table):
+def test_criterion_05_worked_optimality_example(table, scan):
     """The published six-point distribution never beats the number state."""
     dist = battery.PhotonDistribution(EXAMPLE_PROBS)
     assert dist.mean == pytest.approx(10.0, abs=1e-12)
@@ -197,7 +197,7 @@ def test_criterion_05_worked_optimality_example(table):
     err_p, err_m = tableau.identity_errors(dist)
     assert err_p < 1e-12 and err_m < 1e-12, (err_p, err_m)
 
-    horizon = table.t_max(10)
+    horizon = scan.t_max[10]
     grid = np.arange(1, int(horizon / 1e-3) + 1) * 1e-3
     delta_e = battery.delta_F(dist, table, grid)
     delta_p = delta_e / grid
@@ -222,13 +222,13 @@ def test_criterion_06_split_cross_check(table):
           "on 1000 seeded distributions (enforced in delta_F)")
 
 
-def test_criterion_07a_ratio_inequality_suite(table):
+def test_criterion_07a_ratio_inequality_suite(table, scan):
     """Exhaustive ratio-bound scan and the short-time estimator limit."""
     violations = 0
     worst_excess = -np.inf
     for M in range(1, 15):
         for m in range(1, M + 1):
-            report = battery.check_ratio_inequality(table, M, m)
+            report = battery.check_ratio_inequality(scan, M, m)
             violations += report.n_violations
             worst_excess = max(worst_excess, report.max_excess)
     assert violations == 0, f"{violations} grid violations of the ratio bound"
@@ -237,14 +237,14 @@ def test_criterion_07a_ratio_inequality_suite(table):
     worst_limit = 0.0
     for M in range(1, 15):
         for m in range(1, M + 1):
-            ratio = table.series[M].value(t0) / table.series[m].value(t0)
+            ratio = table[M].value(t0) / table[m].value(t0)
             worst_limit = max(worst_limit, abs(ratio - M / m))
     assert worst_limit < 1e-3, f"short-time ratio off by {worst_limit:.2e}"
     print(f"CRITERION 7a PASS: ratio bound exhaustive scan clean "
           f"(worst excess {worst_excess:.2e}); t->0 ratio error {worst_limit:.2e}")
 
 
-def test_criterion_07b_derivative_inequality_suite(table):
+def test_criterion_07b_derivative_inequality_suite(scan):
     """Exhaustive derivative-ordering scan (faithful; expected red).
 
     The ordering d/dt[F(M)/F(m0)] <= d/dt[F(m)/F(m0)] is claimed for the
@@ -261,7 +261,7 @@ def test_criterion_07b_derivative_inequality_suite(table):
     for M in range(1, 15):
         for m in range(1, M + 1):
             for m0 in range(1, m + 1):
-                report = battery.check_derivative_inequality(table, M, m, m0)
+                report = battery.check_derivative_inequality(scan, M, m, m0)
                 total_violations += report.n_violations
                 if not report.holds:
                     triples_with_violations += 1
@@ -288,7 +288,7 @@ def test_criterion_08_optimal_state_dominance(table):
     coarse = np.arange(1, 101) * 4e-3  # (0, 0.4]
     t_grid = np.array([t for t in coarse if battery.avg_slope_monotone(table, t)[0]])
     assert t_grid.size > 50, "slope-monotone window unexpectedly small"
-    f_matrix = np.array([table.series[m].value(t_grid) for m in range(0, 21)])
+    f_matrix = np.array([table[m].value(t_grid) for m in range(0, 21)])
     worst_margin = np.inf
     for nbar in (3.0, 7.5, 10.0):
         opt = battery.optimal_distribution(nbar)
@@ -318,7 +318,7 @@ def test_criterion_09_open_system_limits(table):
     assert closed.herm_drift < 1e-10
     m_drift = float(np.max(np.abs(closed.m_expect - closed.m_expect[0])))
     assert m_drift < 1e-6
-    energy_gap = float(np.max(np.abs(closed.energy - table.series[10].value(closed.t))))
+    energy_gap = float(np.max(np.abs(closed.energy - table[10].value(closed.t))))
     assert energy_gap < 1e-4
 
     cfg_phi = lindblad.OpenSystemConfig(kappa=0.0, gamma_phi=0.2, **base)

@@ -9,9 +9,9 @@ from conftest import random_distribution
 from tcqb import battery, cli, spectral
 from tcqb.battery import (
     DeltaFMismatch,
-    EnergyTable,
     InequalityReport,
     PhotonDistribution,
+    Scan,
     SupportExceedsTable,
     TruncationTooSmall,
     ZeroReferenceEnergy,
@@ -45,7 +45,13 @@ EXAMPLE_PROBS = {0: 4 / 45, 8: 1 / 4, 9: 1 / 9, 10: 1 / 10, 12: 1 / 4, 15: 1 / 5
 
 def synthetic_table(values):
     """Table of constant (time-independent) synthetic F values."""
-    return EnergyTable(tuple(CosineSeries(offset=float(v), terms=()) for v in values))
+    return tuple(CosineSeries(offset=float(v), terms=()) for v in values)
+
+
+def window_scan(m_max, t_max):
+    """A hand-built scan whose sectors 1..m_max all peak at t_max, with F and dF/dt zero."""
+    rows = np.zeros((m_max + 1, battery._default_grid(t_max).size))
+    return Scan((math.nan, *[t_max] * m_max), rows, rows)
 
 
 class TestPhotonDistribution:
@@ -108,7 +114,7 @@ class TestFockAndCoherent:
     def test_fock_equals_number_state_energy(self, table):
         t = np.linspace(0.0, 2.0, 50)
         assert np.array_equal(
-            stored_energy(fock_distribution(4), table, t), table.series[4].value(t)
+            stored_energy(fock_distribution(4), table, t), table[4].value(t)
         )
 
     def test_coherent_ground_weight(self):
@@ -200,14 +206,14 @@ class TestStoredEnergy:
 
     def test_support_beyond_table(self, table):
         with pytest.raises(SupportExceedsTable):
-            stored_energy(fock_distribution(table.m_max + 1), table, 0.5)
+            stored_energy(fock_distribution(len(table)), table, 0.5)
 
 
 class TestEnergyTable:
     def test_series_is_the_tuple_of_number_state_series(self):
         table = energy_table(10, 14)
-        assert isinstance(table.series, tuple) and len(table.series) == 15
-        for m, series in enumerate(table.series):
+        assert isinstance(table, tuple) and len(table) == 15
+        for m, series in enumerate(table):
             want = number_state_energy(tridiagonal_spectrum(SectorSpec(10, m)))
             assert isinstance(series, CosineSeries)
             assert series.offset.hex() == want.offset.hex()
@@ -225,10 +231,10 @@ class TestEnergyTable:
     @pytest.mark.parametrize("n_atoms", [1, 2, 10])
     def test_matches_direct_evolution(self, n_atoms):
         table = energy_table(n_atoms, 20)
-        assert table.m_max == 20
+        assert len(table) - 1 == 20
         t = np.linspace(0.0, 3.0, 2000)
         worst = max(
-            float(np.max(np.abs(table.series[m].value(t) - oracle_F(SectorSpec(n_atoms, m), t))))
+            float(np.max(np.abs(table[m].value(t) - oracle_F(SectorSpec(n_atoms, m), t))))
             for m in range(21)
         )
         assert worst < 1e-10
@@ -316,9 +322,9 @@ class TestSplit:
 
 
 class TestDeltaF:
-    def test_worked_example_gap_nonnegative(self, table):
+    def test_worked_example_gap_nonnegative(self, table, scan):
         dist = PhotonDistribution(EXAMPLE_PROBS)
-        t_max10 = table.t_max(10)
+        t_max10 = scan.t_max[10]
         grid = np.arange(1, int(t_max10 / 1e-3) + 1) * 1e-3
         gap = delta_F(dist, table, grid)
         assert np.min(gap) > -1e-9
@@ -341,11 +347,11 @@ class TestDeltaF:
     # Means a hair above an integer: the optimal partner keeps the fraction.
     @example(dist=PhotonDistribution({0: 1 - 5e-10, 1: 5e-10}))
     @example(dist=coherent_distribution(1e-300))
-    def test_gap_nonnegative_inside_the_charging_window(self, table, dist):
+    def test_gap_nonnegative_inside_the_charging_window(self, table, scan, dist):
         # The window closes at the earliest first maximum among the
         # sectors the pmf and its optimal two-point partner occupy.
         floor = math.floor(dist.mean)
-        window = min(table.t_max(m) for m in {*dist.probs, floor, floor + 1} if m >= 1)
+        window = min(scan.t_max[m] for m in {*dist.probs, floor, floor + 1} if m >= 1)
         t = np.linspace(0.0, window, 201)[1:]
         assert optimal_distribution(dist.mean).mean == pytest.approx(dist.mean, rel=1e-12, abs=0)
         assert np.min(delta_F(dist, table, t)) >= -1e-12
@@ -385,8 +391,8 @@ class TestAvgSlopeMonotone:
     def test_first_violation_and_excess_match_a_running_scan(self, values):
         table = synthetic_table(values)
         prev, want = None, None
-        for m in range(1, table.m_max + 1):
-            slope = table.series[m].value(0.1) / m
+        for m in range(1, len(table)):
+            slope = table[m].value(0.1) / m
             if prev is not None and slope > prev + battery.INEQ_TOL:
                 want = (m, slope - prev)
                 break
@@ -395,30 +401,30 @@ class TestAvgSlopeMonotone:
 
 
 class TestRatioInequality:
-    def test_published_pair_has_no_violation(self, table):
-        report = check_ratio_inequality(table, 4, 2)
+    def test_published_pair_has_no_violation(self, scan):
+        report = check_ratio_inequality(scan, 4, 2)
         assert report.holds
         assert report.n_violations == 0
 
-    def test_equal_indices_ratio_one(self, table):
-        report = check_ratio_inequality(table, 3, 3)
+    def test_equal_indices_ratio_one(self, scan):
+        report = check_ratio_inequality(scan, 3, 3)
         assert report.holds
         assert report.max_excess <= 1e-12
 
     def test_short_time_limit_is_photon_ratio(self, table):
         t = 1e-3
         for M, m in ((4, 2), (9, 3), (14, 1)):
-            ratio = table.series[M].value(t) / table.series[m].value(t)
+            ratio = table[M].value(t) / table[m].value(t)
             assert abs(ratio - M / m) < 1e-3
 
 
 class TestDerivativeInequality:
-    def test_equal_upper_indices_hold_trivially(self, table):
-        report = check_derivative_inequality(table, 5, 5, 2)
+    def test_equal_upper_indices_hold_trivially(self, scan):
+        report = check_derivative_inequality(scan, 5, 5, 2)
         assert report.holds
 
-    def test_report_structure(self, table):
-        report = check_derivative_inequality(table, 6, 4, 2)
+    def test_report_structure(self, scan):
+        report = check_derivative_inequality(scan, 6, 4, 2)
         assert report.which == 29
         assert report.indices == (6, 4, 2)
         assert report.region_end > 0
@@ -430,7 +436,7 @@ class TestDerivativeInequality:
         # With every first maximum read as 0.2 the scan covers t <= 0.2,
         # well inside the charging window.
         monkeypatch.setattr(spectral, "first_max_time", lambda series: 0.2)
-        short = EnergyTable(table.series)
+        short = battery.scan(table)
         for M, m, m0 in ((6, 4, 2), (10, 5, 1), (14, 9, 4)):
             report = check_derivative_inequality(short, M, m, m0)
             assert report.region_end == pytest.approx(0.2)
@@ -440,13 +446,13 @@ class TestDerivativeInequality:
 def _fresh_report(table, t_max, indices):
     """A checker's report with every series evaluated afresh on the scan grid."""
     t = battery._default_grid(min(t_max[k] for k in indices))
-    f = [table.series[k].value(t) for k in indices]
+    f = [table[k].value(t) for k in indices]
     if len(indices) == 2:
         if t.size == 0:
             return InequalityReport(which=28, indices=indices)
         which, t_ok, excess = 28, t, f[0] / f[1] - indices[0] / indices[1]
     else:
-        d = [series_derivative(table.series[k]).value(t) for k in indices]
+        d = [series_derivative(table[k]).value(t) for k in indices]
         ok = f[2] >= 1e-8
         lhs = (d[0] * f[2] - f[0] * d[2])[ok]
         rhs = (d[1] * f[2] - f[1] * d[2])[ok]
@@ -469,14 +475,36 @@ def _fresh_report(table, t_max, indices):
 @pytest.mark.parametrize("n_atoms, m_max", [(10, 14), (64, 8)])
 def test_shared_grid_scans_equal_fresh_evaluation(n_atoms, m_max):
     table = energy_table(n_atoms, m_max)
-    t_max = {k: first_max_time(table.series[k]) for k in range(1, m_max + 1)}
+    scanned = battery.scan(table)
+    t_max = {k: first_max_time(table[k]) for k in range(1, m_max + 1)}
     for M in range(1, m_max + 1):
         for m in range(1, M + 1):
-            assert check_ratio_inequality(table, M, m) == _fresh_report(table, t_max, (M, m))
+            assert check_ratio_inequality(scanned, M, m) == _fresh_report(table, t_max, (M, m))
             for m0 in range(1, m + 1):
-                assert check_derivative_inequality(table, M, m, m0) == _fresh_report(
+                assert check_derivative_inequality(scanned, M, m, m0) == _fresh_report(
                     table, t_max, (M, m, m0)
                 )
+
+
+class TestScan:
+    def test_rows_are_the_series_on_the_latest_window(self, table, scan):
+        assert math.isnan(scan.t_max[0])
+        assert all(type(t_max) is float for t_max in scan.t_max)
+        assert scan.t_max[1:] == tuple(first_max_time(series) for series in table[1:])
+        t = battery._default_grid(max(scan.t_max[1:]))
+        assert scan.F.shape == scan.dF.shape == (len(table), t.size)
+        for m, series in enumerate(table):
+            assert np.array_equal(scan.F[m], series.value(t))
+            assert np.array_equal(scan.dF[m], series_derivative(series).value(t))
+
+    @pytest.mark.parametrize("check, indices", [
+        (check_ratio_inequality, (2, 1)),
+        (check_derivative_inequality, (3, 2, 1)),
+    ])
+    def test_a_window_shorter_than_one_step_is_empty(self, check, indices):
+        report = check(window_scan(3, 0.5 * battery.GRID_STEP), *indices)
+        assert (report.holds, report.n_violations, report.region_end) == (True, 0, 0.0)
+        assert report.argmax_t is None
 
 
 @pytest.mark.parametrize("probs", [{10: 1.0}, {3: 0.5, 12: 0.5}], ids=["floor-plus-one", "support"])
@@ -498,7 +526,7 @@ def test_delta_F_refuses_a_distribution_beyond_the_table(probs):
 ])
 def test_inequality_indices_must_be_ordered(check, indices):
     with pytest.raises(ValueError, match="need M >= m"):
-        check(synthetic_table(range(5)), *indices)
+        check(window_scan(4, 0.1), *indices)
 
 
 class TestEstimator:
@@ -507,14 +535,14 @@ class TestEstimator:
 
     def test_short_time_simulation(self, table):
         t = 0.02
-        e2 = table.series[2].value(t)
-        e4 = table.series[4].value(t)
+        e2 = table[2].value(t)
+        e4 = table[4].value(t)
         est = estimate_photon_number(e2, 2, e4)
         assert 3.9 <= est <= 4.1
 
     def test_long_time_underestimates(self, table):
         t = 0.4
-        est = estimate_photon_number(table.series[2].value(t), 2, table.series[8].value(t))
+        est = estimate_photon_number(table[2].value(t), 2, table[8].value(t))
         assert est < 8.0
 
     def test_zero_reference_rejected(self):
@@ -537,7 +565,7 @@ class TestOptimality:
     def test_jensen_reduction_integer_mean(self, table):
         rng = np.random.default_rng(29)
         t = 0.3
-        f10 = table.series[10].value(t)
+        f10 = table[10].value(t)
         for _ in range(40):
             dist = random_distribution(rng, 10)
             assert f10 >= stored_energy(dist, table, t) - 1e-9

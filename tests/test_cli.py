@@ -525,7 +525,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("case", ["roots-not-a-list", "json-list", "zero-root", "wrong-root-count",
                                       "energy-a-string", "residual-a-bool", "provenance-a-list",
-                                      "root-a-bool"])
+                                      "root-a-bool", "branches-an-object", "branches-missing",
+                                      "branch-a-list", "root-of-one-number"])
     def test_malformed_branch_file_exits_4_with_one_line(self, runner, tmp_path, case):
         out = tmp_path / "solve"
         assert runner.invoke(
@@ -547,6 +548,14 @@ class TestVerify:
             doc["branches"][0]["roots"] = 5
         elif case == "json-list":
             doc = [doc]
+        elif case == "branches-an-object":
+            doc["branches"] = {"0": branch}
+        elif case == "branches-missing":
+            del doc["branches"]
+        elif case == "branch-a-list":
+            doc["branches"][0] = [branch]
+        elif case == "root-of-one-number":
+            branch["roots"][0] = branch["roots"][0][:1]
         elif case == "wrong-root-count":
             doc["branches"][0]["roots"] = doc["branches"][0]["roots"][:1]
         else:
@@ -558,6 +567,7 @@ class TestVerify:
         assert result.exit_code == 4, result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("verify could not obtain branches: sector_M02.json")
+        assert MALFORMED_BRANCH_MESSAGES.get(case, "") in lines[0]
 
     @pytest.mark.parametrize("drop, line", [
         (None, "branch 0 has 3 roots, sector (N=2, M=3) needs 2"),
@@ -657,11 +667,15 @@ def _repeated_key_json(path):
     return f"file:{path}"
 
 
-def _probs_json(probs):
+def _json_document(doc):
     def write(path):
-        path.write_text(json.dumps({"probs": probs}))
+        path.write_text(json.dumps(doc))
         return f"file:{path}"
     return write
+
+
+def _probs_json(probs):
+    return _json_document({"probs": probs})
 
 
 BAD_DISTRIBUTIONS = {
@@ -684,6 +698,11 @@ BAD_DISTRIBUTIONS = {
     "padded-photon-number": _probs_json({" 2 ": 1.0}),
     "zero-padded-photon-number": _probs_json({"1": 0.5, "01": 0.5}),
     "repeated-photon-number": _repeated_key_json,
+    "document-an-array": _json_document([0.5, 0.5]),
+    "probs-an-array": _json_document({"probs": [0.5, 0.5]}),
+    "probs-null": _json_document({"probs": None}),
+    "probs-missing": _json_document({"p": {"1": 1.0}}),
+    "document-a-string": _json_document("x"),
 }
 # The one line names the fault itself, not a consequence of it.
 BAD_DISTRIBUTION_MESSAGES = {
@@ -695,6 +714,21 @@ BAD_DISTRIBUTION_MESSAGES = {
     "padded-photon-number": "photon number ' 2 ' is not an integer",
     "zero-padded-photon-number": "photon number '01' is not an integer",
     "repeated-photon-number": "key '1' is given twice",
+    "document-an-array": "the document is not a JSON object",
+    "probs-an-array": '"probs" is not a JSON object',
+    "probs-null": '"probs" is not a JSON object',
+    "probs-missing": '"probs" is not a JSON object',
+    "document-a-string": "the document is not a JSON object",
+}
+
+# The one line names the fault in the sector file, not a consequence of it.
+MALFORMED_BRANCH_MESSAGES = {
+    "json-list": "the file is not a JSON object",
+    "roots-not-a-list": 'branch 0 "roots" is not a JSON array',
+    "branches-an-object": '"branches" is not a JSON array',
+    "branches-missing": '"branches" is not a JSON array',
+    "branch-a-list": "branch 0 is not a JSON object",
+    "root-of-one-number": "not a pair [re, im]",
 }
 
 

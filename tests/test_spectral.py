@@ -191,12 +191,12 @@ class TestInitialOverlap:
 
 class TestNumberStateEnergy:
     def test_vacuum_series_is_zero(self, table):
-        series = table.series[0]
+        series = table[0]
         assert series.offset == 0.0
         assert series.terms == ()
 
     def test_single_photon_series(self, table):
-        series = table.series[1]
+        series = table[1]
         assert series.offset == pytest.approx(0.5, abs=1e-12)
         assert len(series.terms) == 1
         amp, omega = series.terms[0]
@@ -204,20 +204,20 @@ class TestNumberStateEnergy:
         assert omega == pytest.approx(2 * SQRT10, abs=1e-12)
 
     def test_two_photon_series_printed_values(self, table):
-        series = table.series[2]
+        series = table[2]
         assert series.offset == pytest.approx(1.01, abs=0.02)
         amps = dict((round(w, 2), a) for a, w in series.terms)
         assert amps[6.16] == pytest.approx(-1.00, abs=0.02)
         assert amps[12.33] == pytest.approx(-0.01, abs=0.02)
 
     def test_value_at_zero_vanishes(self, table):
-        for series in table.series:
+        for series in table:
             assert abs(series.value(0.0)) < 1e-9
 
     def test_bounded_by_capacity(self, table):
         t = np.linspace(0.0, 10.0, 2000)
         for m in (1, 6, 13, 20):
-            f = table.series[m].value(t)
+            f = table[m].value(t)
             assert np.all(f >= -1e-9)
             assert np.all(f <= min(m, 10) + 1e-6)
 
@@ -229,7 +229,7 @@ class TestNumberStateEnergy:
                 for g in range(energies.size)
                 for s in range(g + 1, energies.size)
             }
-            for _, omega in table.series[m].terms:
+            for _, omega in table[m].terms:
                 assert any(abs(omega - gap) < 1e-6 for gap in gaps)
 
     def test_offset_is_diagonal_ensemble_value(self, spectra, table):
@@ -238,7 +238,7 @@ class TestNumberStateEnergy:
             c = spect.vectors[:, 0]
             photon = m - np.arange(spect.dimension)
             diag = sum(c[s] ** 2 * (spect.vectors[s] * photon @ spect.vectors[s]) for s in range(spect.dimension))
-            assert table.series[m].offset == pytest.approx(m - diag, abs=1e-10)
+            assert table[m].offset == pytest.approx(m - diag, abs=1e-10)
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 10, 64])
     def test_matches_pair_loop_on_tridiagonal_spectra(self, n_atoms):
@@ -252,13 +252,13 @@ class TestNumberStateEnergy:
     def test_matches_oracle_on_grid(self, table):
         t = np.linspace(0.0, 3.0, 400)
         for m in (1, 5, 11, 16):
-            gap = np.max(np.abs(table.series[m].value(t) - oracle_F(SectorSpec(10, m), t)))
+            gap = np.max(np.abs(table[m].value(t) - oracle_F(SectorSpec(10, m), t)))
             assert gap < 1e-8
 
 
 class TestFirstMaxTime:
     def test_single_photon_peak(self, table):
-        t_max = first_max_time(table.series[1])
+        t_max = first_max_time(table[1])
         assert t_max == pytest.approx(math.pi / (2 * SQRT10), abs=1e-6)
 
     def test_zero_series_has_no_maximum(self):
@@ -266,7 +266,7 @@ class TestFirstMaxTime:
             first_max_time(CosineSeries(offset=0.0, terms=()))
 
     def test_peak_dominates_earlier_grid_values(self, table):
-        series = table.series[10]
+        series = table[10]
         t_max = first_max_time(series)
         grid = np.arange(1, int(t_max / 1e-3)) * 1e-3
         assert series.value(t_max) >= np.max(series.value(grid)) - 1e-9
@@ -274,12 +274,12 @@ class TestFirstMaxTime:
 
 class TestSeriesDerivative:
     def test_zero_at_origin(self, table):
-        assert series_derivative(table.series[1]).value(0.0) == 0.0
+        assert series_derivative(table[1]).value(0.0) == 0.0
 
     def test_matches_finite_differences(self, table):
-        deriv = series_derivative(table.series[2])
+        deriv = series_derivative(table[2])
         h = 1e-5
-        series = table.series[2]
+        series = table[2]
         for t in (0.1, 0.37, 0.8):
             fd = (series.value(t + h) - series.value(t - h)) / (2 * h)
             assert deriv.value(t) == pytest.approx(fd, abs=1e-6)
@@ -293,7 +293,7 @@ def test_series_json_roundtrip(table, tmp_path):
     # The spectrum command solves the same N = 10 chain as the table.
     result = CliRunner().invoke(main, ["spectrum", "--n-atoms", "10", "--m-max", "3", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
-    series = table.series[3]
+    series = table[3]
     doc = json.loads((tmp_path / "spectrum_M03.json").read_text())["series"]
     assert doc["m"] == 3
     assert doc["offset"] == float(f"{series.offset:.12g}")
