@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -96,6 +97,8 @@ def _photon_number(key) -> int:
         m = None
     if m is None or isinstance(key, bool) or (isinstance(key, str) and key != str(m)):
         raise ValueError(f"photon number {key!r} is not an integer")
+    if abs(m) > sys.float_info.max:  # the mean sums m * p(m) in floats
+        raise ValueError(f"photon number {key!r} is too large for a float")
     return m
 
 
@@ -106,9 +109,9 @@ class PhotonDistribution:
     Keys are integers (numpy integers too) or strings written exactly
     as str(int), as a JSON document stores them; each photon number is
     given once.  Probabilities are ints or floats (numpy scalars too,
-    booleans not), finite and >= 0, and sum to 1 within PROB_SUM_TOL.
-    Anything else raises ValueError naming the key.  Zero probabilities
-    are dropped.
+    booleans not), finite and >= 0, and sum to 1 within PROB_SUM_TOL;
+    each key and probability must fit in a float.  Anything else raises
+    ValueError naming the key.  Zero probabilities are dropped.
     """
 
     probs: dict[int, float]
@@ -125,7 +128,10 @@ class PhotonDistribution:
                 raise ValueError(f"probability p({m}) = {p} is a boolean, not a number")
             if not isinstance(p, numbers.Real):
                 raise ValueError(f"probability p({m}) = {p!r} is not a number")
-            p = float(p)
+            try:
+                p = float(p)
+            except OverflowError:
+                raise ValueError(f"probability p({m}) is too large for a float") from None
             if not math.isfinite(p):
                 raise ValueError(f"probability p({m}) = {p} is not finite")
             if p < 0:

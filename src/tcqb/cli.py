@@ -17,17 +17,13 @@ uses a seed: those six accept --seed only to echo it in the manifest.
 A `tcqb` process starts through `run`, which keeps the garbage collector
 off the objects that numpy, click and tcqb create at import.
 
-Exit codes: 2 solver or spectrum failures, click usage errors (a nan
-or inf number, or a --config section, key or value that names no
-command, no parameter of its command, or no string or number, among
-them), an --out that cannot be created, and a file --out that is a
-symbolic link or exists but is not a regular file, "" (the current
-directory) among them (one stderr line naming the path, before any
-work), 3 distribution/table errors (any distribution beyond MAX_SECTOR,
-optimal's included) and results that are not finite, 4 verification
-failure (a --dir sector file that is malformed or records another
-n_atoms or m), 5 open-system errors
-(lindblad.LindbladError: a refused configuration or an unstable step).
+Exit codes, each rule as README.md states it: 2 solver or spectrum
+failures, click usage errors (a refused --config file among them) and an
+--out that cannot be created or is not a regular file; 3 refused
+distributions (a file: document among them) and results that are not
+finite; 4 verification failures (a refused --dir sector file among them);
+5 open-system errors (lindblad.LindbladError).  _read_json reads every
+JSON file: one object, each key once, nested no deeper than json can follow.
 """
 
 from __future__ import annotations
@@ -204,38 +200,33 @@ def _read_branches(path: Path, n_atoms: int, m: int) -> list[BetheBranch]:
 
     n_roots = oracle.SectorSpec(n_atoms, m).root_spec.excitations
     try:
-        sector = _json_typed(json.loads(path.read_text()), dict, "the file")
+        sector = _read_json(path, "the file")
         for key, want in (("n_atoms", n_atoms), ("m", m)):
-            if not oracle.is_integer(sector[key]) or sector[key] != want:
-                raise InputError(f"{path.name}: file records {key} = {sector[key]!r}, expected {want}")
+            if not oracle.is_integer(value := sector.get(key)) or value != want:
+                recorded = f"{key} = {value!r}" if key in sector else f"no {key}"
+                raise InputError(f"{path.name}: file records {recorded}, expected {want}")
         branches = []
         for i, doc in enumerate(_json_typed(sector.get("branches"), list, '"branches"')):
             doc = _json_typed(doc, dict, f"branch {i}")
-            for pair in _json_typed(doc["roots"], list, f'branch {i} "roots"'):
+            roots = []
+            for j, pair in enumerate(_json_typed(doc.get("roots"), list, f'branch {i} "roots"')):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ValueError(f"branch {i} records root {pair!r}, not a pair [re, im]")
-            roots = tuple(complex(re, im) for re, im in doc["roots"])
-            fields = {"energy": doc["energy"], "residual": doc["residual"],
-                      "provenance": doc.get("provenance", "continuation")}
-            parts = [("root part", part) for pair in doc["roots"] for part in pair]
-            for key, value in [*fields.items(), *parts]:
-                kind = str if key == "provenance" else (int, float)
-                if not isinstance(value, kind) or isinstance(value, bool):
-                    raise InputError(f"{path.name}: branch {i} records {key} = {value!r}, "
-                                     f"not a JSON {'string' if kind is str else 'number'}")
+                roots.append(complex(*(_json_typed(part, float, f"branch {i} root {j}") for part in pair)))
+            fields = {k: _json_typed(doc.get(k), float, f'branch {i} "{k}"') for k in ("energy", "residual")}
+            provenance = _json_typed(doc.get("provenance", "continuation"), str, f'branch {i} "provenance"')
             if len(roots) != n_roots:
                 raise InputError(f"{path.name}: branch {i} has {len(roots)} roots, "
                                  f"sector (N={n_atoms}, M={m}) needs {n_roots}")
             bethe.bae_residual(roots, 0.0)  # raises ZeroRoot or CoincidentRoots
-            branches.append(bethe.BetheBranch(roots=roots, **fields))
-    except (OSError, ValueError, KeyError, TypeError, bethe.BetheError) as err:
+            branches.append(bethe.BetheBranch(roots=tuple(roots), provenance=provenance, **fields))
+    except (OSError, ValueError, bethe.BetheError) as err:
         raise InputError(f"{path.name}: {type(err).__name__}: {err}") from err
     return branches
 
 
 def _probs_doc(dist: battery.PhotonDistribution) -> dict[str, float]:
-    # 15 digits: at 12, a many-point pmf could come back more than
-    # battery.PROB_SUM_TOL off 1 and the file: reader would reject it.
+    """15 digits: at 12, a many-point pmf could sum more than PROB_SUM_TOL off 1 when read back."""
     return {str(m): float(f"{p:.15g}") for m, p in dist.probs.items()}
 
 
@@ -303,25 +294,24 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
             mean = float(parts[0])
             trunc = int(parts[1]) if len(parts) > 1 else None
             if mean > MAX_SECTOR or (trunc or 0) > MAX_SECTOR:
-                raise battery.SupportExceedsTable(
-                    f"coherent state {text!r} reaches beyond M = {MAX_SECTOR}, "
-                    f"where supported sectors stop"
-                )
+                raise battery.SupportExceedsTable(f"coherent state {text!r} reaches beyond M = {MAX_SECTOR}, "
+                                                  "where supported sectors stop")
             dist = battery.coherent_distribution(mean, trunc)
         else:
-            doc = _json_typed(json.loads(Path(rest).read_text(), object_pairs_hook=_unique_keys),
-                              dict, "the document")
+            doc = _read_json(Path(rest), "the document")
             dist = battery.PhotonDistribution(_json_typed(doc.get("probs"), dict, '"probs"'))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+    except (OSError, ValueError) as err:
         raise InputError(f"bad distribution {text!r}: {type(err).__name__}: {err}") from err
     return _supported(dist)
 
 
-def _json_typed(value, kind: type, what: str):
-    """value, if it is a JSON object (kind dict) or array (kind list); else a ValueError naming what."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} is not a JSON {'object' if kind is dict else 'array'}")
-    return value
+def _read_json(path: Path, what: str) -> dict:
+    """The JSON object in the file at path, each key given once; anything else is a ValueError naming what."""
+    try:
+        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None
+    return _json_typed(doc, dict, what)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -334,11 +324,22 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+def _json_typed(value, kind: type, what: str):
+    """value, if it is a JSON object (kind dict), array (list), string (str) or number (float: an
+    int or float, not a bool, that a float can hold); else a ValueError naming what."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{what} is a number too large for a float")
+    elif not isinstance(value, kind):
+        name = {dict: "object", list: "array", str: "string", float: "number"}[kind]
+        raise ValueError(f"{what} is not a JSON {name}")
+    return value
+
+
 def _supported(dist: battery.PhotonDistribution) -> battery.PhotonDistribution:
     if dist.max_support > MAX_SECTOR:
-        raise battery.SupportExceedsTable(
-            f"distribution reaches M = {dist.max_support}; supported sectors stop at {MAX_SECTOR}"
-        )
+        raise battery.SupportExceedsTable(f"distribution reaches M = {dist.max_support}; "
+                                          f"supported sectors stop at {MAX_SECTOR}")
     return dist
 
 
@@ -352,11 +353,9 @@ def _config_callback(ctx: click.Context, param: click.Parameter, value: str | No
     """Each command's section maps its parameters to what the flag would read on the command line."""
     if value:
         try:
-            defaults = json.loads(Path(value).read_text())
+            defaults = _read_json(Path(value), "the file")
         except (OSError, ValueError) as err:
             raise click.BadParameter(f"cannot read {value}: {err}") from err
-        if not isinstance(defaults, dict):
-            raise click.BadParameter(f"{value} must hold a JSON object of per-command defaults")
         for name, section in defaults.items():
             command = ctx.command.commands.get(name)
             if command is None:

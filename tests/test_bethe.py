@@ -535,6 +535,15 @@ class TestSectorAssembly:
         result = bethe._finish([3.0, -3.0], 5.0)
         assert isinstance(result, NoConvergence) and "after canonicalization" in str(result)
 
+    def test_finish_rejects_a_solved_branch_moved_off_its_roots(self):
+        # The lowest (N = 4, M = 3) branch, each root shifted by 1e-9: its
+        # roots stay distinct, but the residual is above RESIDUAL_ACCEPT.
+        lowest = bethe.solve_sectors(4, 3)[3][0]
+        assert isinstance(bethe._finish(np.array(lowest.roots), 2.0), BetheBranch)
+        result = bethe._finish(np.array(lowest.roots) + 1e-9, 2.0)
+        assert isinstance(result, NoConvergence)
+        assert str(result) == "residual 1.094e-09 after canonicalization"
+
 
 class TestOracleSeededRecovery:
     def test_missing_branches_without_oracle(self):

@@ -703,6 +703,9 @@ BAD_DISTRIBUTIONS = {
     "probs-null": _json_document({"probs": None}),
     "probs-missing": _json_document({"p": {"1": 1.0}}),
     "document-a-string": _json_document("x"),
+    "fock-401-digits": lambda path: "fock:1" + "0" * 400,
+    "401-digit-photon-number": _probs_json({"1" + "0" * 400: 1.0}),
+    "401-digit-probability": _probs_json({"1": 10**400}),
 }
 # The one line names the fault itself, not a consequence of it.
 BAD_DISTRIBUTION_MESSAGES = {
@@ -719,6 +722,9 @@ BAD_DISTRIBUTION_MESSAGES = {
     "probs-null": '"probs" is not a JSON object',
     "probs-missing": '"probs" is not a JSON object',
     "document-a-string": "the document is not a JSON object",
+    "fock-401-digits": "photon number 1" + "0" * 400 + " is too large for a float",
+    "401-digit-photon-number": "photon number '1" + "0" * 400 + "' is too large for a float",
+    "401-digit-probability": "probability p(1) is too large for a float",
 }
 
 # The one line names the fault in the sector file, not a consequence of it.
@@ -891,6 +897,68 @@ def test_config_error_names_the_unknown_entry(runner, tmp_path, text, tail):
     result = runner.invoke(main, ["--config", str(cfg), "optimal", "--mean", "2"])
     _assert_usage_error(result, "'--config'")
     assert result.output.strip().splitlines()[-1].endswith(tail)
+
+
+DEEP_JSON = '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def _sector_edit(edit):
+    """A case that edits the solved N = 10 sector_M02.json document."""
+    def write(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return write
+
+
+def _set_root_part(doc):
+    doc["branches"][0]["roots"][0][0] = 10**400
+
+
+# Each reader of a JSON file (a file: distribution, a verify --dir sector file,
+# a --config file), a document it refuses, and the words of its one line.
+JSON_READER_FAULTS = {
+    "file-deep": ("file", lambda text: DEEP_JSON, "the document is nested too deeply to parse"),
+    "sector-deep": ("sector", lambda text: DEEP_JSON, "the file is nested too deeply to parse"),
+    "config-deep": ("config", lambda text: DEEP_JSON, "the file is nested too deeply to parse"),
+    # The repeated key ends with the value that verify expects, m = 2.
+    "sector-repeated-key": ("sector", lambda text: '{"m": 7, ' + text.lstrip()[1:], "key 'm' is given twice"),
+    "config-repeated-section": ("config", lambda text: '{"optimal": {"mean": 2}, "optimal": {"mean": 3}}',
+                                "key 'optimal' is given twice"),
+    "config-repeated-key": ("config", lambda text: '{"optimal": {"mean": 2, "mean": 3}}',
+                            "key 'mean' is given twice"),
+    "sector-no-energy": ("sector", _sector_edit(lambda doc: doc["branches"][0].pop("energy")),
+                         'branch 0 "energy" is not a JSON number'),
+    "sector-no-residual": ("sector", _sector_edit(lambda doc: doc["branches"][0].pop("residual")),
+                           'branch 0 "residual" is not a JSON number'),
+    "sector-no-roots": ("sector", _sector_edit(lambda doc: doc["branches"][0].pop("roots")),
+                        'branch 0 "roots" is not a JSON array'),
+    "sector-no-n-atoms": ("sector", _sector_edit(lambda doc: doc.pop("n_atoms")),
+                          "file records no n_atoms, expected 10"),
+    "sector-401-digit-root-part": ("sector", _sector_edit(_set_root_part),
+                                   "branch 0 root 0 is a number too large for a float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_READER_FAULTS))
+def test_each_json_reader_refuses_a_bad_document_with_one_line(runner, tmp_path, case):
+    reader, document, fault = JSON_READER_FAULTS[case]
+    out = tmp_path / "solve"
+    assert runner.invoke(main, ["solve", "--n-atoms", "10", "--m-max", "2", "--out", str(out)]).exit_code == 0
+    path = out / "sector_M02.json"
+    path.write_text(document(path.read_text()))
+    args, code = {
+        "file": (["energy", "--init", f"file:{path}", "--n-atoms", "2", "--out", str(tmp_path / "e.csv")], 3),
+        "sector": (["verify", "--n-atoms", "10", "--m-max", "2", "--dir", str(out)], 4),
+        "config": (["--config", str(path), "optimal", "--mean", "2"], 2),
+    }[reader]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output and result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    # A usage error's one line follows click's usage lines.
+    assert lines[-1].endswith(fault) and result.stderr.count(fault) == 1
+    assert len(lines) == 1 or code == 2
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
