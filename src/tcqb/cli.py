@@ -23,7 +23,8 @@ failures, click usage errors (a refused --config file among them) and an
 distributions (a file: document among them) and results that are not
 finite; 4 verification failures (a refused --dir sector file among them);
 5 open-system errors (lindblad.LindbladError).  _read_json reads every
-JSON file: one object, each key once, nested no deeper than json can follow.
+JSON file: a regular file holding one object, each key once, nested no
+deeper than json can follow.
 """
 
 from __future__ import annotations
@@ -306,7 +307,10 @@ def _parse_init(text: str) -> battery.PhotonDistribution:
 
 
 def _read_json(path: Path, what: str) -> dict:
-    """The JSON object in the file at path, each key given once; anything else is a ValueError naming what."""
+    """The JSON object in the file at path, each key given once; anything else is a ValueError naming what.
+    A path that is not a regular file is refused unopened: a FIFO with no writer would block the read."""
+    if path.exists() and not path.is_file():
+        raise OSError("not a regular file")
     try:
         doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except RecursionError:

@@ -8,10 +8,12 @@ whose component on |M-k> (x) |J,-J+k> is the elementary symmetric
 polynomial e_k(-1/x_1, .., -1/x_M) times the ladder factors
 sqrt((M-k)!) * prod_{l<k} sqrt((2J-l)(l+1)).  A sector with M > 2J
 holds the roots of its dual, M atoms and 2J excitations, whose
-components are the same: the two share one matrix.  The normalized
-eigenbasis is real, so the photon number evolves as a real cosine
-series in the eigenvalue gaps, assembled in float64 arithmetic: the
-exact series of the number-state stored energy F(M, t).
+components are the same: the two share one matrix.  A sector's
+root-built basis is built as one stack, every branch at once, one step
+per root position.  The normalized eigenbasis is real, so the photon
+number evolves as a real cosine series in the eigenvalue gaps, assembled
+in float64 arithmetic: the exact series of the number-state stored
+energy F(M, t).
 
 The same eigenbasis also comes straight from the tridiagonal sector
 Hamiltonian (tridiagonal_spectrum); the energy tables are built that
@@ -20,7 +22,6 @@ way, and the root-built basis is the independent path checked against it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,53 +79,49 @@ class NoMaximumFound(SpectralError):
 
 
 def elementary_symmetric(values: np.ndarray) -> np.ndarray:
-    """All e_0..e_n of the given values by the product recurrence.
+    """e_0..e_n of each row of a (K, n) stack by the product recurrence: (K, n + 1).
 
-    The values enter in Leja order (Reichel, BIT 30 (1990) 332): the
-    largest |value| first, then each time the value that maximises the
-    product of distances to those already taken.  In the input order
-    the float64 recurrence loses the large sectors (N = M = 28).
+    Each row's values enter in Leja order (Reichel, BIT 30 (1990) 332):
+    the largest |value| first, then each time the value that maximises the
+    product of distances to those already taken.  In the input order the
+    float64 recurrence loses the large sectors (N = M = 28).  Rows do not
+    couple; each step is one operation on every row at once.
     """
     values = np.array(values, dtype=complex)  # a copy, reordered in place
-    log_dist = np.zeros(values.size)  # log product of distances to the values taken
+    rows = np.arange(values.shape[0])
+    log_dist = np.zeros(values.shape)  # log product of distances to the values taken
     with np.errstate(divide="ignore"):  # equal values are at distance 0
-        for k in range(values.size):
-            j = k + int(np.argmax(log_dist[k:] if k else np.abs(values)))
-            values[[k, j]], log_dist[[k, j]] = values[[j, k]], log_dist[[j, k]]
-            log_dist[k + 1:] += np.log(np.abs(values[k + 1:] - values[k]))
-    e = np.zeros(values.size + 1, dtype=complex)
-    e[0] = 1.0
-    for i, v in enumerate(values):
-        top = min(i + 1, values.size)
-        for j in range(top, 0, -1):
-            e[j] += v * e[j - 1]
+        for k in range(values.shape[1]):
+            j = k + np.argmax(log_dist[:, k:] if k else np.abs(values), axis=1)
+            values[rows, k], values[rows, j] = values[rows, j], values[rows, k]
+            log_dist[rows, k], log_dist[rows, j] = log_dist[rows, j], log_dist[rows, k]
+            log_dist[:, k + 1:] += np.log(np.abs(values[:, k + 1:] - values[:, k:k + 1]))
+    e = np.zeros((values.shape[0], values.shape[1] + 1), dtype=complex)
+    e[:, 0] = 1.0
+    for i in range(values.shape[1]):
+        e[:, 1:i + 2] += values[:, i:i + 1] * e[:, :i + 1]
     return e
 
 
-def expand_eigenstate(branch: BetheBranch, spec: SectorSpec) -> np.ndarray:
-    """Unnormalized eigenvector of a branch in the sector basis.
+def expand_eigenstate(branches: list[BetheBranch], spec: SectorSpec) -> np.ndarray:
+    """Unnormalized eigenvectors of the branches in the sector basis: (len(branches), K).
 
     Component k (k = 0..K-1) multiplies |M-k> (x) |J,-J+k>; components
     beyond k = min(M, 2J) vanish identically and are not represented.
-    The branch holds roots of spec.root_spec, and the vector is built in
-    that sector's basis: a dual sector has the same matrix, so the same
-    components k.
+    The branches hold roots of spec.root_spec, and the vectors are built
+    in that sector's basis: a dual sector has the same matrix, so the
+    same components k.
     """
     spec = spec.root_spec
     M = spec.excitations
-    K = spec.branch_count
-    roots = np.asarray(branch.roots, dtype=complex)
-    if roots.size != M:
-        raise ValueError(f"branch has {roots.size} roots, sector expects {M}")
-    esym = elementary_symmetric(-1.0 / roots)
-    J2 = spec.n_atoms  # 2J
-    vec = np.zeros(K, dtype=complex)
-    ladder = 1.0
-    for k in range(K):
-        if k > 0:
-            ladder *= math.sqrt((J2 - (k - 1)) * k)
-        vec[k] = esym[k] * math.sqrt(math.factorial(M - k)) * ladder
-    return vec
+    counts = np.array([len(b.roots) for b in branches])
+    if (bad := np.flatnonzero(counts != M)).size:
+        raise ValueError(f"branch {bad[0]} has {counts[bad[0]]} roots, sector expects {M}")
+    roots = np.array([b.roots for b in branches], dtype=complex).reshape(len(branches), M)
+    k = np.arange(M + 1)  # M <= 2J in the root spec, so all K = M + 1 components
+    factorials = np.cumprod(np.maximum(k, 1).astype(object)).astype(float)  # exact k!, then rounded
+    ladder = np.cumprod(np.sqrt(np.where(k, (spec.n_atoms + 1 - k) * k, 1)))
+    return elementary_symmetric(-1.0 / roots) * (np.sqrt(factorials[::-1]) * ladder)
 
 
 @dataclass(frozen=True)
@@ -154,19 +151,13 @@ def sector_spectrum(spec: SectorSpec, branches: list[BetheBranch]) -> SectorSpec
     if len(branches) != K:
         raise IncompleteBranchSet(f"got {len(branches)} branches, sector needs {K}")
     ordered = sorted(branches, key=lambda b: b.energy)
-    energies = np.empty(K)
-    vectors = np.zeros((K, K))
-    norms = np.ones(K)
-    for i, branch in enumerate(ordered):
-        energies[i] = branch.energy
-        raw = expand_eigenstate(branch, spec)
-        scale = float(np.linalg.norm(raw))
-        leak = float(np.max(np.abs(raw.imag))) / scale
-        if leak >= 1e-9:
-            raise ImaginaryLeak(f"relative eigenvector imaginary part {leak:.3e}")
-        vec = raw.real
-        norms[i] = np.linalg.norm(vec)
-        vectors[i] = vec / norms[i]  # vec[0] = sqrt(M!) e_0 > 0
+    energies = np.array([b.energy for b in ordered])
+    raw = expand_eigenstate(ordered, spec)
+    leak = np.max(np.abs(raw.imag), axis=1) / np.linalg.norm(raw, axis=1)
+    if (bad := np.flatnonzero(leak >= 1e-9)).size:
+        raise ImaginaryLeak(f"relative eigenvector imaginary part {leak[bad[0]]:.3e}")
+    norms = np.linalg.norm(raw.real, axis=1)
+    vectors = raw.real / norms[:, None]  # vec[0] = sqrt(M!) e_0 > 0
     H = sector_hamiltonian(spec).dense()
     res = float(np.max(np.abs(vectors @ H - energies[:, None] * vectors)))
     if res >= 1e-8:

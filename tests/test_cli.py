@@ -961,6 +961,22 @@ def test_each_json_reader_refuses_a_bad_document_with_one_line(runner, tmp_path,
     assert len(lines) == 1 or code == 2
 
 
+@pytest.mark.parametrize("reader, args, code", [
+    ("file", ["energy", "--init", "file:fifo", "--n-atoms", "2", "--out", "e.csv"], 3),
+    ("sector", ["verify", "--n-atoms", "10", "--m-max", "1", "--dir", "."], 4),
+    ("config", ["--config", "fifo", "optimal", "--mean", "2"], 2),
+], ids=["file", "sector", "config"])
+def test_each_json_reader_refuses_a_fifo_without_blocking(tmp_path, reader, args, code):
+    # No process writes to the FIFO, so opening it to read would wait for good;
+    # a child process, so that a reader that blocks fails this test at the timeout.
+    os.mkfifo(tmp_path / ("sector_M01.json" if reader == "sector" else "fifo"))
+    result = _child(["-m", "tcqb.cli", *args], cwd=tmp_path, timeout=30)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert lines[-1].endswith("not a regular file") and (len(lines) == 1 or code == 2), result.stderr
+
+
 def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
     target = tmp_path / "data.json"
     cli._write_json(target, {"run": 1})
@@ -1122,12 +1138,12 @@ def test_every_command_runs_through_the_runner():
     assert all(isinstance(command, cli.Runner) for command in main.commands.values())
 
 
-def _child(argv, cwd=None):
+def _child(argv, cwd=None, timeout=120):
     """Run `python *argv` with this checkout's tcqb importable."""
     src = str(Path(tcqb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd,
-                          timeout=120)
+                          timeout=timeout)
 
 
 STARTUP_PROBE = """

@@ -15,6 +15,7 @@ from tcqb.spectral import (
     FREQ_MERGE_TOL,
     CosineSeries,
     EigenResidualTooLarge,
+    ImaginaryLeak,
     IncompleteBranchSet,
     NoMaximumFound,
     elementary_symmetric,
@@ -64,15 +65,30 @@ class TestElementarySymmetric:
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        e = elementary_symmetric(values)
+        e = elementary_symmetric(values[None])[0]
         for k in range(7):
             brute = sum(
                 np.prod(combo) for combo in itertools.combinations(values, k)
             )
             assert abs(e[k] - brute) < 1e-12 * max(1.0, abs(brute))
 
+    def test_rows_of_a_stack_are_independent_and_exact(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        stack[2, [1, 4]] = 3.0 + 4.0j, -3.0 - 4.0j  # equal moduli, the row's largest: a Leja tie
+        assert np.abs(stack[2, 1]) == np.abs(stack[2, 4]) == np.max(np.abs(stack[2]))
+        e = elementary_symmetric(stack)
+        assert e.shape == (5, 7)
+        for row, values in zip(e, stack):
+            alone = elementary_symmetric(values[None])[0]
+            assert [z.hex() for x in row for z in (x.real, x.imag)] == \
+                [z.hex() for x in alone for z in (x.real, x.imag)]
+            for k in range(7):
+                brute = sum(np.prod(combo) for combo in itertools.combinations(values, k))
+                assert abs(row[k] - brute) < 1e-12 * max(1.0, abs(brute))
+
     def test_degree_edges(self):
-        e = elementary_symmetric(np.array([2.0, 3.0]))
+        e = elementary_symmetric(np.array([[2.0, 3.0]]))[0]
         assert e[0] == 1.0
         assert e[2] == pytest.approx(6.0)
 
@@ -81,23 +97,23 @@ class TestExpandEigenstate:
     def test_single_excitation_direction(self, chains):
         spec = SectorSpec(10, 1)
         branch = next(b for b in chains[1] if b.energy < 0)  # roots {+sqrt(10)}
-        vec = expand_eigenstate(branch, spec)
+        vec = expand_eigenstate([branch], spec)[0]
         vec = vec.real / np.linalg.norm(vec.real)
         # eigenvector of [[0, sqrt(10)], [sqrt(10), 0]] at -sqrt(10)
         assert vec == pytest.approx(np.array([1.0, -1.0]) / math.sqrt(2.0), abs=1e-12)
 
     def test_vacuum_sector(self, chains):
-        vec = expand_eigenstate(chains[0][0], SectorSpec(10, 0))
-        assert vec == pytest.approx(np.array([1.0 + 0j]))
+        vec = expand_eigenstate(chains[0], SectorSpec(10, 0))
+        assert vec == pytest.approx(np.array([[1.0 + 0j]]))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_root_count_must_match_the_sector(self, chains, m):
-        with pytest.raises(ValueError, match=f"branch has 2 roots, sector expects {m}"):
-            expand_eigenstate(chains[2][0], SectorSpec(10, m))
+        with pytest.raises(ValueError, match=f"branch 0 has 2 roots, sector expects {m}"):
+            expand_eigenstate(chains[2], SectorSpec(10, m))
 
     def test_branch_pair_orthogonal(self, chains):
         spec = SectorSpec(10, 1)
-        a, b = (expand_eigenstate(br, spec) for br in chains[1])
+        a, b = expand_eigenstate(chains[1], spec)
         a = a / np.linalg.norm(a)
         b = b / np.linalg.norm(b)
         assert abs(np.vdot(a, b)) < 1e-12
@@ -168,6 +184,24 @@ class TestSectorSpectrum:
         branches[1] = dataclasses.replace(branches[1], energy=branches[1].energy + 1e-6)
         with pytest.raises(EigenResidualTooLarge, match=r"^max \|Hv - Ev\| = [0-9.]+e-07$"):
             sector_spectrum(SectorSpec(10, 3), branches)
+
+    @staticmethod
+    def _tilted(branch, factor):
+        return dataclasses.replace(branch, roots=tuple(factor * x for x in branch.roots))
+
+    def test_complex_roots_off_their_solution_leak_an_imaginary_part(self):
+        branches = sorted(solve_sectors(4, 2)[2], key=lambda b: b.energy)
+        branches[0] = self._tilted(branches[0], 1 + 1e-3j)
+        with pytest.raises(ImaginaryLeak, match=r"^relative eigenvector imaginary part 9\.258e-04$"):
+            sector_spectrum(SectorSpec(4, 2), branches)
+
+    def test_the_leak_named_is_the_lowest_bad_branch_in_energy(self):
+        # Tilted alone, the middle branch leaks 1.512e-03: more than the lowest
+        # branch, and it comes first in the order given.
+        branches = sorted(solve_sectors(4, 2)[2], key=lambda b: b.energy)
+        bad = [self._tilted(b, 1 + 1e-3j) for b in branches[:2]]
+        with pytest.raises(ImaginaryLeak, match=r"^relative eigenvector imaginary part 9\.258e-04$"):
+            sector_spectrum(SectorSpec(4, 2), [bad[1], branches[2], bad[0]])
 
     def test_energies_match_generating_branches(self, chains, spectra):
         for m in (3, 8, 14):
